@@ -569,13 +569,13 @@ def cmd_fetch(args) -> int:
 def cmd_bench(args) -> int:
     ds = random_dataset(n=args.n, m=args.m, max_categories=args.categories, seed=args.seed)
     t0 = time.perf_counter()
-    pairwise_matrix(ds, workers=args.threads)
+    matrix = pairwise_matrix(ds)
     t_matrix = time.perf_counter() - t0
 
     if args.algorithm == "exhaustive":
-        sol = exhaustive_search(ds, args.k, workers=args.threads, force=True)
+        sol = exhaustive_search(ds, args.k, matrix=matrix, workers=args.threads, force=True)
     else:
-        sol = local_search(ds, args.k, LocalSearchConfig(p=args.p, seed=args.seed))
+        sol = local_search(ds, args.k, LocalSearchConfig(p=args.p, seed=args.seed), matrix=matrix)
     print(f"pairwise_matrix: n={args.n} m={args.m}  {t_matrix:.3f}s")
     print(
         f"{args.algorithm}: k={args.k}  objective={sol.medoid_objective}  {sol.elapsed:.3f}s"

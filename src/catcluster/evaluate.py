@@ -12,6 +12,7 @@ import numpy as np
 
 from .dataset import CategoricalDataset
 from .kmodes import mode_cost
+from .metric import member_costs
 
 
 def format_rounded(x, places: int = 3) -> str:
@@ -76,7 +77,8 @@ def confusion(dataset: CategoricalDataset, assignment, k: int | None = None) -> 
     label_names = tuple(dataset.schema.label_domain.categories)
     counts = np.zeros((k, len(label_names)), dtype=np.int64)
     np.add.at(counts, (assignment, dataset.labels), dataset.weights)
-    assert int(counts.sum()) == dataset.total_weight
+    if int(counts.sum()) != dataset.total_weight:
+        raise RuntimeError(f"confusion counts sum to {counts.sum()}, total weight is {dataset.total_weight}")
     return ConfusionMatrix(counts=counts, label_names=label_names)
 
 
@@ -111,18 +113,6 @@ def objective_under_modes(dataset: CategoricalDataset, assignment, k: int | None
     return total
 
 
-def _best_member_cost(values: np.ndarray, weights: np.ndarray) -> int:
-    """Min over members c of sum_i w_i * d(i, c), block-wise to bound memory."""
-    s, m = values.shape
-    col_sums = np.zeros(s, dtype=np.int64)
-    block = max(1, (1 << 22) // max(1, s * m))
-    for b in range(0, s, block):
-        e = min(b + block, s)
-        d = (values[b:e, None, :] != values[None, :, :]).sum(axis=2)
-        col_sums += weights[b:e] @ d
-    return int(col_sums.min())
-
-
 def objective_under_medoids(
     dataset: CategoricalDataset,
     assignment=None,
@@ -138,9 +128,10 @@ def objective_under_medoids(
 
         objective, _ = cost_of_medoid_set(dataset, medoid_indices)
         return objective
+    sizes = dataset.schema.domain_sizes()
     total = 0
     for idx in _cluster_indices(assignment, k):
-        total += _best_member_cost(dataset.values[idx], dataset.weights[idx])
+        total += int(member_costs(dataset.values[idx], dataset.weights[idx], sizes).min())
     return total
 
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import CategoricalDataset, DatasetError
+from .metric import category_counts, hamming, heaviest
 
 INIT_METHODS = ("first-k-distinct", "random")
 EMPTY_POLICIES = ("reseed-farthest",)
-
-_ASSIGN_CHUNK = 1 << 22  # elements in the (rows x k x m) comparison temporary
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,8 @@ def compute_mode(dataset: CategoricalDataset, indices=None) -> np.ndarray:
 
 
 def _mode_of(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    mode = np.empty(values.shape[1], dtype=np.int32)
-    for r in range(values.shape[1]):
-        counts = np.bincount(values[:, r], weights=weights, minlength=int(sizes[r]))
-        mode[r] = int(np.argmax(counts))  # first maximum = smallest id
-    return mode
+    mode, _ = heaviest(category_counts(values, weights, sizes), sizes)  # first maximum = smallest id
+    return mode.astype(np.int32)
 
 
 def mode_cost(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> int:
@@ -79,12 +75,8 @@ def mode_cost(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> int
 
     Equals, per attribute, total weight minus the heaviest category's weight.
     """
-    total = int(weights.sum())
-    cost = 0
-    for r in range(values.shape[1]):
-        counts = np.bincount(values[:, r], weights=weights, minlength=int(sizes[r]))
-        cost += total - int(counts.max())
-    return cost
+    _, top = heaviest(category_counts(values, weights, sizes), sizes)
+    return int(np.sum(weights)) * values.shape[1] - int(top.sum())
 
 
 def distinct_row_indices(values: np.ndarray) -> list[int]:
@@ -121,15 +113,7 @@ def assign_points(values_or_dataset, modes: np.ndarray) -> np.ndarray:
     values = getattr(values_or_dataset, "values", values_or_dataset)
     if modes.shape[0] == 0:
         raise ValueError("modes must be non-empty")
-    n, m = values.shape
-    k = modes.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    block = max(1, _ASSIGN_CHUNK // max(1, k * m))
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        dists = (values[s:e, None, :] != modes[None, :, :]).sum(axis=2)
-        out[s:e] = np.argmin(dists, axis=1)  # first minimum = lowest cluster index
-    return out
+    return np.argmin(hamming(values, modes), axis=1)  # first minimum = lowest cluster index
 
 
 def _objective(values, weights, modes, assignment) -> int:
@@ -149,11 +133,9 @@ def _reseed_empty_clusters(values, assignment, modes, k) -> tuple[np.ndarray, np
         reseeded = True
         modes = modes.copy()
         for c in empty:
-            d = (values != modes[c]).sum(axis=1).astype(np.int64)
-            others = np.array([i for i in range(k) if i != c], dtype=np.int64)
-            if others.size:
-                taken = (values[:, None, :] == modes[others][None, :, :]).all(axis=2).any(axis=1)
-                d[taken] = -1
+            dists = hamming(values, modes)
+            d = dists[:, c].astype(np.int64)
+            d[(np.delete(dists, c, axis=1) == 0).any(axis=1)] = -1
             pick = int(np.argmax(d))  # first maximum = lowest record index
             if d[pick] < 0:
                 raise RuntimeError("no reseed candidate for empty cluster")
@@ -189,10 +171,8 @@ def run_kmodes(dataset: CategoricalDataset, config: KModesConfig, debug: bool = 
             reseeded_iters.append(it)
         if debug:
             obj = _objective(values, weights, modes, new_assignment)
-            if history and it not in reseeded_iters:
-                assert obj <= history[-1], (
-                    f"objective increased {history[-1]} -> {obj} at iteration {it}"
-                )
+            if history and it not in reseeded_iters and obj > history[-1]:
+                raise RuntimeError(f"objective increased {history[-1]} -> {obj} at iteration {it}")
             history.append(obj)
         if np.array_equal(new_assignment, assignment) and not reseeded:
             converged = True

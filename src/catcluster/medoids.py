@@ -4,9 +4,9 @@ to dataset members.
 Two routes: deterministic exhaustive enumeration of all k-subsets (optimal for
 the member-restricted objective, hence a 2-approximation to the unrestricted
 mode objective), and seeded swap-based local search for instances where
-enumeration is not affordable. Both run matrix-backed or on-the-fly with
-identical results. The audit functions empirically certify the two bounds the
-approximation argument rests on.
+enumeration is not affordable. Both read distance rows from the matrix or
+compute them on the fly, with identical results. The audit functions
+empirically certify the two bounds the approximation argument rests on.
 """
 from __future__ import annotations
 
@@ -23,13 +23,14 @@ from .kmodes import mode_cost
 from .metric import (
     DEFAULT_MATRIX_BUDGET,
     MatrixBudgetError,
-    distance_columns,
+    hamming,
+    member_costs,
     pairwise_matrix,
 )
 
 EXHAUSTIVE_GATE = 2000  # records; enumeration beyond this needs force=True
 _SCAN_BLOCK = 256  # rows accumulated between prune checks
-_CHUNK = 512  # candidate columns evaluated per vectorized batch
+_CHUNK = 512  # candidate rows evaluated per vectorized batch
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -76,10 +77,13 @@ def _resolve_matrix(dataset: CategoricalDataset, matrix):
     return matrix
 
 
-def _columns(values: np.ndarray, matrix, indices) -> np.ndarray:
+def _rows(values: np.ndarray, matrix, index) -> np.ndarray:
+    """Distance rows d(j, .) for the records selected by ``index`` (a list or
+    a slice), shape (count, n). The matrix is symmetric, so these are also its
+    columns; a contiguous slice of matrix rows is a view, not a copy."""
     if matrix is not None:
-        return matrix[:, list(indices)]
-    return distance_columns(values, list(indices))
+        return matrix[index]
+    return hamming(values[index], values)
 
 
 def cost_of_medoid_set(
@@ -94,10 +98,9 @@ def cost_of_medoid_set(
         raise ValueError(f"duplicate medoid indices in {idx}")
     if any(i < 0 or i >= dataset.n_records for i in idx):
         raise ValueError(f"medoid index out of range in {idx}")
-    cols = _columns(dataset.values, matrix, idx)
-    assignment = np.argmin(cols, axis=1)  # first minimum = lowest position
-    nearest = cols[np.arange(cols.shape[0]), assignment].astype(np.int64)
-    objective = int((dataset.weights * nearest).sum())
+    rows = _rows(dataset.values, matrix, idx)
+    assignment = np.argmin(rows, axis=0)  # first minimum = lowest position
+    objective = int(dataset.weights @ rows.min(axis=0))
     return objective, assignment
 
 
@@ -111,12 +114,12 @@ def _scan_subsets(values, weights, matrix, k, first_lo, first_hi, block=_SCAN_BL
     for first in range(first_lo, first_hi):
         for rest in itertools.combinations(range(first + 1, n), k - 1):
             subset = [first, *rest]
-            cols = _columns(values, matrix, subset)
+            rows = _rows(values, matrix, subset)
             cost = 0
             aborted = False
             for s in range(0, n, block):
                 e = min(s + block, n)
-                part = cols[s:e].min(axis=1).astype(np.int64)
+                part = rows[:, s:e].min(axis=0).astype(np.int64)
                 cost += int(weights[s:e] @ part)
                 if best_cost is not None and cost >= best_cost:
                     aborted = True
@@ -188,7 +191,8 @@ def exhaustive_search(
         (r for r in results if r[1] is not None), key=lambda r: (r[0], r[1])
     )
     objective, assignment = cost_of_medoid_set(dataset, best_subset, matrix)
-    assert objective == best_cost, "pruned scan disagrees with recomputed objective"
+    if objective != best_cost:
+        raise RuntimeError(f"pruned scan cost {best_cost} != recomputed objective {objective}")
     return MedoidSolution(
         medoid_indices=best_subset,
         assignment=assignment,
@@ -199,51 +203,50 @@ def exhaustive_search(
     )
 
 
-def exhaustive_search_naive(dataset: CategoricalDataset, k: int, matrix=None) -> MedoidSolution:
+def exhaustive_search_naive(dataset: CategoricalDataset, k: int) -> MedoidSolution:
     """Pruning-free enumeration oracle: full cost for every k-subset, same tie
     rule as :func:`exhaustive_search`. Kept deliberately independent of the
-    pruned scan path."""
+    pruned scan and of the distance kernel: distances are counted directly."""
     t0 = time.perf_counter()
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
+    dist = (dataset.values[:, None, :] != dataset.values[None, :, :]).sum(axis=2)
     best: tuple[int, tuple[int, ...]] | None = None
     for subset in itertools.combinations(range(n), k):
-        objective, _ = cost_of_medoid_set(dataset, subset, matrix)
+        objective = int(dataset.weights @ dist[:, subset].min(axis=1))
         if best is None or objective < best[0]:
             best = (objective, subset)
-    objective, assignment = cost_of_medoid_set(dataset, best[1], matrix)
     return MedoidSolution(
         medoid_indices=best[1],
-        assignment=assignment,
-        medoid_objective=objective,
+        assignment=np.argmin(dist[:, best[1]], axis=1),  # first minimum = lowest position
+        medoid_objective=best[0],
         algorithm="exhaustive",
         guarantee=2.0,
         elapsed=time.perf_counter() - t0,
     )
 
 
-def _weighted_column_sums(weights: np.ndarray, mins: np.ndarray) -> np.ndarray:
-    return weights @ mins.astype(np.int64)
+def _best_completion(values, weights, matrix, base, start, excluded, chunk=_CHUNK):
+    """Cheapest single added medoid, read from contiguous blocks of distance
+    rows: min over c >= start, c not excluded, of sum_i w_i * min(base_i, d(c, i)).
 
-
-def _best_completion(values, weights, matrix, base, candidates, chunk=_CHUNK):
-    """Minimal cost over single added columns: min_c sum_i w_i * min(base_i, d(i, c)).
-
-    Returns (cost, candidate, position_in_candidates); ties resolved to the
-    earliest candidate. ``base`` may be None when no column is kept.
+    Returns (cost, candidate), ties resolved to the lowest candidate, or
+    (None, None) when none is left. ``base`` is None when no medoid is kept.
     """
     best_cost, best_cand = None, None
-    for s in range(0, len(candidates), chunk):
-        block = candidates[s : s + chunk]
-        cols = _columns(values, matrix, block)
+    for s in range(start, len(weights), chunk):
+        free = np.flatnonzero(~excluded[s : s + chunk])
+        if free.size == 0:
+            continue
+        rows = _rows(values, matrix, slice(s, s + chunk))
         if base is not None:
-            cols = np.minimum(base[:, None], cols)
-        sums = _weighted_column_sums(weights, cols)
+            rows = np.minimum(rows, base)
+        sums = np.einsum("ij,j->i", rows, weights)[free]  # int64 sums, no int64 copy of rows
         j = int(np.argmin(sums))
         if best_cost is None or int(sums[j]) < best_cost:
             best_cost = int(sums[j])
-            best_cand = int(block[j])
+            best_cand = s + int(free[j])
     return best_cost, best_cand
 
 
@@ -274,8 +277,7 @@ def local_search(
     best_overall: tuple[int, tuple[int, ...]] | None = None
     for start in starts:
         medoids = [int(i) for i in start]
-        cols = _columns(values, matrix, medoids)
-        cost = int(_weighted_column_sums(weights, cols.min(axis=1)[:, None])[0])
+        cost, _ = cost_of_medoid_set(dataset, medoids, matrix)
         for _ in range(config.max_steps):
             swap = _best_swap(values, weights, matrix, medoids, config.p)
             if swap is None:
@@ -291,7 +293,8 @@ def local_search(
             best_overall = candidate
 
     objective, assignment = cost_of_medoid_set(dataset, best_overall[1], matrix)
-    assert objective == best_overall[0], "swap bookkeeping disagrees with recomputed objective"
+    if objective != best_overall[0]:
+        raise RuntimeError(f"swap bookkeeping cost {best_overall[0]} != recomputed objective {objective}")
     return MedoidSolution(
         medoid_indices=best_overall[1],
         assignment=assignment,
@@ -307,32 +310,25 @@ def _best_swap(values, weights, matrix, medoids, p):
     None when k or the non-medoid pool admits no exchange. Deterministic:
     sizes ascending, removal positions and additions in lexicographic order,
     strict improvement to move the incumbent."""
-    n = values.shape[0] if matrix is None else matrix.shape[0]
     k = len(medoids)
-    in_medoids = np.zeros(n, dtype=bool)
+    in_medoids = np.zeros(len(weights), dtype=bool)
     in_medoids[medoids] = True
     pool = np.flatnonzero(~in_medoids)
     best = None
     for s in range(1, min(p, k, len(pool)) + 1):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
-            base = None
-            if kept:
-                base = _columns(values, matrix, kept).min(axis=1).astype(np.int64)
-            for prefix in itertools.combinations(range(len(pool)), s - 1):
-                prefix_idx = [int(pool[i]) for i in prefix]
-                if prefix_idx:
-                    pcols = _columns(values, matrix, prefix_idx).min(axis=1).astype(np.int64)
+            base = _rows(values, matrix, kept).min(axis=0) if kept else None
+            for prefix in itertools.combinations(pool.tolist(), s - 1):
+                pbase = base
+                if prefix:
+                    pcols = _rows(values, matrix, list(prefix)).min(axis=0)
                     pbase = pcols if base is None else np.minimum(base, pcols)
-                else:
-                    pbase = base
-                tail_start = (prefix[-1] + 1) if prefix else 0
-                tail = pool[tail_start:]
-                if len(tail) == 0:
-                    continue
-                cost, cand = _best_completion(values, weights, matrix, pbase, tail)
+                # the added medoids stay in ascending order: the last exceeds the prefix
+                start = prefix[-1] + 1 if prefix else 0
+                cost, cand = _best_completion(values, weights, matrix, pbase, start, in_medoids)
                 if cost is not None and (best is None or cost < best[0]):
-                    best = (cost, removals, tuple(prefix_idx + [cand]))
+                    best = (cost, removals, (*prefix, cand))
     return best
 
 
@@ -350,15 +346,13 @@ class Lemma1Report:
         return not self.violations
 
 
-def audit_lemma1(
-    dataset: CategoricalDataset, trials: int, seed: int, matrix="auto"
-) -> Lemma1Report:
+def audit_lemma1(dataset: CategoricalDataset, trials: int, seed: int) -> Lemma1Report:
     """Sample random non-empty record subsets; check that the best member
     representative costs at most twice the mode on every one. The 0/0 case
-    (singleton or all-identical subsets) counts as ratio 1."""
+    (singleton or all-identical subsets) counts as ratio 1. Both costs come
+    from the subset's category counts; no distance block is built."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    matrix = _resolve_matrix(dataset, matrix)
     rng = np.random.default_rng(seed)
     n = dataset.n_records
     values, weights = dataset.values, dataset.weights
@@ -369,20 +363,9 @@ def audit_lemma1(
     for t in range(trials):
         s = int(rng.integers(1, n + 1))
         idx = np.sort(rng.choice(n, size=s, replace=False))
-        w = weights[idx]
-        if matrix is not None:
-            sub = matrix[np.ix_(idx, idx)].astype(np.int64)
-            col_sums = w @ sub
-        else:
-            vs = values[idx]
-            col_sums = np.zeros(s, dtype=np.int64)
-            block = max(1, (1 << 22) // max(1, s * dataset.m))
-            for b in range(0, s, block):
-                e = min(b + block, s)
-                d = (vs[b:e, None, :] != vs[None, :, :]).sum(axis=2)
-                col_sums += w[b:e] @ d
-        medoid_cost = int(col_sums.min())
-        m_cost = mode_cost(values[idx], w, sizes)
+        vs, w = values[idx], weights[idx]
+        medoid_cost = int(member_costs(vs, w, sizes).min())
+        m_cost = mode_cost(vs, w, sizes)
         ratios[t] = 1.0 if m_cost == 0 else medoid_cost / m_cost
         if medoid_cost > 2 * m_cost:
             violations.append((tuple(int(i) for i in idx), medoid_cost, m_cost))

@@ -3,10 +3,15 @@
 The measure is a true metric on category-id vectors (non-negative, zero only
 for equal vectors, symmetric, triangle inequality), which
 ``check_metric_properties`` certifies empirically on seeded random triples.
+
+Every distance and cluster cost in the package comes from one kernel. With X
+the one-hot encoding of the codes, d(x, y) = m - <X_x, X_y>, so a block of
+distances is one matrix product (:func:`hamming`); the column sums of w * X,
+the weighted category counts, give a record set's mode and costs without any
+pairwise block (:func:`category_counts`).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +19,10 @@ import numpy as np
 from .dataset import CategoricalDataset, Record
 
 DEFAULT_MATRIX_BUDGET = 1 << 30  # bytes
+_BLOCK_BYTES = 1 << 22  # one one-hot block, and one block of the float product
+# each side is encoded again for every block of the other: fewer rows than
+# this and the encoding, not the product, takes the time on wide domains
+_MIN_BLOCK_ROWS = 256
 
 
 class SchemaMismatchError(ValueError):
@@ -31,15 +40,6 @@ def distance(x: Record, y: Record) -> int:
     return int(np.count_nonzero(x.values != y.values))
 
 
-def distance_columns(values: np.ndarray, indices) -> np.ndarray:
-    """Distances from every row of ``values`` to each row in ``indices``, shape (n, len(indices))."""
-    idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    out = np.empty((values.shape[0], idx.size), dtype=np.int64)
-    for j, i in enumerate(idx):
-        out[:, j] = (values != values[i]).sum(axis=1)
-    return out
-
-
 def matrix_dtype(m: int):
     """Smallest unsigned integer width that holds a distance in [0, m]."""
     if m <= np.iinfo(np.uint8).max:
@@ -49,41 +49,86 @@ def matrix_dtype(m: int):
     return np.uint32
 
 
-def pairwise_matrix(
-    dataset: CategoricalDataset,
-    max_bytes: int = DEFAULT_MATRIX_BUDGET,
-    workers: int = 1,
-) -> np.ndarray:
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """First one-hot column of each attribute."""
+    return np.cumsum(sizes) - sizes
+
+
+def _onehot(codes: np.ndarray, offsets: np.ndarray, width: int, dtype) -> np.ndarray:
+    out = np.zeros((codes.shape[0], width), dtype=dtype)
+    out[np.arange(codes.shape[0])[:, None], codes + offsets] = 1
+    return out
+
+
+def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances d(a_i, b_j) between two code matrices, shape (len(a), len(b)),
+    in the smallest unsigned width that holds m.
+
+    Computed as m - onehot(a) @ onehot(b).T, each side encoded per block of
+    rows and never whole. The product is float32 while m < 2**24: every
+    product and partial sum is then an integer below 2**24, so the result is
+    exact whatever the BLAS blocking or thread count.
+    """
+    m = a.shape[1]
+    out = np.empty((a.shape[0], b.shape[0]), dtype=matrix_dtype(m))
+    if out.size == 0:
+        return out
+    sizes = np.maximum(a.max(axis=0), b.max(axis=0)).astype(np.int64) + 1
+    offsets, width = _offsets(sizes), int(sizes.sum())
+    ftype = np.dtype(np.float32 if m < 1 << 24 else np.float64)
+    b_rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (width * ftype.itemsize))
+    for bs in range(0, b.shape[0], b_rows):
+        xb = _onehot(b[bs : bs + b_rows], offsets, width, ftype)
+        a_rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (max(width, xb.shape[0]) * ftype.itemsize))
+        for s in range(0, a.shape[0], a_rows):
+            xa = _onehot(a[s : s + a_rows], offsets, width, ftype)
+            block = out[s : s + a_rows, bs : bs + b_rows]
+            np.subtract(m, xa @ xb.T, out=block, casting="unsafe")
+    return out
+
+
+def pairwise_matrix(dataset: CategoricalDataset, max_bytes: int = DEFAULT_MATRIX_BUDGET) -> np.ndarray:
     """Full n x n distance matrix in the smallest integer width that holds m.
 
     Raises :class:`MatrixBudgetError` when the matrix would exceed ``max_bytes``;
-    callers are expected to fall back to on-the-fly distances. Row blocks are
-    independent, so the result is identical for any worker count.
+    callers are expected to fall back to on-the-fly distances.
     """
     values = dataset.values
     n, m = values.shape
-    dtype = matrix_dtype(m)
-    need = n * n * np.dtype(dtype).itemsize
+    need = n * n * np.dtype(matrix_dtype(m)).itemsize
     if need > max_bytes:
         raise MatrixBudgetError(
             f"{n}x{n} distance matrix needs {need} bytes, cap is {max_bytes}"
         )
-    out = np.empty((n, n), dtype=dtype)
-    # keep the (block x n x m) boolean temporary around ~32MB
-    block = max(1, min(n, (32 << 20) // max(1, n * m)))
-    ranges = [(s, min(s + block, n)) for s in range(0, n, block)]
+    return hamming(values, values)
 
-    def fill(rng):
-        s, e = rng
-        np.sum(values[s:e, None, :] != values[None, :, :], axis=2, dtype=dtype, out=out[s:e])
 
-    if workers <= 1 or len(ranges) == 1:
-        for rng in ranges:
-            fill(rng)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(fill, ranges))
-    return out
+def category_counts(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Total weight of every (attribute, category) pair in one-hot column
+    order, summed in int64: exact for any total weight that fits in int64."""
+    counts = np.zeros(int(np.sum(sizes)), dtype=np.int64)
+    codes = (values + _offsets(sizes)).ravel()
+    np.add.at(counts, codes, np.repeat(np.asarray(weights, dtype=np.int64), values.shape[1]))
+    return counts
+
+
+def heaviest(counts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per attribute, the first category of maximal count and that count."""
+    offsets = _offsets(sizes)
+    top = np.maximum.reduceat(counts, offsets)
+    hits = np.flatnonzero(counts == np.repeat(top, sizes))
+    return hits[np.searchsorted(hits, offsets)] - offsets, top
+
+
+def member_costs(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """sum_i w_i * d(i, c) for every member c of a weighted record set, int64.
+
+    With W the total weight, the sum is m * W - sum_r count_r[v_cr]: O(s * m)
+    from the category counts, with no pairwise block.
+    """
+    counts = category_counts(values, weights, sizes)
+    m_total = int(np.sum(weights)) * values.shape[1]
+    return m_total - counts[values + _offsets(sizes)].sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from catcluster import (
     objective_under_modes,
     random_dataset,
 )
+from catcluster.dataset import CategoricalDataset
 from catcluster.evaluate import ConfusionMatrix
 
 from conftest import dataset_from_rows
@@ -116,6 +117,12 @@ class TestConfusion:
         ds = dataset_from_rows([["a"]])
         with pytest.raises(ValueError, match="label"):
             confusion(ds, [0])
+
+    def test_count_total_mismatch_raises(self, monkeypatch):
+        ds = dataset_from_rows([["a"], ["b"]], labels=["x", "y"])
+        monkeypatch.setattr(CategoricalDataset, "total_weight", property(lambda self: 3), raising=False)
+        with pytest.raises(RuntimeError, match="total weight is 3"):
+            confusion(ds, [0, 1])
 
     def test_requires_full_assignment(self):
         ds = dataset_from_rows([["a"], ["b"]], labels=["x", "y"])

@@ -14,7 +14,8 @@ from catcluster import (
     random_dataset,
     run_kmodes,
 )
-from catcluster.kmodes import init_modes, mode_cost
+from catcluster import kmodes
+from catcluster.kmodes import _mode_of, init_modes, mode_cost
 
 from conftest import dataset_from_rows
 
@@ -74,6 +75,46 @@ class TestComputeMode:
         cost = int(((ds.values != mode).sum(axis=1) * ds.weights).sum())
         assert cost == brute_force_mode_cost(ds)
         assert cost == mode_cost(ds.values, ds.weights, ds.schema.domain_sizes())
+
+
+class TestCategoryCounts:
+    def test_mode_cost_exact_above_2_53(self):
+        values = np.array([[0], [1], [1]], dtype=np.int32)
+        weights = np.array([2**53 + 1, 1, 1], dtype=np.int64)
+        assert mode_cost(values, weights, np.array([2])) == 2
+
+    def test_mode_exact_above_2_53(self):
+        # float64 counts would round both categories to 2**53 and tie on "a"
+        ds = dataset_from_rows([["a"], ["b"]], weights=[2**53, 2**53 + 1])
+        assert ds.decode(compute_mode(ds)) == ["b"]
+        assert mode_cost(ds.values, ds.weights, ds.schema.domain_sizes()) == 2**53
+
+    @given(
+        s=st.integers(1, 12),
+        m=st.integers(1, 4),
+        cats=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        weights=st.lists(st.integers(1, 2**40), min_size=12, max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mode_and_cost_match_brute_force(self, s, m, cats, seed, weights):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, cats, size=(s, m)).astype(np.int32)
+        w = weights[:s]
+        sizes = np.full(m, cats)
+        mode = _mode_of(values, np.array(w, dtype=np.int64), sizes)
+        # O(s^2) brute force with Python integers: the best representative
+        # built attribute by attribute from the members' own categories
+        want_mode, want_cost = [], 0
+        for r in range(m):
+            costs = {
+                c: sum(w[i] for i in range(s) if values[i, r] != c) for c in range(cats)
+            }
+            best = min(costs.values())
+            want_mode.append(min(c for c in costs if costs[c] == best))
+            want_cost += best
+        assert mode.tolist() == want_mode
+        assert mode_cost(values, np.array(w, dtype=np.int64), sizes) == want_cost
 
 
 class TestInitAndAssign:
@@ -186,6 +227,16 @@ class TestRunKModes:
         assert np.array_equal(new_modes[1], ds.values[2])
         assert (np.bincount(new_assignment, minlength=2) > 0).all()
         assert np.array_equal(new_modes[0], modes[0])
+
+    def test_debug_objective_increase_raises(self, monkeypatch):
+        ds = random_dataset(n=120, m=6, max_categories=4, seed=1)
+        config = KModesConfig(k=4)
+        result = run_kmodes(ds, config, debug=True)
+        assert len(result.objective_history) >= 2 and not result.reseeded_iterations
+        rising = iter(range(10**6))
+        monkeypatch.setattr(kmodes, "_objective", lambda *args: next(rising))
+        with pytest.raises(RuntimeError, match="objective increased"):
+            run_kmodes(ds, config, debug=True)
 
     def test_max_iterations_caps_loop(self):
         ds = random_dataset(n=200, m=8, max_categories=5, seed=3)

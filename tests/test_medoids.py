@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from catcluster import (
     InstanceTooLargeError,
+    dedupe,
+    medoids,
     LocalSearchConfig,
     audit_lemma1,
     audit_lemma2,
@@ -132,6 +134,12 @@ class TestExhaustiveSearch:
         assert pruned.medoid_objective == naive.medoid_objective
         assert pruned.medoid_indices == naive.medoid_indices
 
+    def test_scan_disagreement_raises(self, monkeypatch):
+        ds = random_dataset(n=12, m=3, max_categories=3, seed=4)
+        monkeypatch.setattr(medoids, "_scan_subsets", lambda *args: (-1, (0, 1)))
+        with pytest.raises(RuntimeError, match="pruned scan"):
+            exhaustive_search(ds, 2)
+
     @given(seed=st.integers(0, 10_000), pick=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_no_subset_beats_the_optimum(self, seed, pick):
@@ -199,6 +207,13 @@ class TestLocalSearch:
                     new < cur and cur - new >= config.min_relative_improvement * cur
                 )
 
+    def test_swap_bookkeeping_disagreement_raises(self, monkeypatch):
+        ds = random_dataset(n=20, m=4, max_categories=3, seed=5)
+        claims = iter([(0, (0,), (19,))])  # one swap claimed to reach cost 0, then none
+        monkeypatch.setattr(medoids, "_best_swap", lambda *args: next(claims, None))
+        with pytest.raises(RuntimeError, match="swap bookkeeping"):
+            local_search(ds, 2, LocalSearchConfig(seed=0))
+
     def test_p2_swaps_escape_a_p1_optimum(self):
         # p=2 must do at least as well as p=1 on the same start
         ds = random_dataset(n=30, m=4, max_categories=3, seed=5)
@@ -244,11 +259,28 @@ class TestLemmaAudits:
         assert sum(count for _, _, count in report.histogram) == 200
         assert report.trials == 200
 
-    def test_lemma1_matrix_parity(self):
-        ds = random_dataset(n=40, m=4, max_categories=3, seed=2)
-        a = audit_lemma1(ds, trials=100, seed=5, matrix="auto")
-        b = audit_lemma1(ds, trials=100, seed=5, matrix=None)
-        assert a == b
+    # reports of the matrix-backed audit that preceded the count-based one
+    @pytest.mark.parametrize(
+        "shape,deduped,trials,seed,max_ratio,histogram",
+        [
+            ({"n": 40, "m": 12, "max_categories": 6, "min_categories": 3, "seed": 3},
+             False, 40, 1, 1.1764705882352942, {10: 36, 11: 4}),
+            ({"n": 400, "m": 6, "max_categories": 3, "min_categories": 2, "seed": 5},
+             True, 30, 2, 1.048780487804878, {10: 30}),
+            ({"n": 25, "m": 300, "max_categories": 3, "seed": 8},
+             False, 20, 0, 1.238341968911917, {10: 2, 11: 17, 12: 1}),
+        ],
+        ids=["wide-domains", "deduped-weights", "m300"],
+    )
+    def test_lemma1_golden_reports(self, shape, deduped, trials, seed, max_ratio, histogram):
+        ds = random_dataset(**shape)
+        if deduped:
+            ds = dedupe(ds)
+            assert ds.weights.max() > 1
+        report = audit_lemma1(ds, trials=trials, seed=seed)
+        assert report.max_ratio == max_ratio
+        assert [count for _, _, count in report.histogram] == [histogram.get(b, 0) for b in range(20)]
+        assert report.violations == ()
 
     def test_lemma2_small_run_passes(self):
         report = audit_lemma2(trials=40, seed=0)

@@ -1,12 +1,25 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcluster import check_metric_properties, distance, pairwise_matrix, random_dataset
-from catcluster.metric import MatrixBudgetError, SchemaMismatchError, distance_columns, matrix_dtype
+from catcluster import check_metric_properties, distance, metric, pairwise_matrix, random_dataset
+from catcluster.metric import (
+    MatrixBudgetError,
+    SchemaMismatchError,
+    hamming,
+    matrix_dtype,
+    member_costs,
+)
 
 from conftest import dataset_from_rows
+
+
+def broadcast_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Independent oracle: mismatching attributes counted by direct comparison."""
+    return (a[:, None, :] != b[None, :, :]).sum(axis=2)
 
 
 class TestDistance:
@@ -62,15 +75,14 @@ class TestPairwiseMatrix:
             ]
         )
         assert np.array_equal(m.astype(np.int64), naive)
-        cols = distance_columns(ds.values, [5, 17])
+        cols = hamming(ds.values, ds.values[[5, 17]])
         assert np.array_equal(cols.astype(np.int64), naive[:, [5, 17]])
 
-    def test_worker_parity(self):
+    def test_matches_broadcast_oracle(self):
         ds = random_dataset(n=200, m=8, max_categories=3, seed=1)
-        a = pairwise_matrix(ds, workers=1)
-        b = pairwise_matrix(ds, workers=4)
-        assert np.array_equal(a, b)
-        assert a.dtype == b.dtype
+        d = pairwise_matrix(ds)
+        assert d.dtype == np.uint8
+        assert np.array_equal(d, broadcast_count(ds.values, ds.values))
 
     def test_dtype_scales_with_m(self):
         assert matrix_dtype(22) == np.uint8
@@ -82,6 +94,55 @@ class TestPairwiseMatrix:
         ds = random_dataset(n=100, m=4, max_categories=3, seed=0)
         with pytest.raises(MatrixBudgetError):
             pairwise_matrix(ds, max_bytes=100)
+
+
+class TestHammingKernel:
+    @given(
+        data=st.data(),
+        na=st.integers(1, 25),
+        nb=st.integers(1, 25),
+        # wide records: the uint16 matrix, and sums beyond float16's exact range
+        m=st.one_of(st.integers(1, 6), st.integers(256, 300), st.integers(2049, 2100)),
+        cats=st.integers(1, 5),
+        wide=st.booleans(),
+        block_bytes=st.sampled_from([1, 64, 4096, 1 << 22]),
+        min_rows=st.sampled_from([1, 7, 256]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_match_broadcast_count(self, data, na, nb, m, cats, wide, block_bytes, min_rows):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, cats, size=(na, m)).astype(np.int32)
+        b = rng.integers(0, cats, size=(nb, m)).astype(np.int32)
+        if wide:  # attribute 0 takes up to 1000 categories
+            a[:, 0] = rng.integers(0, 1000, size=na)
+            b[:, 0] = rng.integers(0, 1000, size=nb)
+        with mock.patch.multiple(metric, _BLOCK_BYTES=block_bytes, _MIN_BLOCK_ROWS=min_rows):
+            d = hamming(a, b)
+        assert d.dtype == matrix_dtype(m)
+        assert np.array_equal(d, broadcast_count(a, b))
+
+    def test_single_record_and_empty_sides(self):
+        one = np.array([[2, 0, 1]], dtype=np.int32)
+        assert hamming(one, one).tolist() == [[0]]
+        assert hamming(one[:0], one).shape == (0, 1)
+
+    @given(
+        s=st.integers(1, 12),
+        m=st.integers(1, 4),
+        cats=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        weights=st.lists(st.integers(1, 2**40), min_size=12, max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_member_costs_match_pairwise_sums(self, s, m, cats, seed, weights):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, cats, size=(s, m)).astype(np.int32)
+        w = weights[:s]
+        d = broadcast_count(values, values).tolist()
+        want = [sum(w[i] * d[i][c] for i in range(s)) for c in range(s)]
+        got = member_costs(values, np.array(w, dtype=np.int64), np.full(m, cats))
+        assert got.tolist() == want
 
 
 class TestMetricAudit:
