@@ -6,7 +6,6 @@ from .dataset import (
     AttributeDomain,
     CategoricalDataset,
     DatasetError,
-    Record,
     Schema,
     dataset_stats,
     dedupe,
@@ -47,9 +46,7 @@ from .medoids import (
 from .metric import (
     MatrixBudgetError,
     MetricReport,
-    SchemaMismatchError,
     check_metric_properties,
-    distance,
     pairwise_matrix,
 )
 
@@ -70,9 +67,7 @@ __all__ = [
     "MatrixBudgetError",
     "MedoidSolution",
     "MetricReport",
-    "Record",
     "Schema",
-    "SchemaMismatchError",
     "accuracy_error",
     "assign_points",
     "audit_lemma1",
@@ -84,7 +79,6 @@ __all__ = [
     "cost_of_medoid_set",
     "dataset_stats",
     "dedupe",
-    "distance",
     "evaluate",
     "exhaustive_search",
     "exhaustive_search_naive",

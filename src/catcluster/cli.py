@@ -485,9 +485,9 @@ def _verify_oracle(trials: int, seed: int):
         k = int(rng.integers(1, min(3, n) + 1))
         inst_seed = int(rng.integers(0, 2**63 - 1))
         inst = random_dataset(n=n, m=m, max_categories=cats, seed=inst_seed)
-        pruned = exhaustive_search(inst, k)
+        scan = exhaustive_search(inst, k)
         naive = exhaustive_search_naive(inst, k)
-        if (pruned.medoid_objective, pruned.medoid_indices) != (
+        if (scan.medoid_objective, scan.medoid_indices) != (
             naive.medoid_objective,
             naive.medoid_indices,
         ):
@@ -496,7 +496,7 @@ def _verify_oracle(trials: int, seed: int):
                     "instance_seed": inst_seed,
                     "n": n,
                     "k": k,
-                    "pruned": [pruned.medoid_objective, list(pruned.medoid_indices)],
+                    "scan": [scan.medoid_objective, list(scan.medoid_indices)],
                     "naive": [naive.medoid_objective, list(naive.medoid_indices)],
                 }
             )

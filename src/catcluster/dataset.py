@@ -9,7 +9,7 @@ so the merge is exact.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +34,6 @@ class AttributeDomain:
     def size(self) -> int:
         return len(self.categories)
 
-    def id_of(self, category: str) -> int:
-        try:
-            return self.categories.index(category)
-        except ValueError:
-            raise DatasetError(
-                f"unknown category {category!r} for attribute {self.name!r}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -60,17 +52,6 @@ class Schema:
 
     def domain_sizes(self) -> np.ndarray:
         return np.array([a.size for a in self.attributes], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class Record:
-    """One (possibly weighted) encoded row; ``weight`` counts merged duplicates."""
-
-    schema: Schema
-    values: np.ndarray
-    weight: int = 1
-    label: int | None = None
-    source_rows: tuple[int, ...] = ()
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -121,16 +102,6 @@ class CategoricalDataset:
     def __len__(self) -> int:
         return self.n_records
 
-    def record(self, i: int) -> Record:
-        label = None if self.labels is None else int(self.labels[i])
-        return Record(
-            schema=self.schema,
-            values=self.values[i],
-            weight=int(self.weights[i]),
-            label=label,
-            source_rows=self.source_rows[i],
-        )
-
     def decode(self, values: np.ndarray) -> list[str]:
         """Map a vector of category ids back to the original text fields."""
         return [a.categories[int(v)] for a, v in zip(self.schema.attributes, values)]
@@ -141,7 +112,19 @@ class CategoricalDataset:
         return self.schema.label_domain.categories[label_id]
 
     def distinct_value_count(self) -> int:
-        return len({row.tobytes() for row in self.values})
+        return len(distinct_rows(self.values)[0])
+
+
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row of ``keys``, in first-appearance order,
+    and each row's group: the position of its distinct row in that order."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # sorted distinct rows -> first-appearance order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.ravel()]
 
 
 def _resolve_label_column(label_column, names: list[str] | None, n_cols: int) -> int:
@@ -256,30 +239,20 @@ def dedupe(dataset: CategoricalDataset) -> CategoricalDataset:
     ``total_weight`` is unchanged. Exact for every objective in this
     package: distances and category frequencies are weight-linear.
     """
-    order: dict[bytes, int] = {}
-    groups: list[list[int]] = []
     labels = dataset.labels
-    for i in range(dataset.n_records):
-        key = dataset.values[i].tobytes()
-        if labels is not None:
-            key += int(labels[i]).to_bytes(4, "little")
-        at = order.get(key)
-        if at is None:
-            order[key] = len(groups)
-            groups.append([i])
-        else:
-            groups[at].append(i)
-
-    reps = [g[0] for g in groups]
-    weights = np.array([int(dataset.weights[g].sum()) for g in groups], dtype=np.int64)
-    source_rows = tuple(
-        tuple(r for i in g for r in dataset.source_rows[i]) for g in groups
-    )
+    keys = dataset.values if labels is None else np.column_stack([dataset.values, labels])
+    reps, group = distinct_rows(keys)
+    weights = np.zeros(reps.size, dtype=np.int64)
+    np.add.at(weights, group, dataset.weights)
+    merged: list[list[int]] = [[] for _ in range(reps.size)]
+    for g, rows in zip(group.tolist(), dataset.source_rows):
+        merged[g].extend(rows)
+    source_rows = tuple(tuple(rows) for rows in merged)
     return CategoricalDataset(
         schema=dataset.schema,
-        values=dataset.values[reps].copy(),
+        values=dataset.values[reps],
         weights=weights,
-        labels=None if labels is None else labels[reps].copy(),
+        labels=None if labels is None else labels[reps],
         source_rows=source_rows,
         total_weight=dataset.total_weight,
     )

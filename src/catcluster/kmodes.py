@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CategoricalDataset, DatasetError
+from .dataset import CategoricalDataset, DatasetError, distinct_rows
 from .metric import category_counts, hamming, heaviest
 
 INIT_METHODS = ("first-k-distinct", "random")
@@ -79,22 +79,10 @@ def mode_cost(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> int
     return int(np.sum(weights)) * values.shape[1] - int(top.sum())
 
 
-def distinct_row_indices(values: np.ndarray) -> list[int]:
-    """Indices of the first occurrence of each distinct value vector, in file order."""
-    seen: set[bytes] = set()
-    out: list[int] = []
-    for i in range(values.shape[0]):
-        key = values[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(i)
-    return out
-
-
 def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
     """Initial k mode vectors: the first k pairwise-distinct records in file
     order, or a seeded uniform draw of k distinct value vectors."""
-    distinct = distinct_row_indices(dataset.values)
+    distinct, _ = distinct_rows(dataset.values)
     if config.k > len(distinct):
         raise DatasetError(
             f"k={config.k} exceeds the {len(distinct)} distinct value vectors in the dataset"
@@ -104,7 +92,7 @@ def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
     else:
         rng = np.random.default_rng(config.seed)
         picks = rng.choice(len(distinct), size=config.k, replace=False)
-        chosen = [distinct[int(p)] for p in picks]
+        chosen = distinct[picks]
     return dataset.values[chosen].astype(np.int32)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,6 @@ from .metric import (
 )
 
 EXHAUSTIVE_GATE = 2000  # records; enumeration beyond this needs force=True
-_SCAN_BLOCK = 256  # rows accumulated between prune checks
 _CHUNK = 512  # candidate rows evaluated per vectorized batch
 
 
@@ -62,7 +61,7 @@ class MedoidSolution:
     assignment: np.ndarray
     medoid_objective: int
     algorithm: str  # "exhaustive" | "local-search"
-    guarantee: float  # mode-objective approximation factor annotation
+    guarantee: float | None  # mode-objective approximation factor; None when its premise failed
     elapsed: float
 
 
@@ -104,34 +103,54 @@ def cost_of_medoid_set(
     return objective, assignment
 
 
-def _scan_subsets(values, weights, matrix, k, first_lo, first_hi, block=_SCAN_BLOCK):
-    """Pruned lexicographic scan of k-subsets whose smallest index lies in
-    [first_lo, first_hi). The partial weighted cost is accumulated block-wise
-    and the candidate is abandoned as soon as it reaches the incumbent."""
-    n = values.shape[0] if matrix is None else matrix.shape[0]
-    best_cost = None
-    best_subset = None
-    for first in range(first_lo, first_hi):
-        for rest in itertools.combinations(range(first + 1, n), k - 1):
-            subset = [first, *rest]
-            rows = _rows(values, matrix, subset)
-            cost = 0
-            aborted = False
-            for s in range(0, n, block):
-                e = min(s + block, n)
-                part = rows[:, s:e].min(axis=0).astype(np.int64)
-                cost += int(weights[s:e] @ part)
-                if best_cost is not None and cost >= best_cost:
-                    aborted = True
-                    break
-            if not aborted and (best_cost is None or cost < best_cost):
-                best_cost = cost
-                best_subset = tuple(subset)
-    return best_cost, best_subset
+def _best_completion(values, weights, matrix, base, start, excluded, chunk=_CHUNK):
+    """Cheapest single added medoid, read from contiguous blocks of distance
+    rows: min over c >= start, c not excluded, of sum_i w_i * min(base_i, d(c, i)).
+
+    Returns (cost, candidate), ties resolved to the lowest candidate, or
+    (None, None) when none is left. ``base`` is None when no medoid is kept.
+    """
+    best_cost, best_cand = None, None
+    for s in range(start, len(weights), chunk):
+        free = np.flatnonzero(~excluded[s : s + chunk])
+        if free.size == 0:
+            continue
+        rows = _rows(values, matrix, slice(s, s + chunk))
+        if base is not None:
+            rows = np.minimum(rows, base)
+        sums = np.einsum("ij,j->i", rows, weights)[free]  # int64 sums, no int64 copy of rows
+        j = int(np.argmin(sums))
+        if best_cost is None or int(sums[j]) < best_cost:
+            best_cost = int(sums[j])
+            best_cand = s + int(free[j])
+    return best_cost, best_cand
 
 
-def _scan_subsets_job(args):
-    return _scan_subsets(*args)
+def _scan(values, weights, matrix, base, pool, size, excluded, heads=None):
+    """Lowest (cost, subset) over the ascending ``size``-subsets of ``pool`` (a
+    sorted list) added to the medoids behind ``base``; None when none exists.
+
+    Each (size - 1)-prefix is taken in lexicographic order and all of its
+    completions past its last index are scored at once by
+    :func:`_best_completion`. Only a strictly lower cost replaces the
+    incumbent, so ties keep the lexicographically smallest subset. ``heads``
+    limits the prefix's first member to a [lo, hi) range of pool positions.
+    """
+    lo, hi = heads or (0, len(pool))
+    prefixes = [()] if size == 1 else (
+        (pool[i], *rest) for i in range(lo, hi) for rest in itertools.combinations(pool[i + 1 :], size - 2)
+    )
+    best = None
+    for prefix in prefixes:
+        pbase = base
+        if prefix:
+            rows = _rows(values, matrix, list(prefix)).min(axis=0)
+            pbase = rows if base is None else np.minimum(base, rows)
+        start = prefix[-1] + 1 if prefix else 0
+        cost, cand = _best_completion(values, weights, matrix, pbase, start, excluded)
+        if cost is not None and (best is None or cost < best[0]):
+            best = (cost, (*prefix, cand))
+    return best
 
 
 def _balanced_first_ranges(n: int, k: int, parts: int) -> list[tuple[int, int]]:
@@ -159,13 +178,15 @@ def exhaustive_search(
     force: bool = False,
     gate_threshold: int = EXHAUSTIVE_GATE,
 ) -> MedoidSolution:
-    """Optimal medoid k-subset by pruned enumeration, ties broken by the
-    lexicographically smallest index tuple.
+    """Optimal medoid k-subset by a full scan of all k-subsets, ties broken by
+    the lexicographically smallest index tuple.
 
     The result is optimal for the member-restricted objective, which bounds
-    the unrestricted mode objective within a factor of 2. Enumeration cost is
-    O(k * n^(k+1)); instances beyond ``gate_threshold`` records are refused
-    unless ``force`` is set. Output is independent of ``workers``.
+    the unrestricted mode objective within a factor of 2. The scan costs
+    O(n * C(n, k)): every (k-1)-prefix scores all of its completions in one
+    array pass. Instances beyond ``gate_threshold`` records are refused
+    unless ``force`` is set. ``workers`` threads scan contiguous ranges of
+    first indices; the output is independent of their number.
     """
     t0 = time.perf_counter()
     n = dataset.n_records
@@ -177,22 +198,19 @@ def exhaustive_search(
             f"{gate_threshold}; pass force=True (CLI: --force) to run anyway"
         )
     matrix = _resolve_matrix(dataset, matrix)
-    values, weights = dataset.values, dataset.weights
+    pool, excluded = list(range(n)), np.zeros(n, dtype=bool)
+    # k = 1 has no prefix to split: its scan is one pass over all completions
+    ranges = _balanced_first_ranges(n, k, max(workers, 1) if k > 1 else 1)
+    with ThreadPoolExecutor(max_workers=len(ranges)) as ex:  # numpy releases the GIL
+        results = list(ex.map(
+            lambda heads: _scan(dataset.values, dataset.weights, matrix, None, pool, k, excluded, heads),
+            ranges,
+        ))
 
-    if workers <= 1:
-        results = [_scan_subsets(values, weights, matrix, k, 0, n - k + 1)]
-    else:
-        ranges = _balanced_first_ranges(n, k, workers)
-        jobs = [(values, weights, matrix, k, lo, hi) for lo, hi in ranges]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_scan_subsets_job, jobs))
-
-    best_cost, best_subset = min(
-        (r for r in results if r[1] is not None), key=lambda r: (r[0], r[1])
-    )
+    best_cost, best_subset = min(results)  # by (cost, tuple): the earliest range wins ties
     objective, assignment = cost_of_medoid_set(dataset, best_subset, matrix)
     if objective != best_cost:
-        raise RuntimeError(f"pruned scan cost {best_cost} != recomputed objective {objective}")
+        raise RuntimeError(f"scan cost {best_cost} != recomputed objective {objective}")
     return MedoidSolution(
         medoid_indices=best_subset,
         assignment=assignment,
@@ -204,9 +222,9 @@ def exhaustive_search(
 
 
 def exhaustive_search_naive(dataset: CategoricalDataset, k: int) -> MedoidSolution:
-    """Pruning-free enumeration oracle: full cost for every k-subset, same tie
-    rule as :func:`exhaustive_search`. Kept deliberately independent of the
-    pruned scan and of the distance kernel: distances are counted directly."""
+    """Enumeration oracle: full cost for every k-subset, one at a time, same
+    tie rule as :func:`exhaustive_search`. Kept deliberately independent of
+    the scan and of the distance kernel: distances are counted directly."""
     t0 = time.perf_counter()
     n = dataset.n_records
     if not 1 <= k <= n:
@@ -227,29 +245,6 @@ def exhaustive_search_naive(dataset: CategoricalDataset, k: int) -> MedoidSoluti
     )
 
 
-def _best_completion(values, weights, matrix, base, start, excluded, chunk=_CHUNK):
-    """Cheapest single added medoid, read from contiguous blocks of distance
-    rows: min over c >= start, c not excluded, of sum_i w_i * min(base_i, d(c, i)).
-
-    Returns (cost, candidate), ties resolved to the lowest candidate, or
-    (None, None) when none is left. ``base`` is None when no medoid is kept.
-    """
-    best_cost, best_cand = None, None
-    for s in range(start, len(weights), chunk):
-        free = np.flatnonzero(~excluded[s : s + chunk])
-        if free.size == 0:
-            continue
-        rows = _rows(values, matrix, slice(s, s + chunk))
-        if base is not None:
-            rows = np.minimum(rows, base)
-        sums = np.einsum("ij,j->i", rows, weights)[free]  # int64 sums, no int64 copy of rows
-        j = int(np.argmin(sums))
-        if best_cost is None or int(sums[j]) < best_cost:
-            best_cost = int(sums[j])
-            best_cand = s + int(free[j])
-    return best_cost, best_cand
-
-
 def local_search(
     dataset: CategoricalDataset,
     k: int,
@@ -261,9 +256,10 @@ def local_search(
     non-medoids, accepting only relative improvements of at least
     ``min_relative_improvement``; best of ``restarts`` restarts wins.
 
-    The returned solution is swap-stable at the threshold. The p-swap
-    neighborhood carries the known (3 + 2/p) factor for metric k-median,
-    annotated here as 2 * (3 + 2/p) on the mode objective.
+    A p-swap local optimum carries the known (3 + 2/p) factor for metric
+    k-median, annotated here as 2 * (3 + 2/p) on the mode objective. The
+    annotation is None when the winning restart is not one: it stopped on
+    ``max_steps``, or the threshold refused a strictly improving swap.
     """
     t0 = time.perf_counter()
     n = dataset.n_records
@@ -274,21 +270,23 @@ def local_search(
     rng = np.random.default_rng(config.seed)
     starts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(config.restarts)]
 
-    best_overall: tuple[int, tuple[int, ...]] | None = None
+    best_overall: tuple[int, tuple[int, ...], bool] | None = None
     for start in starts:
         medoids = [int(i) for i in start]
         cost, _ = cost_of_medoid_set(dataset, medoids, matrix)
+        stable = False  # set once no strictly improving exchange of up to p medoids is left
         for _ in range(config.max_steps):
             swap = _best_swap(values, weights, matrix, medoids, config.p)
-            if swap is None:
+            if swap is None or swap[0] >= cost:
+                stable = True
                 break
             new_cost, removals, additions = swap
-            if not (new_cost < cost and cost - new_cost >= config.min_relative_improvement * cost):
+            if cost - new_cost < config.min_relative_improvement * cost:
                 break
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
             medoids = sorted(kept + list(additions))
             cost = new_cost
-        candidate = (cost, tuple(medoids))
+        candidate = (cost, tuple(medoids), stable)
         if best_overall is None or candidate[0] < best_overall[0]:
             best_overall = candidate
 
@@ -300,7 +298,7 @@ def local_search(
         assignment=assignment,
         medoid_objective=objective,
         algorithm="local-search",
-        guarantee=2.0 * (3.0 + 2.0 / config.p),
+        guarantee=2.0 * (3.0 + 2.0 / config.p) if best_overall[2] else None,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -313,22 +311,15 @@ def _best_swap(values, weights, matrix, medoids, p):
     k = len(medoids)
     in_medoids = np.zeros(len(weights), dtype=bool)
     in_medoids[medoids] = True
-    pool = np.flatnonzero(~in_medoids)
+    pool = np.flatnonzero(~in_medoids).tolist()
     best = None
     for s in range(1, min(p, k, len(pool)) + 1):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
             base = _rows(values, matrix, kept).min(axis=0) if kept else None
-            for prefix in itertools.combinations(pool.tolist(), s - 1):
-                pbase = base
-                if prefix:
-                    pcols = _rows(values, matrix, list(prefix)).min(axis=0)
-                    pbase = pcols if base is None else np.minimum(base, pcols)
-                # the added medoids stay in ascending order: the last exceeds the prefix
-                start = prefix[-1] + 1 if prefix else 0
-                cost, cand = _best_completion(values, weights, matrix, pbase, start, in_medoids)
-                if cost is not None and (best is None or cost < best[0]):
-                    best = (cost, removals, (*prefix, cand))
+            found = _scan(values, weights, matrix, base, pool, s, in_medoids)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (found[0], removals, found[1])
     return best
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CategoricalDataset, Record
+from .dataset import CategoricalDataset
 
 DEFAULT_MATRIX_BUDGET = 1 << 30  # bytes
 _BLOCK_BYTES = 1 << 22  # one one-hot block, and one block of the float product
@@ -25,19 +25,8 @@ _BLOCK_BYTES = 1 << 22  # one one-hot block, and one block of the float product
 _MIN_BLOCK_ROWS = 256
 
 
-class SchemaMismatchError(ValueError):
-    """Distance requested between records of different schemas."""
-
-
 class MatrixBudgetError(MemoryError):
     """Materializing the pairwise matrix would exceed the configured byte cap."""
-
-
-def distance(x: Record, y: Record) -> int:
-    """Count of mismatching attributes between two records of one schema."""
-    if x.schema is not y.schema and x.schema != y.schema:
-        raise SchemaMismatchError("records come from different schemas")
-    return int(np.count_nonzero(x.values != y.values))
 
 
 def matrix_dtype(m: int):

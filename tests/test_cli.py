@@ -70,6 +70,14 @@ class TestRun:
             assert len(record["solution"]["medoid_indices"]) == 2
             assert record["objectives"]["medoid_objective"] >= record["objectives"]["mode_objective"]
 
+    def test_guarantee_is_null_when_stopped_on_max_steps(self, capsys, toy_csv):
+        record = run_json(
+            capsys,
+            ["run", "--data", str(toy_csv), "--label-column", "0",
+             "--algorithm", "local-search", "--k", "2", "--max-steps", "1"],
+        )
+        assert record["solution"]["guarantee"] is None
+
     def test_repeated_runs_are_byte_identical(self, capsys, toy_csv):
         argv = ["run", "--data", str(toy_csv), "--label-column", "0",
                 "--algorithm", "kmodes", "--k", "2"]

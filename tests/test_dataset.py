@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catcluster import DatasetError, dataset_stats, dedupe, load_csv, random_dataset
-from catcluster.dataset import AttributeDomain, Schema
+from catcluster.dataset import AttributeDomain, Schema, distinct_rows
 
 from conftest import dataset_from_rows
 
@@ -121,6 +121,39 @@ class TestDedupe:
         assert flattened == list(range(len(rows)))
         assert int(dd.weights.sum()) == len(rows)
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from("xy"), st.integers(1, 2**58)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=80)
+    def test_matches_dict_oracle(self, rows):
+        # weights up to 2**58 sum past 2**53, where float64 sums would round
+        groups: dict[tuple, list[int]] = {}
+        for i, (a, b, label, _) in enumerate(rows):
+            groups.setdefault((a, b, label), []).append(i)
+        ds = dataset_from_rows(
+            [[str(a), str(b)] for a, b, _, _ in rows],
+            labels=[label for *_, label, _ in rows],
+            weights=[w for *_, w in rows],
+        )
+        first, group = distinct_rows(np.column_stack([ds.values, ds.labels]))
+        assert first.tolist() == [members[0] for members in groups.values()]
+        keys = list(groups)
+        assert group.tolist() == [keys.index(row[:3]) for row in rows]
+
+        dd = dedupe(ds)
+        assert [(*dd.decode(v), dd.label_name(l)) for v, l in zip(dd.values, dd.labels)] == [
+            (str(a), str(b), label) for a, b, label in keys
+        ]
+        assert [int(w) for w in dd.weights] == [
+            sum(rows[i][3] for i in members) for members in groups.values()
+        ]
+        assert dd.source_rows == tuple(tuple(members) for members in groups.values())
+        assert ds.distinct_value_count() == len({row[:2] for row in rows})
+
 
 class TestStatsAndValidation:
     def test_stats_counts(self):
@@ -171,7 +204,6 @@ class TestStatsAndValidation:
 
     def test_record_accessor(self):
         ds = dataset_from_rows([["a", "p"]], labels=["x"])
-        rec = ds.record(0)
-        assert rec.weight == 1
-        assert rec.label == 0
-        assert ds.decode(rec.values) == ["a", "p"]
+        assert ds.weights[0] == 1
+        assert ds.label_name(ds.labels[0]) == "x"
+        assert ds.decode(ds.values[0]) == ["a", "p"]

@@ -118,26 +118,50 @@ class TestExhaustiveSearch:
             assert other.medoid_objective == base.medoid_objective
             assert other.medoid_indices == base.medoid_indices
 
+    @pytest.mark.parametrize("n,k", [(5, 4), (9, 3), (24, 2), (30, 1)])
+    def test_worker_counts_agree(self, n, k):
+        # n=5, k=4 has two possible first indices, fewer than 3 or 7 workers
+        ds = random_dataset(n=n, m=3, max_categories=2, seed=n)
+        naive = exhaustive_search_naive(ds, k)
+        for workers in (1, 2, 3, 7):
+            sol = exhaustive_search(ds, k, workers=workers)
+            assert (sol.medoid_objective, sol.medoid_indices) == (
+                naive.medoid_objective,
+                naive.medoid_indices,
+            ), workers
+
+    def test_ties_across_worker_ranges(self):
+        # every subset costs 0: each range finds its own optimum, the first range's wins
+        ds = dataset_from_rows([["a", "b"]] * 12)
+        sol = exhaustive_search(ds, 3, workers=3)
+        assert sol.medoid_indices == (0, 1, 2)
+        assert sol.medoid_objective == 0
+
     @given(
         n=st.integers(2, 18),
         m=st.integers(1, 4),
         cats=st.integers(2, 4),
         seed=st.integers(0, 10_000),
-        k=st.integers(1, 3),
+        k=st.integers(1, 4),
+        weights=st.lists(st.integers(1, 50), min_size=18, max_size=18),
+        weighted=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_pruned_equals_naive(self, n, m, cats, seed, k):
+    @settings(max_examples=80, deadline=None)
+    def test_scan_equals_naive(self, n, m, cats, seed, k, weights, weighted):
         k = min(k, n)
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
-        pruned = exhaustive_search(ds, k)
+        if weighted:
+            names = [[f"v{v}" for v in row] for row in ds.values]
+            ds = dataset_from_rows(names, weights=weights[:n])
+        scan = exhaustive_search(ds, k)
         naive = exhaustive_search_naive(ds, k)
-        assert pruned.medoid_objective == naive.medoid_objective
-        assert pruned.medoid_indices == naive.medoid_indices
+        assert scan.medoid_objective == naive.medoid_objective
+        assert scan.medoid_indices == naive.medoid_indices
 
     def test_scan_disagreement_raises(self, monkeypatch):
         ds = random_dataset(n=12, m=3, max_categories=3, seed=4)
-        monkeypatch.setattr(medoids, "_scan_subsets", lambda *args: (-1, (0, 1)))
-        with pytest.raises(RuntimeError, match="pruned scan"):
+        monkeypatch.setattr(medoids, "_scan", lambda *args: (-1, (0, 1)))
+        with pytest.raises(RuntimeError, match="scan cost"):
             exhaustive_search(ds, 2)
 
     @given(seed=st.integers(0, 10_000), pick=st.integers(0, 10_000))
@@ -163,6 +187,19 @@ class TestLocalSearch:
     def test_guarantee_annotation(self, four_point):
         assert local_search(four_point, 2, LocalSearchConfig(p=1)).guarantee == 10.0
         assert local_search(four_point, 2, LocalSearchConfig(p=2)).guarantee == 8.0
+
+    def test_no_guarantee_without_a_local_optimum(self):
+        ds = random_dataset(n=30, m=4, max_categories=3, seed=1)
+        settled = local_search(ds, 3, LocalSearchConfig(seed=0))
+        assert settled.guarantee == 10.0
+        # this start needs at least two swaps to settle
+        cut = local_search(ds, 3, LocalSearchConfig(seed=0, max_steps=1))
+        assert cut.medoid_objective > settled.medoid_objective
+        assert cut.guarantee is None
+        # a strictly improving swap refused by the threshold
+        refused = local_search(ds, 3, LocalSearchConfig(seed=0, min_relative_improvement=0.5))
+        assert refused.medoid_objective > settled.medoid_objective
+        assert refused.guarantee is None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

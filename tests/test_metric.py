@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcluster import check_metric_properties, distance, metric, pairwise_matrix, random_dataset
+from catcluster import check_metric_properties, metric, pairwise_matrix, random_dataset
 from catcluster.metric import (
     MatrixBudgetError,
-    SchemaMismatchError,
     hamming,
     matrix_dtype,
     member_costs,
@@ -20,35 +19,6 @@ from conftest import dataset_from_rows
 def broadcast_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Independent oracle: mismatching attributes counted by direct comparison."""
     return (a[:, None, :] != b[None, :, :]).sum(axis=2)
-
-
-class TestDistance:
-    def test_identity_and_single_mismatch(self):
-        ds = dataset_from_rows([["a", "b", "c"], ["a", "d", "c"]])
-        assert distance(ds.record(0), ds.record(0)) == 0
-        assert distance(ds.record(0), ds.record(1)) == 1
-        assert distance(ds.record(1), ds.record(0)) == 1
-
-    def test_maximum(self):
-        ds = dataset_from_rows([["a"] * 16, ["b"] * 16])
-        assert distance(ds.record(0), ds.record(1)) == 16
-
-    def test_schema_mismatch(self):
-        a = dataset_from_rows([["a", "b"]])
-        b = dataset_from_rows([["a"]])
-        with pytest.raises(SchemaMismatchError):
-            distance(a.record(0), b.record(0))
-
-    @given(
-        st.lists(st.integers(0, 3), min_size=1, max_size=6),
-        st.data(),
-    )
-    @settings(max_examples=80)
-    def test_equals_m_minus_agreements(self, x, data):
-        y = data.draw(st.lists(st.integers(0, 3), min_size=len(x), max_size=len(x)))
-        ds = dataset_from_rows([[str(v) for v in x], [str(v) for v in y]])
-        agreements = sum(1 for a, b in zip(x, y) if a == b)
-        assert distance(ds.record(0), ds.record(1)) == len(x) - agreements
 
 
 class TestPairwiseMatrix:
