@@ -363,7 +363,7 @@ def cmd_run(args) -> int:
             "n": stats["n"],
             "n_records": stats["n_records"],
             "m": stats["m"],
-            "distinct_values": ds.distinct_value_count(),
+            "distinct_values": ds.distinct_records.size,
             "label_histogram": stats["label_histogram"],
         },
         "solution": solution,

@@ -9,10 +9,15 @@ so the merge is exact.
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+_CHUNK_ROWS = 4096  # CSV rows held as Python strings at a time while loading
 
 
 class DatasetError(ValueError):
@@ -73,7 +78,6 @@ class CategoricalDataset:
     values: np.ndarray
     weights: np.ndarray
     labels: np.ndarray | None
-    source_rows: tuple[tuple[int, ...], ...]
     total_weight: int
 
     def __post_init__(self):
@@ -87,8 +91,9 @@ class CategoricalDataset:
             raise DatasetError("record weights do not add up to total_weight")
         if (self.weights < 1).any():
             raise DatasetError("record weights must be positive")
-        sizes = self.schema.domain_sizes()
-        if (self.values < 0).any() or (self.values >= sizes[None, :]).any():
+        # per-column extremes: no (n, m) temporary, nor an int64 one from comparing with the sizes
+        low, high = self.values.min(initial=0), self.values.max(axis=0, initial=-1)
+        if low < 0 or (high >= self.schema.domain_sizes()).any():
             raise DatasetError("category id out of domain range")
 
     @property
@@ -99,9 +104,6 @@ class CategoricalDataset:
     def m(self) -> int:
         return self.schema.m
 
-    def __len__(self) -> int:
-        return self.n_records
-
     def decode(self, values: np.ndarray) -> list[str]:
         """Map a vector of category ids back to the original text fields."""
         return [a.categories[int(v)] for a, v in zip(self.schema.attributes, values)]
@@ -111,8 +113,11 @@ class CategoricalDataset:
             raise DatasetError("dataset has no label column")
         return self.schema.label_domain.categories[label_id]
 
-    def distinct_value_count(self) -> int:
-        return len(distinct_rows(self.values)[0])
+    @cached_property
+    def distinct_records(self) -> np.ndarray:
+        """First index of each distinct value vector, in first-appearance order;
+        computed on first use and then kept."""
+        return _readonly(distinct_rows(self.values)[0])
 
 
 def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,82 +159,85 @@ def load_csv(
     keeps downstream "first k distinct records" initialization reproducible.
     Under the default ``treat-as-category`` policy a missing token is interned
     like any other category; ``reject`` raises on the first occurrence.
+    Blank lines are skipped; error messages name the physical file line. A
+    header row, when present, fixes the number of fields of every row.
+    Rows are read ``_CHUNK_ROWS`` at a time and encoded column by column.
     """
     if missing_policy not in ("treat-as-category", "reject"):
         raise DatasetError(f"unknown missing_policy {missing_policy!r}")
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
-    names: list[str] | None = None
-    if header:
-        if not rows:
-            raise DatasetError(f"{path}: empty input")
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise DatasetError(f"{path}: empty input (no data rows)")
+        rows = filter(None, csv.reader(fh, delimiter=delimiter))  # a blank line reads as []
+        names = [c.strip() for c in next(rows, ())] if header else None  # [] only if the file is empty
+        first = next(rows, None)
+        if first is None:
+            raise DatasetError(f"{path}: empty input" + ("" if names == [] else " (no data rows)"))
 
-    row_offset = 2 if header else 1  # 1-based file line of the first data row
-    n_cols = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise DatasetError(
-                f"{path}: ragged row {i + row_offset} has {len(row)} fields, expected {n_cols}"
-            )
-    if n_cols == 0:
-        raise DatasetError(f"{path}: rows have no fields")
+        n_cols = len(first) if names is None else len(names)  # a header fixes the width
+        tables: list[dict[str, int]] = [{} for _ in range(n_cols)]
+        first_missing: dict[int, int] = {}  # column -> first data row holding the missing token
+        blocks: list[np.ndarray] = []  # one (chunk rows, n_cols) id block per chunk
+        n_rows = 0
+        rows = itertools.chain([first], rows)
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            if set(map(len, chunk)) != {n_cols}:
+                bad = next(i for i, row in enumerate(chunk) if len(row) != n_cols)
+                raise DatasetError(
+                    f"{path}: ragged row {_line_of(path, delimiter, int(header) + n_rows + bad)} "
+                    f"has {len(chunk[bad])} fields, expected {n_cols}"
+                )
+            block = np.empty((len(chunk), n_cols), dtype=np.int32)
+            for c, col in enumerate(zip(*chunk)):
+                table = tables[c]
+                unseen = [tok for tok in dict.fromkeys(col) if tok not in table]
+                table.update(zip(unseen, itertools.count(len(table))))
+                block[:, c] = operator.itemgetter(*col)(table)  # a 1-row chunk gives a scalar
+                if missing_policy == "reject" and c not in first_missing and missing_token in table:
+                    first_missing[c] = n_rows + col.index(missing_token)
+            blocks.append(block)
+            n_rows += len(chunk)
 
-    label_idx = None
-    if label_column is not None:
-        label_idx = _resolve_label_column(label_column, names, n_cols)
+    label_idx = None if label_column is None else _resolve_label_column(label_column, names, n_cols)
     feature_cols = [c for c in range(n_cols) if c != label_idx]
     if not feature_cols:
         raise DatasetError(f"{path}: no feature columns left after removing the label column")
-    if names is None:
-        names = [f"col{c}" for c in range(n_cols)]
+    names = names or [f"col{c}" for c in range(n_cols)]
+    missing = [(row, c) for c, row in first_missing.items() if c != label_idx]
+    if missing:
+        row, c = min(missing)  # first occurrence in file order
+        raise DatasetError(
+            f"{path}: missing value {missing_token!r} at row {_line_of(path, delimiter, int(header) + row)}, "
+            f"column {names[c]!r} (policy=reject)"
+        )
 
-    interns: list[dict[str, int]] = [{} for _ in feature_cols]
-    label_intern: dict[str, int] = {}
-    values = np.empty((len(rows), len(feature_cols)), dtype=np.int32)
-    labels = np.empty(len(rows), dtype=np.int32) if label_idx is not None else None
-
-    for i, row in enumerate(rows):
-        for j, c in enumerate(feature_cols):
-            tok = row[c]
-            if missing_policy == "reject" and tok == missing_token:
-                raise DatasetError(
-                    f"{path}: missing value {missing_token!r} at row {i + row_offset}, "
-                    f"column {names[c]!r} (policy=reject)"
-                )
-            table = interns[j]
-            vid = table.get(tok)
-            if vid is None:
-                vid = len(table)
-                table[tok] = vid
-            values[i, j] = vid
-        if labels is not None:
-            tok = row[label_idx]
-            lid = label_intern.get(tok)
-            if lid is None:
-                lid = len(label_intern)
-                label_intern[tok] = lid
-            labels[i] = lid
-
-    attributes = tuple(
-        AttributeDomain(name=names[c], categories=tuple(interns[j]))
-        for j, c in enumerate(feature_cols)
-    )
-    label_domain = None
+    # take keeps each block row-major; block[:, cols] would give a column-major copy
+    values = np.concatenate([block.take(feature_cols, axis=1) for block in blocks])
+    labels = label_domain = None
     if label_idx is not None:
-        label_domain = AttributeDomain(name=names[label_idx], categories=tuple(label_intern))
+        labels = np.concatenate([block[:, label_idx] for block in blocks])
+        label_domain = AttributeDomain(name=names[label_idx], categories=tuple(tables[label_idx]))
+    attributes = tuple(AttributeDomain(name=names[c], categories=tuple(tables[c])) for c in feature_cols)
     return CategoricalDataset(
         schema=Schema(attributes=attributes, label_domain=label_domain),
         values=values,
-        weights=np.ones(len(rows), dtype=np.int64),
+        weights=np.ones(n_rows, dtype=np.int64),
         labels=labels,
-        source_rows=tuple((i,) for i in range(len(rows))),
-        total_weight=len(rows),
+        total_weight=n_rows,
     )
+
+
+def _line_of(path: Path, delimiter: str, record: int) -> int:
+    """1-based file line on which the ``record``-th non-blank CSV row (from 0,
+    header included) starts; only error messages need it. A source that cannot
+    be read twice, such as a pipe, gets the row's 1-based ordinal instead."""
+    if not path.is_file():
+        return record + 1
+    with open(path, newline="") as fh:
+        reader, end = csv.reader(fh, delimiter=delimiter), 0
+        for row in reader:
+            if row and (record := record - 1) < 0:
+                return end + 1
+            end = reader.line_num
 
 
 def dedupe(dataset: CategoricalDataset) -> CategoricalDataset:
@@ -244,16 +252,11 @@ def dedupe(dataset: CategoricalDataset) -> CategoricalDataset:
     reps, group = distinct_rows(keys)
     weights = np.zeros(reps.size, dtype=np.int64)
     np.add.at(weights, group, dataset.weights)
-    merged: list[list[int]] = [[] for _ in range(reps.size)]
-    for g, rows in zip(group.tolist(), dataset.source_rows):
-        merged[g].extend(rows)
-    source_rows = tuple(tuple(rows) for rows in merged)
     return CategoricalDataset(
         schema=dataset.schema,
         values=dataset.values[reps],
         weights=weights,
         labels=None if labels is None else labels[reps],
-        source_rows=source_rows,
         total_weight=dataset.total_weight,
     )
 
@@ -266,15 +269,13 @@ def dataset_stats(dataset: CategoricalDataset) -> dict:
         "m": dataset.m,
         "category_counts": [a.size for a in dataset.schema.attributes],
         "attribute_names": [a.name for a in dataset.schema.attributes],
+        "label_histogram": None,
     }
-    if dataset.labels is not None and dataset.schema.label_domain is not None:
-        hist = np.zeros(dataset.schema.label_domain.size, dtype=np.int64)
+    domain = dataset.schema.label_domain
+    if dataset.labels is not None and domain is not None:
+        hist = np.zeros(domain.size, dtype=np.int64)
         np.add.at(hist, dataset.labels, dataset.weights)
-        stats["label_histogram"] = {
-            dataset.schema.label_domain.categories[i]: int(hist[i]) for i in range(hist.size)
-        }
-    else:
-        stats["label_histogram"] = None
+        stats["label_histogram"] = dict(zip(domain.categories, hist.tolist()))
     return stats
 
 
@@ -298,8 +299,7 @@ def random_dataset(
         AttributeDomain(name=f"a{r}", categories=tuple(f"v{c}" for c in range(sizes[r])))
         for r in range(m)
     )
-    labels = None
-    label_domain = None
+    labels = label_domain = None
     if n_labels > 0:
         labels = rng.integers(0, n_labels, size=n).astype(np.int32)
         label_domain = AttributeDomain(name="label", categories=tuple(f"L{c}" for c in range(n_labels)))
@@ -308,6 +308,5 @@ def random_dataset(
         values=values,
         weights=np.ones(n, dtype=np.int64),
         labels=labels,
-        source_rows=tuple((i,) for i in range(n)),
         total_weight=n,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CategoricalDataset, DatasetError, distinct_rows
+from .dataset import CategoricalDataset, DatasetError
 from .metric import category_counts, hamming, heaviest
 
 INIT_METHODS = ("first-k-distinct", "random")
@@ -82,7 +82,7 @@ def mode_cost(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> int
 def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
     """Initial k mode vectors: the first k pairwise-distinct records in file
     order, or a seeded uniform draw of k distinct value vectors."""
-    distinct, _ = distinct_rows(dataset.values)
+    distinct = dataset.distinct_records
     if config.k > len(distinct):
         raise DatasetError(
             f"k={config.k} exceeds the {len(distinct)} distinct value vectors in the dataset"

@@ -42,7 +42,6 @@ def dataset_from_rows(rows, labels=None, weights=None) -> CategoricalDataset:
         values=values,
         weights=w,
         labels=label_ids,
-        source_rows=tuple((i,) for i in range(n)),
         total_weight=int(w.sum()),
     )
 

@@ -3,7 +3,7 @@ import urllib.error
 
 import pytest
 
-from catcluster import cli
+from catcluster import cli, dataset
 
 
 TOY_ROWS = [
@@ -126,6 +126,17 @@ class TestRun:
         # exactness: merging duplicates must not change the solution quality
         assert merged["objectives"] == raw["objectives"]
         assert merged["evaluation"]["error"] == raw["evaluation"]["error"]
+
+    @pytest.mark.parametrize("dedupe, passes", [([], 1), (["--dedupe"], 2)])
+    def test_one_distinct_rows_pass_per_dataset(self, capsys, toy_csv, monkeypatch, dedupe, passes):
+        # k-modes init and the report's distinct count share one pass; dedupe makes its own
+        calls = []
+        real = dataset.distinct_rows
+        monkeypatch.setattr(dataset, "distinct_rows", lambda keys: calls.append(keys.shape) or real(keys))
+        record = run_json(capsys, ["run", "--data", str(toy_csv), "--label-column", "0",
+                                   "--algorithm", "kmodes", "--k", "2", *dedupe])
+        assert len(calls) == passes
+        assert record["dataset"]["distinct_values"] == 5
 
     def test_debug_records_objective_history(self, capsys, toy_csv):
         record = run_json(

@@ -1,9 +1,17 @@
+import csv
+import io
+import os
+import tempfile
+import threading
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcluster import DatasetError, dataset_stats, dedupe, load_csv, random_dataset
+from catcluster import DatasetError, dataset, dataset_stats, dedupe, load_csv, random_dataset
 from catcluster.dataset import AttributeDomain, Schema, distinct_rows
 
 from conftest import dataset_from_rows
@@ -79,6 +87,189 @@ class TestLoadCsv:
         ds = load_csv(p)
         assert [ds.decode(ds.values[i]) for i in range(3)] == rows
 
+    def test_trailing_blank_line_skipped(self, tmp_path):
+        ds = load_csv(write_csv(tmp_path, "a,b\nc,d\n\n"))
+        assert [ds.decode(v) for v in ds.values] == [["a", "b"], ["c", "d"]]
+
+    def test_interior_blank_line_skipped_and_lines_counted(self, tmp_path):
+        p = write_csv(tmp_path, "h1,h2\na,b\n\n\nc,d\n")
+        ds = load_csv(p, header=True)
+        assert [ds.decode(v) for v in ds.values] == [["a", "b"], ["c", "d"]]
+        assert [a.name for a in ds.schema.attributes] == ["h1", "h2"]
+        with pytest.raises(DatasetError, match="ragged row 6 has 1 fields"):
+            load_csv(write_csv(tmp_path, "a,b\n\nc,d\r\n\r\n\ne\n", "r.csv"), header=True)
+
+    def test_header_fixes_the_width(self, tmp_path):
+        with pytest.raises(DatasetError, match="ragged row 2 has 2 fields, expected 1"):
+            load_csv(write_csv(tmp_path, "h\na,b\n"), header=True)
+        with pytest.raises(DatasetError, match="ragged row 2 has 1 fields, expected 2"):
+            load_csv(write_csv(tmp_path, "h,i\na\n", "w.csv"), header=True, label_column="i")
+
+    def test_only_blank_lines_is_empty(self, tmp_path):
+        with pytest.raises(DatasetError, match="no data rows"):
+            load_csv(write_csv(tmp_path, "\n\n"))
+        with pytest.raises(DatasetError, match="no data rows"):
+            load_csv(write_csv(tmp_path, "x,y\n\n", "h.csv"), header=True)
+
+    def test_errors_name_the_line_a_row_starts_on(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", 2)
+        p = write_csv(tmp_path, 'a,"multi\nline"\nb,c\nd,?\ne,f\n')
+        with pytest.raises(DatasetError, match=r"at row 4, column 'col1'"):
+            load_csv(p, missing_policy="reject")
+        p = write_csv(tmp_path, 'a,"multi\nline"\nb,c\nd,e\nf,g\nh\n', "r.csv")
+        with pytest.raises(DatasetError, match="ragged row 6 has 1 fields, expected 2"):
+            load_csv(p)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_error_on_a_pipe_names_the_row_ordinal(self, tmp_path):
+        # a pipe cannot be read again to find the file line, so the row's ordinal stands in
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("a,b\n\nc\n",))
+        writer.start()
+        with pytest.raises(DatasetError, match="ragged row 2 has 1 fields"):
+            load_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_one_row_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", 1)
+        ds = load_csv(write_csv(tmp_path, "x,a,b\ny,a,c\nx,d,b\n"), label_column=0)
+        assert ds.values.tolist() == [[0, 0], [0, 1], [1, 0]]
+        assert ds.labels.tolist() == [0, 1, 0]
+
+
+def oracle_load(path, label_column=None, missing_token="?", missing_policy="treat-as-category",
+                header=False, delimiter=","):
+    """Row-by-row, field-by-field dict interning: (feature names, categories,
+    values, label name, label categories, labels) or the DatasetError message.
+    Blank lines are skipped; a row is named by the file line it starts on."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows, start = [], 1
+        for row in reader:
+            if row:
+                rows.append((start, row))
+            start = reader.line_num + 1
+    names = None
+    if header:
+        if not rows:
+            return f"{path}: empty input"
+        names = [c.strip() for c in rows.pop(0)[1]]
+    if not rows:
+        return f"{path}: empty input (no data rows)"
+    n_cols = len(rows[0][1]) if names is None else len(names)
+    for line, row in rows:
+        if len(row) != n_cols:
+            return f"{path}: ragged row {line} has {len(row)} fields, expected {n_cols}"
+    label_idx = label_column
+    if isinstance(label_column, int) and not 0 <= label_column < n_cols:
+        return f"label column index {label_column} out of range (file has {n_cols} columns)"
+    if isinstance(label_column, str):
+        if names is None:
+            return "label column by name requires a header row"
+        if label_column not in names:
+            return f"unknown label column {label_column!r}; header has {names}"
+        label_idx = names.index(label_column)
+    features = [c for c in range(n_cols) if c != label_idx]
+    if not features:
+        return f"{path}: no feature columns left after removing the label column"
+    names = names or [f"col{c}" for c in range(n_cols)]
+    tables = [{} for _ in range(n_cols)]
+    codes = []
+    for line, row in rows:
+        for c in features:
+            if missing_policy == "reject" and row[c] == missing_token:
+                return (f"{path}: missing value {missing_token!r} at row {line}, "
+                        f"column {names[c]!r} (policy=reject)")
+        codes.append([tables[c].setdefault(tok, len(tables[c])) for c, tok in enumerate(row)])
+    return (
+        [names[c] for c in features],
+        [tuple(tables[c]) for c in features],
+        [[code[c] for c in features] for code in codes],
+        None if label_idx is None else names[label_idx],
+        None if label_idx is None else tuple(tables[label_idx]),
+        None if label_idx is None else [code[label_idx] for code in codes],
+    )
+
+
+def loaded(path, **kwargs):
+    """load_csv's result in the oracle's shape, or its DatasetError message."""
+    try:
+        ds = load_csv(path, **kwargs)
+    except DatasetError as e:
+        return str(e)
+    attrs, label = ds.schema.attributes, ds.schema.label_domain
+    assert ds.weights.tolist() == [1] * ds.n_records and ds.total_weight == ds.n_records
+    return (
+        [a.name for a in attrs],
+        [a.categories for a in attrs],
+        ds.values.tolist(),
+        None if label is None else label.name,
+        None if label is None else label.categories,
+        None if ds.labels is None else ds.labels.tolist(),
+    )
+
+
+FIELD = st.one_of(st.sampled_from(["a", "b", "?"]), st.text(alphabet="ab?,; \"\n\r", max_size=3))
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with quoted delimiters and newlines, blank lines, CRLF or LF
+    line ends, ',' or ';', and now and then a ragged row; plus load_csv options."""
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 10))
+    rows = [draw(st.lists(FIELD, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows + 1)]
+    if rows[1:] and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(1, len(rows) - 1))
+        rows[i] = rows[i] + ["x"] if draw(st.booleans()) or n_cols == 1 else rows[i][1:]
+    delimiter = draw(st.sampled_from(",;"))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    blank = set(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=terminator)
+    for i, row in enumerate(rows):
+        if i in blank:
+            out.write(terminator)
+        writer.writerow(row)
+    if len(rows) in blank:
+        out.write(terminator)
+    header = draw(st.booleans())
+    label_column = draw(st.one_of(
+        st.none(), st.integers(-1, n_cols), st.sampled_from([*[c.strip() for c in rows[0]], "nope"])
+    ))
+    options = dict(header=header, label_column=label_column, delimiter=delimiter,
+                   missing_policy=draw(st.sampled_from(["treat-as-category", "reject"])))
+    return out.getvalue(), options
+
+
+class TestLoadCsvAgainstOracle:
+    @given(csv_files(), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_field_loop(self, file, chunk_rows):
+        text, options = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_text(text, newline="")
+            with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
+                assert loaded(path, **options) == oracle_load(path, **options)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4096])
+    def test_messages_in_later_chunks(self, tmp_path, chunk_rows):
+        rows = [["p", "q", "r"]] * 7
+        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
+            for path, options in [
+                (write_csv(tmp_path, "\n".join(map(",".join, rows + [["p", "?", "?"]])) + "\n", "m.csv"),
+                 dict(missing_policy="reject", label_column=0)),
+                (write_csv(tmp_path, "h,i,j\n" + "\n".join(map(",".join, rows + [["?"], ["p", "?", "q"]])), "r.csv"),
+                 dict(missing_policy="reject", header=True)),
+                (write_csv(tmp_path, "\n".join(map(",".join, rows[:4] + [["?", "q", "?"], ["p", "?", "r"]])), "c.csv"),
+                 dict(missing_policy="reject", label_column=0)),
+            ]:
+                message = loaded(path, **options)
+                assert isinstance(message, str) and message == oracle_load(path, **options)
+
 
 class TestDedupe:
     def test_merges_weights_in_order(self):
@@ -87,7 +278,7 @@ class TestDedupe:
         assert dd.n_records == 2
         assert dd.weights.tolist() == [2, 1]
         assert dd.total_weight == 3
-        assert dd.source_rows == ((0, 1), (2,))
+        assert [dd.decode(v) for v in dd.values] == [["a", "b"], ["c", "d"]]
 
     def test_all_distinct_is_identity(self):
         ds = dataset_from_rows([["a"], ["b"], ["c"]])
@@ -114,12 +305,15 @@ class TestDedupe:
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=30))
     @settings(max_examples=60)
-    def test_source_rows_partition_the_input(self, rows):
+    def test_weights_count_each_distinct_row(self, rows):
         ds = dataset_from_rows([[str(a), str(b)] for a, b in rows])
         dd = dedupe(ds)
-        flattened = sorted(i for group in dd.source_rows for i in group)
-        assert flattened == list(range(len(rows)))
-        assert int(dd.weights.sum()) == len(rows)
+        counts = dict.fromkeys(rows, 0)
+        for row in rows:
+            counts[row] += 1
+        assert [tuple(int(t) for t in dd.decode(v)) for v in dd.values] == list(counts)
+        assert dd.weights.tolist() == list(counts.values())
+        assert dd.labels is None
 
     @given(
         st.lists(
@@ -151,8 +345,10 @@ class TestDedupe:
         assert [int(w) for w in dd.weights] == [
             sum(rows[i][3] for i in members) for members in groups.values()
         ]
-        assert dd.source_rows == tuple(tuple(members) for members in groups.values())
-        assert ds.distinct_value_count() == len({row[:2] for row in rows})
+        first_of = {}
+        for i, row in enumerate(rows):
+            first_of.setdefault(row[:2], i)
+        assert ds.distinct_records.tolist() == list(first_of.values())
 
 
 class TestStatsAndValidation:
@@ -186,7 +382,6 @@ class TestStatsAndValidation:
                 values=ds.values,
                 weights=ds.weights,
                 labels=None,
-                source_rows=ds.source_rows,
                 total_weight=5,
             )
 

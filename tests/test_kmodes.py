@@ -15,6 +15,7 @@ from catcluster import (
     run_kmodes,
 )
 from catcluster import kmodes
+from catcluster.dataset import distinct_rows
 from catcluster.kmodes import _mode_of, init_modes, mode_cost
 
 from conftest import dataset_from_rows
@@ -204,12 +205,10 @@ class TestRunKModes:
         a = run_kmodes(raw, KModesConfig(k=3))
         b = run_kmodes(merged, KModesConfig(k=3))
         assert a.mode_objective == b.mode_objective
-        # per-original-row assignments agree through the merge bookkeeping
-        expanded = np.empty(raw.n_records, dtype=np.int64)
-        for rec_idx, rows_merged in enumerate(merged.source_rows):
-            for orig in rows_merged:
-                expanded[orig] = b.assignment[rec_idx]
-        assert np.array_equal(expanded, a.assignment)
+        # per-original-row assignments agree through each row's merged record
+        _, record_of_row = distinct_rows(raw.values)
+        assert np.array_equal(merged.values[record_of_row], raw.values)
+        assert np.array_equal(b.assignment[record_of_row], a.assignment)
 
     def test_empty_cluster_reseeded_with_farthest_record(self):
         from catcluster.kmodes import _reseed_empty_clusters
