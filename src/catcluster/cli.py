@@ -13,8 +13,6 @@ import json
 import os
 import sys
 import time
-import urllib.error
-import urllib.request
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,6 +157,9 @@ def fetch_dataset(
     dest = directory / info["filename"]
     if dest.exists() and not refresh:
         return dest
+    import urllib.error  # only fetch needs it: every other command skips its import cost
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             payload = resp.read()
@@ -627,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--min-relative-improvement", type=float, default=1e-9)
     p_run.add_argument("--max-steps", type=int, default=1000)
     p_run.add_argument("--force", action="store_true",
-                       help=f"run exhaustive enumeration past {EXHAUSTIVE_GATE} records")
+                       help=f"run exhaustive enumeration past its work gate of "
+                       f"{EXHAUSTIVE_GATE:.0e} distance terms, n * C(n, k)")
     p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--debug", action="store_true", help="record and assert per-iteration objectives")
     p_run.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")

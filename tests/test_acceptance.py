@@ -204,7 +204,7 @@ def test_08_medoid_vs_mode_optimum_random_instances():
     )
 
 
-def test_09_pruned_scan_matches_naive_enumeration():
+def test_09_scan_matches_naive_enumeration():
     t0 = time.perf_counter()
     violations = _verify_oracle(50, seed=0)
     dt = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import json
 import urllib.error
+import urllib.request
 
 import pytest
 
@@ -197,7 +198,7 @@ class TestRunErrors:
     def test_exhaustive_gate_names_force(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("\n".join(f"v{i % 5},w{i % 7}" for i in range(2001)) + "\n")
-        code = cli.main(["run", "--data", str(path), "--algorithm", "exhaustive", "--k", "2"])
+        code = cli.main(["run", "--data", str(path), "--algorithm", "exhaustive", "--k", "3"])
         assert code == 2
         err = capsys.readouterr().err
         assert "--force" in err and "2001" in err
@@ -268,7 +269,7 @@ class TestFetch:
             seen.append(url)
             return _FakeResponse(votes_payload())
 
-        monkeypatch.setattr(cli.urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         code = cli.main(["fetch", "--name", "votes", "--data-dir", str(tmp_path)])
         assert code == 0
         assert seen == [cli.NAMED_DATASETS["votes"]["url"]]
@@ -283,14 +284,14 @@ class TestFetch:
         def no_network(url, timeout=None):
             raise AssertionError("network must not be touched for a cached file")
 
-        monkeypatch.setattr(cli.urllib.request, "urlopen", no_network)
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
         assert cli.main(["fetch", "--name", "votes", "--data-dir", str(tmp_path)]) == 0
 
     def test_fetch_failure_is_actionable(self, capsys, tmp_path, monkeypatch):
         def fake_urlopen(url, timeout=None):
             raise urllib.error.URLError("connection refused")
 
-        monkeypatch.setattr(cli.urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         code = cli.main(["fetch", "--name", "votes", "--data-dir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
@@ -299,7 +300,7 @@ class TestFetch:
 
     def test_fetch_rejects_wrong_shape(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            cli.urllib.request, "urlopen",
+            urllib.request, "urlopen",
             lambda url, timeout=None: _FakeResponse(b"a,b\nc,d\n"),
         )
         code = cli.main(["fetch", "--name", "votes", "--data-dir", str(tmp_path)])
@@ -315,7 +316,7 @@ class TestFetch:
         def fake_urlopen(url, timeout=None):
             raise urllib.error.URLError("offline")
 
-        monkeypatch.setattr(cli.urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         code = cli.main(["fetch", "--name", "votes", "--data-dir", str(tmp_path),
                          "--sources", str(sources)])
         assert code == 2

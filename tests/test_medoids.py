@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,11 +99,21 @@ class TestExhaustiveSearch:
         assert sol.medoid_objective == naive.medoid_objective == 2
 
     def test_gate_refuses_without_force(self):
-        ds = random_dataset(n=30, m=2, max_categories=2, seed=0)
+        ds = random_dataset(n=30, m=2, max_categories=2, seed=0)  # 30 * C(30, 2) = 13 050 terms
         with pytest.raises(InstanceTooLargeError, match="force"):
-            exhaustive_search(ds, 2, gate_threshold=10)
+            exhaustive_search(ds, 2, gate_threshold=13_049)
+        assert exhaustive_search(ds, 2, gate_threshold=13_050).medoid_objective >= 0
         sol = exhaustive_search(ds, 2, gate_threshold=10, force=True)
         assert sol.medoid_objective >= 0
+
+    def test_default_gate_counts_work_not_records(self, monkeypatch):
+        ds = random_dataset(n=2000, m=2, max_categories=2, seed=0)
+        with pytest.raises(InstanceTooLargeError, match="k=3"):  # 2.7e12 terms
+            exhaustive_search(ds, 3)
+        # 4.0e9 terms at k=2 pass the gate: the call gets as far as the scan
+        monkeypatch.setattr(medoids, "_scan", lambda *args: (-1, (0, 1)))
+        with pytest.raises(RuntimeError, match="scan cost"):
+            exhaustive_search(ds, 2)
 
     def test_invalid_k(self, four_point):
         with pytest.raises(ValueError):
@@ -145,15 +156,25 @@ class TestExhaustiveSearch:
         k=st.integers(1, 4),
         weights=st.lists(st.integers(1, 50), min_size=18, max_size=18),
         weighted=st.booleans(),
+        repeated=st.booleans(),
+        on_the_fly=st.booleans(),
+        workers=st.integers(1, 3),
+        scan_bytes=st.sampled_from([1, 1 << 30]),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_scan_equals_naive(self, n, m, cats, seed, k, weights, weighted):
+    @settings(max_examples=150, deadline=None)
+    def test_scan_equals_naive(
+        self, n, m, cats, seed, k, weights, weighted, repeated, on_the_fly, workers, scan_bytes
+    ):
+        # scan_bytes 1 scores one next member per block, 1 GiB all of a prefix's at once
         k = min(k, n)
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
-        if weighted:
-            names = [[f"v{v}" for v in row] for row in ds.values]
-            ds = dataset_from_rows(names, weights=weights[:n])
-        scan = exhaustive_search(ds, k)
+        names = [[f"v{v}" for v in row] for row in ds.values]
+        if repeated:  # duplicate records: many subsets tie
+            names = [names[i % ((n + 1) // 2)] for i in range(n)]
+        if weighted or repeated:
+            ds = dataset_from_rows(names, weights=weights[:n] if weighted else None)
+        with mock.patch.object(medoids, "_SCAN_BYTES", scan_bytes):
+            scan = exhaustive_search(ds, k, matrix=None if on_the_fly else "auto", workers=workers)
         naive = exhaustive_search_naive(ds, k)
         assert scan.medoid_objective == naive.medoid_objective
         assert scan.medoid_indices == naive.medoid_indices
@@ -250,6 +271,44 @@ class TestLocalSearch:
         monkeypatch.setattr(medoids, "_best_swap", lambda *args: next(claims, None))
         with pytest.raises(RuntimeError, match="swap bookkeeping"):
             local_search(ds, 2, LocalSearchConfig(seed=0))
+
+    @given(
+        n=st.integers(3, 12),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        weights=st.lists(st.integers(1, 20), min_size=12, max_size=12),
+        repeated=st.booleans(),
+        on_the_fly=st.booleans(),
+        scan_bytes=st.sampled_from([1, 1 << 30]),
+        pick=st.integers(0, 10_000),
+        p=st.integers(2, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_wide_swap_equals_brute_force(
+        self, n, k, seed, weights, repeated, on_the_fly, scan_bytes, pick, p
+    ):
+        k = min(k, n - 1)
+        ds = random_dataset(n=n, m=3, max_categories=3, seed=seed)
+        names = [[f"v{v}" for v in row] for row in ds.values]
+        if repeated:
+            names = [names[i % ((n + 1) // 2)] for i in range(n)]
+        ds = dataset_from_rows(names, weights=weights[:n])
+        current = sorted(np.random.default_rng(pick).choice(n, size=k, replace=False).tolist())
+        # every exchange of up to p medoids: sizes ascending, removal positions
+        # then additions in lexicographic order, strict improvement to move
+        others = [i for i in range(n) if i not in current]
+        want = None
+        for size in range(1, min(p, k, len(others)) + 1):
+            for removals in itertools.combinations(range(k), size):
+                kept = [c for pos, c in enumerate(current) if pos not in removals]
+                for additions in itertools.combinations(others, size):
+                    cost = cost_of_medoid_set(ds, kept + list(additions))[0]
+                    if want is None or cost < want[0]:
+                        want = (cost, removals, additions)
+        matrix = None if on_the_fly else pairwise_matrix(ds)
+        with mock.patch.object(medoids, "_SCAN_BYTES", scan_bytes):
+            got = medoids._best_swap(ds.values, ds.weights, matrix, current, p)
+        assert got == want
 
     def test_p2_swaps_escape_a_p1_optimum(self):
         # p=2 must do at least as well as p=1 on the same start

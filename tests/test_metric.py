@@ -132,6 +132,15 @@ class TestMetricAudit:
         with pytest.raises(ValueError):
             check_metric_properties(ds, 0, seed=0)
 
+    def test_corrupted_kernel_is_caught(self, monkeypatch):
+        ds = random_dataset(n=60, m=5, max_categories=4, min_categories=2, seed=3)
+        real = metric.hamming
+        # a kernel that never reads the last attribute
+        monkeypatch.setattr(metric, "hamming", lambda a, b: real(a[:, :-1], b[:, :-1]))
+        report = check_metric_properties(ds, 500, seed=0)
+        assert not report.passed
+        assert {axiom for _, axiom in report.violations} >= {"kernel mismatch"}
+
     def test_seeded_reproducibility(self):
         ds = random_dataset(n=50, m=5, max_categories=4, seed=2)
         a = check_metric_properties(ds, 1000, seed=9)
