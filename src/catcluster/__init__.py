@@ -26,7 +26,6 @@ from .kmodes import (
     KModesConfig,
     KModesResult,
     assign_points,
-    compute_mode,
     run_kmodes,
 )
 from .medoids import (
@@ -74,7 +73,6 @@ __all__ = [
     "audit_lemma2",
     "brute_force_kmodes_objective",
     "check_metric_properties",
-    "compute_mode",
     "confusion",
     "cost_of_medoid_set",
     "dataset_stats",

@@ -39,7 +39,7 @@ from .medoids import (
     exhaustive_search_naive,
     local_search,
 )
-from .metric import MatrixBudgetError, check_metric_properties, pairwise_matrix
+from .metric import MatrixBudgetError, check_metric_properties
 
 DATA_DIR_ENV = "CATCLUSTER_DATA_DIR"
 
@@ -567,23 +567,6 @@ def cmd_fetch(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    ds = random_dataset(n=args.n, m=args.m, max_categories=args.categories, seed=args.seed)
-    t0 = time.perf_counter()
-    matrix = pairwise_matrix(ds)
-    t_matrix = time.perf_counter() - t0
-
-    if args.algorithm == "exhaustive":
-        sol = exhaustive_search(ds, args.k, matrix=matrix, workers=args.threads, force=True)
-    else:
-        sol = local_search(ds, args.k, LocalSearchConfig(p=args.p, seed=args.seed), matrix=matrix)
-    print(f"pairwise_matrix: n={args.n} m={args.m}  {t_matrix:.3f}s")
-    print(
-        f"{args.algorithm}: k={args.k}  objective={sol.medoid_objective}  {sol.elapsed:.3f}s"
-    )
-    return 0
-
-
 def _add_output_options(p: argparse.ArgumentParser, default_format: str = "json") -> None:
     p.add_argument("--format", choices=["json", "tsv", "text"], default=default_format)
     p.add_argument("--output", help="write the report here instead of stdout")
@@ -653,17 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     _add_output_options(p_ver, default_format="text")
     p_ver.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="time the distance matrix and a solver on random data")
-    p_bench.add_argument("--n", type=int, default=1000)
-    p_bench.add_argument("--m", type=int, default=16)
-    p_bench.add_argument("--categories", type=int, default=4)
-    p_bench.add_argument("--k", type=int, default=2)
-    p_bench.add_argument("--p", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--algorithm", choices=["exhaustive", "local-search"], default="local-search")
-    p_bench.add_argument("--threads", type=int, default=1)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -122,8 +122,14 @@ class CategoricalDataset:
 
 def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct row of ``keys``, in first-appearance order,
-    and each row's group: the position of its distinct row in that order."""
-    keys = np.ascontiguousarray(keys)
+    and each row's group: the position of its distinct row in that order.
+
+    ``keys`` are non-negative codes; rows are sorted as bytes in the
+    narrowest unsigned width that holds every code (one byte per code while
+    no domain has more than 256 categories). The result does not depend on
+    that width: it is re-ranked to first-appearance order.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.min_scalar_type(int(keys.max(initial=0))))
     rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted distinct rows -> first-appearance order

@@ -16,7 +16,6 @@ from .dataset import CategoricalDataset, DatasetError
 from .metric import category_counts, hamming, heaviest
 
 INIT_METHODS = ("first-k-distinct", "random")
-EMPTY_POLICIES = ("reseed-farthest",)
 
 
 @dataclass(frozen=True)
@@ -25,15 +24,12 @@ class KModesConfig:
     init: str = "first-k-distinct"
     seed: int = 0
     max_iterations: int = 100
-    empty_cluster_policy: str = "reseed-farthest"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.init not in INIT_METHODS:
             raise ValueError(f"unknown init {self.init!r}; choose from {INIT_METHODS}")
-        if self.empty_cluster_policy not in EMPTY_POLICIES:
-            raise ValueError(f"unknown empty_cluster_policy {self.empty_cluster_policy!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -52,20 +48,9 @@ class KModesResult:
     reseeded_iterations: tuple[int, ...] = field(default_factory=tuple)
 
 
-def compute_mode(dataset: CategoricalDataset, indices=None) -> np.ndarray:
-    """Mode vector of a weighted record subset: per attribute, a category of
-    maximal weighted frequency, ties broken by smallest category id."""
-    if indices is None:
-        values, weights = dataset.values, dataset.weights
-    else:
-        idx = np.asarray(indices, dtype=np.int64)
-        values, weights = dataset.values[idx], dataset.weights[idx]
-    if values.shape[0] == 0:
-        raise DatasetError("cannot take the mode of an empty cluster")
-    return _mode_of(values, weights, dataset.schema.domain_sizes())
-
-
 def _mode_of(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mode vector of a weighted record set: per attribute, a category of
+    maximal weighted frequency, ties broken by smallest category id."""
     mode, _ = heaviest(category_counts(values, weights, sizes), sizes)  # first maximum = smallest id
     return mode.astype(np.int32)
 

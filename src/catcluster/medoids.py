@@ -27,6 +27,7 @@ from .metric import (
     matrix_dtype,
     member_costs,
     pairwise_matrix,
+    sum_dtype,
 )
 
 # distance terms n * C(n, k) the scan may sum without force=True: one to two
@@ -95,6 +96,17 @@ def _no_medoids(values: np.ndarray) -> np.ndarray:
     return np.full(values.shape[0], values.shape[1], dtype=matrix_dtype(values.shape[1]))
 
 
+def _kept_base(values: np.ndarray, matrix, kept) -> np.ndarray:
+    """Scan base of the medoids ``kept``: each record's distance to the nearest."""
+    return _rows(values, matrix, list(kept)).min(axis=0) if kept else _no_medoids(values)
+
+
+def _summing_weights(dataset: CategoricalDataset) -> np.ndarray:
+    """Record weights in the width every sweep sums in: int32 while
+    m * total weight < 2**31, where it is exact and faster, else int64."""
+    return dataset.weights.astype(sum_dtype(dataset.m, dataset.total_weight), copy=False)
+
+
 def cost_of_medoid_set(
     dataset: CategoricalDataset, indices, matrix=None
 ) -> tuple[int, np.ndarray]:
@@ -113,22 +125,31 @@ def cost_of_medoid_set(
     return objective, assignment
 
 
-def _best_extension(values, weights, matrix, bases, after, excluded):
-    """First row-major minimum of sum_i w_i * min(bases[r, i], d(c, i)) over the
-    rows r of ``bases`` and the records c > after[r] (``after`` ascending) that
-    are not ``excluded``: (cost, r, c), or None when no pair qualifies.
+def _sweep(values, weights, matrix, bases, start):
+    """sum_i w_i * min(bases[r, i], d(c, i)) for every row r of ``bases`` and
+    every record c >= start: shape (len(bases), n - start), int64.
 
-    Completion rows are read ``_CHUNK`` at a time; each (rows of bases, chunk,
-    n) block of minima is summed to int64 costs by one einsum.
+    Each pass over the distance rows is one sweep. Completion rows are read
+    ``_CHUNK`` at a time; each (rows of bases, chunk, n) block of minima is
+    summed by one einsum in the dtype of ``weights`` (see
+    :func:`_summing_weights`).
     """
     n = len(weights)
-    start = int(after[0]) + 1
     costs = np.empty((len(bases), n - start), dtype=np.int64)
     for s in range(start, n, _CHUNK):
         rows = _rows(values, matrix, slice(s, s + _CHUNK))
         block = np.minimum(bases[:, None, :], rows[None, :, :])
         costs[:, s - start : s - start + len(rows)] = np.einsum("bcn,n->bc", block, weights)
-    invalid = (np.arange(start, n) <= after[:, None]) | excluded[start:]
+    return costs
+
+
+def _best_extension(values, weights, matrix, bases, after, excluded):
+    """First row-major minimum of sum_i w_i * min(bases[r, i], d(c, i)) over the
+    rows r of ``bases`` and the records c > after[r] (``after`` ascending) that
+    are not ``excluded``: (cost, r, c), or None when no pair qualifies."""
+    start = int(after[0]) + 1
+    costs = _sweep(values, weights, matrix, bases, start)
+    invalid = (np.arange(start, len(weights)) <= after[:, None]) | excluded[start:]
     costs[invalid] = _NO_COST
     r, t = divmod(int(np.argmin(costs)), costs.shape[1])  # first minimum, row-major
     if invalid[r, t]:
@@ -212,10 +233,10 @@ def exhaustive_search(
 
     The result is optimal for the member-restricted objective, which bounds
     the unrestricted mode objective within a factor of 2. The scan sums
-    n * C(n, k) weighted distance terms, exactly, in int64, and skips no
-    subset: Python loops over the (k-2)-prefixes only, and one array pass
-    scores a block of next members with all of their completions (see
-    :func:`_scan`). Instances of more than ``gate_threshold`` terms are
+    n * C(n, k) weighted distance terms, exactly (in int32 while
+    m * total weight < 2**31, else int64), and skips no subset: Python loops
+    over the (k-2)-prefixes only, and one array pass scores a block of next
+    members with all of their completions (see :func:`_scan`). Instances of more than ``gate_threshold`` terms are
     refused unless ``force`` is set. ``workers`` threads scan contiguous
     ranges of first indices; the output is independent of their number.
     """
@@ -230,12 +251,13 @@ def exhaustive_search(
             "pass force=True (CLI: --force) to run anyway"
         )
     matrix = _resolve_matrix(dataset, matrix)
-    base, excluded = _no_medoids(dataset.values), np.zeros(n, dtype=bool)
+    values, weights = dataset.values, _summing_weights(dataset)
+    base, excluded = _no_medoids(values), np.zeros(n, dtype=bool)
     # k = 1 has no prefix to split: its scan is one pass over all completions
     ranges = _balanced_first_ranges(n, k, max(workers, 1) if k > 1 else 1)
     with ThreadPoolExecutor(max_workers=len(ranges)) as ex:  # numpy releases the GIL
         results = list(ex.map(
-            lambda heads: _scan(dataset.values, dataset.weights, matrix, base, excluded, k, heads),
+            lambda heads: _scan(values, weights, matrix, base, excluded, k, heads),
             ranges,
         ))
 
@@ -298,7 +320,7 @@ def local_search(
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
     matrix = _resolve_matrix(dataset, matrix)
-    values, weights = dataset.values, dataset.weights
+    values, weights = dataset.values, _summing_weights(dataset)
     rng = np.random.default_rng(config.seed)
     starts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(config.restarts)]
 
@@ -307,8 +329,9 @@ def local_search(
         medoids = [int(i) for i in start]
         cost, _ = cost_of_medoid_set(dataset, medoids, matrix)
         stable = False  # set once no strictly improving exchange of up to p medoids is left
+        rows = {}  # the last step's single-swap cost rows, by kept medoid set
         for _ in range(config.max_steps):
-            swap = _best_swap(values, weights, matrix, medoids, config.p)
+            swap = _best_swap(values, weights, matrix, medoids, config.p, rows)
             if swap is None or swap[0] >= cost:
                 stable = True
                 break
@@ -335,21 +358,52 @@ def local_search(
     )
 
 
-def _best_swap(values, weights, matrix, medoids, p):
+def _single_swap_costs(values, weights, matrix, medoids, rows):
+    """(k, n) int64 table of sum_i w_i * min(d(c, i), base_r(i)) for every
+    removal position r and record c, base_r being the distance to the nearest
+    medoid kept without position r (m when none is).
+
+    ``rows`` maps kept medoid sets to their rows from the previous step and
+    is refilled with this step's. After an accepted swap r -> c, removing c
+    keeps exactly the set the previous step kept for removal r, so a step
+    after the first sweeps the distance rows k - 1 times instead of k.
+    """
+    fresh = {}
+    for r in range(len(medoids)):
+        kept = (*medoids[:r], *medoids[r + 1 :])
+        row = rows.get(kept)
+        if row is None:
+            row = _sweep(values, weights, matrix, _kept_base(values, matrix, kept)[None, :], 0)[0]
+        fresh[kept] = row
+    rows.clear()
+    rows.update(fresh)
+    return np.stack(list(fresh.values()))
+
+
+def _best_swap(values, weights, matrix, medoids, p, rows):
     """Best (cost, removal positions, added indices) over swap sizes 1..p;
-    None when k or the non-medoid pool admits no exchange. Deterministic:
+    None when every record is a medoid. Deterministic:
     sizes ascending, removal positions and additions in lexicographic order,
-    strict improvement to move the incumbent."""
-    k = len(medoids)
-    in_medoids = np.zeros(len(weights), dtype=bool)
+    strict improvement to move the incumbent.
+
+    Size 1 is the first row-major minimum of :func:`_single_swap_costs` over
+    the non-medoid columns, which reuses and refreshes ``rows``; larger sizes
+    run :func:`_scan` once per removal set.
+    """
+    k, n = len(medoids), len(weights)
+    if k == n:
+        return None
+    costs = _single_swap_costs(values, weights, matrix, medoids, rows)
+    costs[:, medoids] = _NO_COST
+    r, c = divmod(int(np.argmin(costs)), n)  # first minimum, row-major
+    best = (int(costs[r, c]), (r,), (c,))
+    in_medoids = np.zeros(n, dtype=bool)
     in_medoids[medoids] = True
-    best = None
-    for s in range(1, min(p, k, len(weights) - k) + 1):
+    for s in range(2, min(p, k, n - k) + 1):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
-            base = _rows(values, matrix, kept).min(axis=0) if kept else _no_medoids(values)
-            found = _scan(values, weights, matrix, base, in_medoids, s)
-            if found is not None and (best is None or found[0] < best[0]):
+            found = _scan(values, weights, matrix, _kept_base(values, matrix, kept), in_medoids, s)
+            if found is not None and found[0] < best[0]:
                 best = (found[0], removals, found[1])
     return best
 

@@ -354,31 +354,6 @@ class TestMisc:
         assert exc.value.code == 0
         assert cli.__version__ in capsys.readouterr().out
 
-    def test_bench_smoke(self, capsys):
-        code = cli.main(["bench", "--n", "40", "--m", "4", "--k", "2",
-                         "--algorithm", "local-search"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "pairwise_matrix" in out
-        assert "objective=" in out
-
-    @pytest.mark.parametrize("algorithm", ["local-search", "exhaustive"])
-    def test_bench_builds_one_matrix(self, monkeypatch, capsys, algorithm):
-        from catcluster import medoids
-
-        calls = []
-
-        def counting(dataset, *args, **kwargs):
-            calls.append(dataset.n_records)
-            return original(dataset, *args, **kwargs)
-
-        original = cli.pairwise_matrix
-        monkeypatch.setattr(cli, "pairwise_matrix", counting)
-        monkeypatch.setattr(medoids, "pairwise_matrix", counting)
-        code = cli.main(["bench", "--n", "40", "--m", "4", "--k", "2", "--algorithm", algorithm])
-        assert code == 0
-        assert calls == [40]
-
     def test_dataset_path_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(tmp_path))
         monkeypatch.chdir(tmp_path)

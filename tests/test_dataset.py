@@ -351,6 +351,19 @@ class TestDedupe:
         assert ds.distinct_records.tolist() == list(first_of.values())
 
 
+    @pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**31 - 1])
+    def test_codes_wider_than_the_sort_width_stay_distinct(self, top):
+        # rows are sorted as bytes in the narrowest width that holds ``top``;
+        # codes equal modulo 2**8 or 2**16 must not merge
+        keys = np.array([[0, 1], [256, 1], [0, 1], [65536, 1], [top, 1], [256, 1]], dtype=np.int32)
+        keys = keys[(keys <= top).all(axis=1)]
+        rows = [tuple(r) for r in keys.tolist()]
+        order = list(dict.fromkeys(rows))
+        first, group = distinct_rows(keys)
+        assert first.tolist() == [rows.index(r) for r in order]
+        assert group.tolist() == [order.index(r) for r in rows]
+
+
 class TestStatsAndValidation:
     def test_stats_counts(self):
         ds = dataset_from_rows([["a", "p"], ["b", "p"]], labels=["x", "x"])

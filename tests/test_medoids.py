@@ -22,6 +22,8 @@ from catcluster import (
     random_dataset,
 )
 
+from catcluster.metric import sum_dtype
+
 from conftest import dataset_from_rows
 
 # all six k=2 medoid pairs of the four-point instance, hand-evaluated
@@ -307,7 +309,7 @@ class TestLocalSearch:
                         want = (cost, removals, additions)
         matrix = None if on_the_fly else pairwise_matrix(ds)
         with mock.patch.object(medoids, "_SCAN_BYTES", scan_bytes):
-            got = medoids._best_swap(ds.values, ds.weights, matrix, current, p)
+            got = medoids._best_swap(ds.values, ds.weights, matrix, current, p, {})
         assert got == want
 
     def test_p2_swaps_escape_a_p1_optimum(self):
@@ -334,6 +336,108 @@ class TestLocalSearch:
             ls = local_search(ds, 2, LocalSearchConfig(p=1, seed=0, restarts=3))
             ex = exhaustive_search(ds, 2)
             assert ls.medoid_objective == ex.medoid_objective, seed
+
+
+class TestSingleSwapTable:
+    """The p = 1 step: one table of single-swap costs, one row carried over."""
+
+    @staticmethod
+    def scan_oracle(ds, matrix, medoids_now):
+        # today's order, one _scan per removal in int64: lowest cost, then
+        # lowest removal position, then lowest candidate
+        in_medoids = np.zeros(ds.n_records, dtype=bool)
+        in_medoids[medoids_now] = True
+        best = None
+        for r in range(len(medoids_now)):
+            kept = medoids_now[:r] + medoids_now[r + 1 :]
+            base = medoids._kept_base(ds.values, matrix, kept)
+            found = medoids._scan(ds.values, ds.weights, matrix, base, in_medoids, 1)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (found[0], (r,), found[1])
+        return best
+
+    @given(
+        n=st.integers(2, 14),
+        m=st.integers(1, 4),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+        weights=st.lists(st.integers(1, 2**40), min_size=14, max_size=14),
+        big=st.booleans(),
+        repeated=st.booleans(),
+        on_the_fly=st.booleans(),
+        pick=st.integers(0, 10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_steps_equal_per_removal_scan(
+        self, n, m, k, seed, weights, big, repeated, on_the_fly, pick
+    ):
+        # small weights sum in int32, weights up to 2**40 in int64
+        k = min(k, n)
+        ds = random_dataset(n=n, m=m, max_categories=3, seed=seed)
+        names = [[f"v{v}" for v in row] for row in ds.values]
+        if repeated:  # duplicate records: many swaps tie
+            names = [names[i % ((n + 1) // 2)] for i in range(n)]
+        w = weights[:n] if big else [x % 50 + 1 for x in weights[:n]]
+        ds = dataset_from_rows(names, weights=w)
+        summing = medoids._summing_weights(ds)
+        assert summing.dtype == (np.int64 if m * sum(w) >= 2**31 else np.int32)
+        matrix = None if on_the_fly else pairwise_matrix(ds)
+        current = sorted(np.random.default_rng(pick).choice(n, size=k, replace=False).tolist())
+        cost = cost_of_medoid_set(ds, current)[0]
+        rows = {}
+        for _ in range(4):  # later steps read the row carried over
+            got = medoids._best_swap(ds.values, summing, matrix, current, 1, rows)
+            assert got == self.scan_oracle(ds, matrix, current)
+            if got is None or got[0] >= cost:
+                break
+            cost, (r,), (c,) = got
+            current = sorted(current[:r] + current[r + 1 :] + [c])
+            assert cost_of_medoid_set(ds, current)[0] == cost
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_later_steps_sweep_one_row_less(self, monkeypatch, k):
+        ds = random_dataset(n=300, m=6, max_categories=4, seed=2)
+        sweeps, per_step = [], []
+        sweep, best_swap = medoids._sweep, medoids._best_swap
+
+        def counting_sweep(values, weights, matrix, bases, start):
+            sweeps.append(len(bases))
+            return sweep(values, weights, matrix, bases, start)
+
+        def counting_step(*args):
+            before = sum(sweeps)
+            found = best_swap(*args)
+            per_step.append(sum(sweeps) - before)
+            return found
+
+        monkeypatch.setattr(medoids, "_sweep", counting_sweep)
+        monkeypatch.setattr(medoids, "_best_swap", counting_step)
+        local_search(ds, k, LocalSearchConfig(p=1, seed=0))
+        assert len(per_step) >= (2 if k == 1 else 4)  # steps after accepted swaps
+        assert per_step == [k] + [k - 1] * (len(per_step) - 1)
+
+    @pytest.mark.parametrize("total, width", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    @pytest.mark.parametrize("on_the_fly", [False, True])
+    def test_sums_exact_at_the_width_boundary(self, total, width, on_the_fly):
+        # m = 1: a candidate's cost is the weight of the records unlike it,
+        # up to total - 2 here, for record "b"
+        ds = dataset_from_rows([["a"], ["b"], ["c"], ["a"]], weights=[1, 2, total - 7, 4])
+        summing = medoids._summing_weights(ds)
+        assert sum_dtype(ds.m, ds.total_weight) is width and summing.dtype == width
+        matrix = None if on_the_fly else pairwise_matrix(ds)
+        dist = (ds.values[:, None, :] != ds.values[None, :, :]).sum(axis=2)
+        bases = np.stack([np.full(4, ds.m), dist[2], dist[[0, 1]].min(axis=0)])
+        got = medoids._sweep(ds.values, summing, matrix, bases.astype(np.uint8), 0)
+        want = np.array(
+            [[sum(int(w) * min(int(b), int(d)) for w, b, d in zip(ds.weights, base, dist[c]))
+              for c in range(4)] for base in bases]
+        )
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert got.max() == total - 2
+        ex = exhaustive_search(ds, 1, matrix=matrix)
+        ls = local_search(ds, 1, LocalSearchConfig(seed=0), matrix=matrix)
+        assert ex.medoid_objective == ls.medoid_objective == int(want[0].min()) == 7
 
 
 class TestLemmaAudits:
