@@ -1,6 +1,7 @@
 """Clustering quality measurement: confusion matrix against true labels,
 accuracy/error in exact rational arithmetic, and the two objective readings
-(mode-based and member-restricted) for any partition.
+(mode-based and member-restricted) for any partition, both read from one
+grouped category-count table.
 """
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dataset import CategoricalDataset
-from .kmodes import mode_cost
-from .metric import member_costs
+from .metric import cluster_counts, heaviest, member_costs
 
 
 def format_rounded(x, places: int = 3) -> str:
@@ -92,47 +92,38 @@ def accuracy_error(matrix: ConfusionMatrix) -> tuple[Fraction, Fraction]:
     return r, 1 - r
 
 
-def _cluster_indices(assignment: np.ndarray, k: int | None) -> list[np.ndarray]:
+def _partition_counts(dataset: CategoricalDataset, assignment, k: int | None):
+    """The partition as int64 cluster ids and its (k, sum of sizes) count
+    table; raises ValueError when one of the k clusters is empty."""
     assignment = np.asarray(assignment, dtype=np.int64)
     if k is None:
         k = int(assignment.max()) + 1
-    groups = [np.flatnonzero(assignment == c) for c in range(k)]
-    for c, idx in enumerate(groups):
-        if idx.size == 0:
-            raise ValueError(f"cluster {c} is empty")
-    return groups
+    members = np.bincount(assignment, minlength=k)
+    if len(members) > k:
+        raise ValueError(f"assignment names cluster {len(members) - 1}, but k is {k}")
+    if (members == 0).any():
+        raise ValueError(f"cluster {int(np.argmin(members))} is empty")
+    sizes = dataset.schema.domain_sizes()
+    return assignment, cluster_counts(dataset.values, dataset.weights, sizes, assignment, k)
 
 
 def objective_under_modes(dataset: CategoricalDataset, assignment, k: int | None = None) -> int:
     """Refit a mode on each cluster of the partition and sum the weighted
-    distances; minimal over all per-cluster representative vectors."""
-    sizes = dataset.schema.domain_sizes()
-    total = 0
-    for idx in _cluster_indices(assignment, k):
-        total += mode_cost(dataset.values[idx], dataset.weights[idx], sizes)
-    return total
+    distances; minimal over all per-cluster representative vectors. Per
+    cluster and attribute that is the total weight minus the heaviest
+    category's weight."""
+    _, counts = _partition_counts(dataset, assignment, k)
+    return int(counts.sum()) - int(heaviest(counts, dataset.schema.domain_sizes())[1].sum())
 
 
-def objective_under_medoids(
-    dataset: CategoricalDataset,
-    assignment=None,
-    medoid_indices=None,
-    k: int | None = None,
-) -> int:
-    """Member-restricted objective: for a partition, each cluster's best member
-    representative; for a medoid set, the nearest-medoid sum."""
-    if (assignment is None) == (medoid_indices is None):
-        raise ValueError("pass exactly one of assignment or medoid_indices")
-    if medoid_indices is not None:
-        from .medoids import cost_of_medoid_set
-
-        objective, _ = cost_of_medoid_set(dataset, medoid_indices)
-        return objective
-    sizes = dataset.schema.domain_sizes()
-    total = 0
-    for idx in _cluster_indices(assignment, k):
-        total += int(member_costs(dataset.values[idx], dataset.weights[idx], sizes).min())
-    return total
+def objective_under_medoids(dataset: CategoricalDataset, assignment, k: int | None = None) -> int:
+    """Member-restricted objective of a partition: each cluster's best member
+    representative, summed."""
+    assignment, counts = _partition_counts(dataset, assignment, k)
+    costs = member_costs(counts, dataset.schema.domain_sizes(), dataset.values, assignment)
+    best = np.full(counts.shape[0], np.iinfo(np.int64).max)
+    np.minimum.at(best, assignment, costs)
+    return int(best.sum())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Lloyd-style k-modes heuristic.
 
-Alternates nearest-representative assignment with per-cluster frequency-based
-mode updates until the assignment stops changing. Both half-steps are exact
+Alternates nearest-representative assignment with frequency-based mode
+updates, every cluster's mode read from one grouped category-count table,
+until the assignment stops changing. Both half-steps are exact
 minimizers of the integer objective given the other half fixed, so the
 objective is non-increasing except across empty-cluster reseeds; the run is
 deterministic for a given dataset and config.
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import CategoricalDataset, DatasetError
-from .metric import category_counts, hamming, heaviest
+from .metric import cluster_counts, hamming, heaviest
 
 INIT_METHODS = ("first-k-distinct", "random")
 
@@ -48,22 +49,6 @@ class KModesResult:
     reseeded_iterations: tuple[int, ...] = field(default_factory=tuple)
 
 
-def _mode_of(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Mode vector of a weighted record set: per attribute, a category of
-    maximal weighted frequency, ties broken by smallest category id."""
-    mode, _ = heaviest(category_counts(values, weights, sizes), sizes)  # first maximum = smallest id
-    return mode.astype(np.int32)
-
-
-def mode_cost(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> int:
-    """Summed weighted distance of a record set to its own mode.
-
-    Equals, per attribute, total weight minus the heaviest category's weight.
-    """
-    _, top = heaviest(category_counts(values, weights, sizes), sizes)
-    return int(np.sum(weights)) * values.shape[1] - int(top.sum())
-
-
 def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
     """Initial k mode vectors: the first k pairwise-distinct records in file
     order, or a seeded uniform draw of k distinct value vectors."""
@@ -81,9 +66,8 @@ def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
     return dataset.values[chosen].astype(np.int32)
 
 
-def assign_points(values_or_dataset, modes: np.ndarray) -> np.ndarray:
+def assign_points(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """Nearest-mode index per record, ties broken by lowest cluster index."""
-    values = getattr(values_or_dataset, "values", values_or_dataset)
     if modes.shape[0] == 0:
         raise ValueError("modes must be non-empty")
     return np.argmin(hamming(values, modes), axis=1)  # first minimum = lowest cluster index
@@ -135,9 +119,8 @@ def run_kmodes(dataset: CategoricalDataset, config: KModesConfig, debug: bool = 
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        modes = np.stack(
-            [_mode_of(values[assignment == c], weights[assignment == c], sizes) for c in range(k)]
-        )
+        # per attribute, a category of maximal weight in each cluster; first maximum = smallest id
+        modes = heaviest(cluster_counts(values, weights, sizes, assignment, k), sizes)[0].astype(np.int32)
         new_assignment = assign_points(values, modes)
         new_assignment, modes, reseeded = _reseed_empty_clusters(values, new_assignment, modes, k)
         if reseeded:

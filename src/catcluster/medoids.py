@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CategoricalDataset, random_dataset
-from .kmodes import mode_cost
 from .metric import (
     DEFAULT_MATRIX_BUDGET,
     MatrixBudgetError,
+    cluster_counts,
     hamming,
+    heaviest,
     matrix_dtype,
     member_costs,
     pairwise_matrix,
@@ -426,7 +427,7 @@ def audit_lemma1(dataset: CategoricalDataset, trials: int, seed: int) -> Lemma1R
     """Sample random non-empty record subsets; check that the best member
     representative costs at most twice the mode on every one. The 0/0 case
     (singleton or all-identical subsets) counts as ratio 1. Both costs come
-    from the subset's category counts; no distance block is built."""
+    from the subset's one-cluster count table; no distance block is built."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -439,9 +440,10 @@ def audit_lemma1(dataset: CategoricalDataset, trials: int, seed: int) -> Lemma1R
     for t in range(trials):
         s = int(rng.integers(1, n + 1))
         idx = np.sort(rng.choice(n, size=s, replace=False))
-        vs, w = values[idx], weights[idx]
-        medoid_cost = int(member_costs(vs, w, sizes).min())
-        m_cost = mode_cost(vs, w, sizes)
+        vs, one = values[idx], np.zeros(s, dtype=np.int64)
+        counts = cluster_counts(vs, weights[idx], sizes, one, 1)
+        medoid_cost = int(member_costs(counts, sizes, vs, one).min())
+        m_cost = int(counts.sum()) - int(heaviest(counts, sizes)[1].sum())
         ratios[t] = 1.0 if m_cost == 0 else medoid_cost / m_cost
         if medoid_cost > 2 * m_cost:
             violations.append((tuple(int(i) for i in idx), medoid_cost, m_cost))

@@ -7,9 +7,11 @@ reading the distances from the kernel below.
 
 Every distance and cluster cost in the package comes from one kernel. With X
 the one-hot encoding of the codes, d(x, y) = m - <X_x, X_y>, so a block of
-distances is one matrix product (:func:`hamming`); the column sums of w * X,
-the weighted category counts, give a record set's mode and costs without any
-pairwise block (:func:`category_counts`).
+distances is one matrix product (:func:`hamming`). The column sums of w * X
+within each cluster, the weighted category counts, form one (k, sum of domain
+sizes) table (:func:`cluster_counts`); every cluster's mode and mode cost
+(:func:`heaviest`) and every record's cost as its cluster's representative
+(:func:`member_costs`) are read from it, without any pairwise block.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ _BLOCK_BYTES = 1 << 22  # one one-hot block, and one block of the float product
 # this and the encoding, not the product, takes the time on wide domains
 _MIN_BLOCK_ROWS = 256
 _AUDIT_PAIRS = 128  # pairs whose distances the metric audit reads from one block
+_COUNT_ROWS = 4096  # records one scatter of the count table takes: bounds its temporaries
 
 
 class MatrixBudgetError(MemoryError):
@@ -101,32 +104,50 @@ def pairwise_matrix(dataset: CategoricalDataset, max_bytes: int = DEFAULT_MATRIX
     return hamming(values, values)
 
 
-def category_counts(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Total weight of every (attribute, category) pair in one-hot column
-    order, summed in int64: exact for any total weight that fits in int64."""
-    counts = np.zeros(int(np.sum(sizes)), dtype=np.int64)
-    codes = (values + _offsets(sizes)).ravel()
-    np.add.at(counts, codes, np.repeat(np.asarray(weights, dtype=np.int64), values.shape[1]))
-    return counts
+def cluster_counts(
+    values: np.ndarray, weights: np.ndarray, sizes: np.ndarray, assignment: np.ndarray, k: int
+) -> np.ndarray:
+    """(k, sum of sizes) int64 table: the total weight of every (cluster,
+    attribute, category) triple, each row in one-hot column order. Exact for
+    any total weight that fits in int64.
+
+    Built by ``np.add.at`` over blocks of ``_COUNT_ROWS`` records, so its
+    code and weight temporaries never span all n * m entries.
+    """
+    offsets, width = _offsets(sizes), int(np.sum(sizes))
+    first = np.asarray(assignment, dtype=np.int64) * width  # each record's row in the flat table
+    weights = np.asarray(weights, dtype=np.int64)
+    counts = np.zeros(k * width, dtype=np.int64)
+    for s in range(0, values.shape[0], _COUNT_ROWS):
+        block = slice(s, s + _COUNT_ROWS)
+        cells = values[block] + offsets + first[block, None]
+        np.add.at(counts, cells.ravel(), np.repeat(weights[block], values.shape[1]))
+    return counts.reshape(k, width)
 
 
 def heaviest(counts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per attribute, the first category of maximal count and that count."""
+    """Per row of a count table and per attribute, the first category of
+    maximal count (the smallest id) and that count: two (k, m) arrays."""
     offsets = _offsets(sizes)
-    top = np.maximum.reduceat(counts, offsets)
-    hits = np.flatnonzero(counts == np.repeat(top, sizes))
-    return hits[np.searchsorted(hits, offsets)] - offsets, top
+    top = np.maximum.reduceat(counts, offsets, axis=1)
+    width = counts.shape[1]
+    columns = np.where(counts == np.repeat(top, sizes, axis=1), np.arange(width), width)
+    return np.minimum.reduceat(columns, offsets, axis=1) - offsets, top
 
 
-def member_costs(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """sum_i w_i * d(i, c) for every member c of a weighted record set, int64.
+def member_costs(
+    counts: np.ndarray, sizes: np.ndarray, values: np.ndarray, assignment: np.ndarray
+) -> np.ndarray:
+    """sum_i w_i * d(i, c) over the members i of c's own cluster, for every
+    record c, int64.
 
-    With W the total weight, the sum is m * W - sum_r count_r[v_cr]: O(s * m)
-    from the category counts, with no pairwise block.
+    With W the cluster's total weight, a row of the count table sums to
+    m * W, so the cost is m * W - sum_r count_r[v_cr]: O(n * m) from the
+    table, with no pairwise block.
     """
-    counts = category_counts(values, weights, sizes)
-    m_total = int(np.sum(weights)) * values.shape[1]
-    return m_total - counts[values + _offsets(sizes)].sum(axis=1)
+    width = counts.shape[1]
+    cells = np.asarray(assignment, dtype=np.int64)[:, None] * width + (values + _offsets(sizes))
+    return counts.sum(axis=1)[assignment] - counts.ravel()[cells].sum(axis=1)
 
 
 @dataclass(frozen=True)

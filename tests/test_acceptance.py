@@ -26,7 +26,7 @@ from catcluster import (
 )
 from catcluster.cli import _verify_oracle
 from catcluster.evaluate import ConfusionMatrix
-from catcluster.kmodes import _mode_of
+from catcluster.metric import cluster_counts, heaviest
 
 from conftest import _load_cached, needs_mushroom, needs_votes
 
@@ -224,10 +224,12 @@ def test_10_mode_matches_category_product_minimum():
         m = int(rng.integers(1, 5))
         cats = int(rng.integers(1, 5))
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=int(rng.integers(0, 2**63 - 1)))
-        mode = _mode_of(ds.values, ds.weights, ds.schema.domain_sizes())
+        sizes = ds.schema.domain_sizes()
+        one = np.zeros(n, dtype=np.int64)
+        mode = heaviest(cluster_counts(ds.values, ds.weights, sizes, one, 1), sizes)[0][0]
         cost = int(((ds.values != mode[None, :]).sum(axis=1) * ds.weights).sum())
         cands = np.array(
-            list(itertools.product(*(range(int(s)) for s in ds.schema.domain_sizes()))),
+            list(itertools.product(*(range(int(s)) for s in sizes))),
             dtype=np.int32,
         )
         per_cand = (ds.values[:, None, :] != cands[None, :, :]).sum(axis=2)

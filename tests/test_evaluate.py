@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from catcluster import (
     accuracy_error,
     confusion,
+    cost_of_medoid_set,
     evaluate,
     format_rounded,
     objective_under_medoids,
@@ -141,19 +142,15 @@ class TestObjectives:
         assert objective_under_medoids(aq_cluster, assignment=[0, 0, 0]) == 2
 
     def test_medoid_set_route(self, four_point):
-        assert objective_under_medoids(four_point, medoid_indices=[0, 2]) == 2
-
-    def test_exactly_one_route(self, four_point):
-        with pytest.raises(ValueError):
-            objective_under_medoids(four_point)
-        with pytest.raises(ValueError):
-            objective_under_medoids(four_point, assignment=[0] * 4, medoid_indices=[0])
+        assert cost_of_medoid_set(four_point, [0, 2])[0] == 2
 
     def test_empty_cluster_errors(self, four_point):
         with pytest.raises(ValueError, match="empty"):
             objective_under_modes(four_point, [0, 0, 0, 0], k=2)
         with pytest.raises(ValueError, match="empty"):
             objective_under_medoids(four_point, assignment=[0, 0, 0, 0], k=2)
+        with pytest.raises(ValueError, match="k is 2"):
+            objective_under_modes(four_point, [0, 1, 2, 2], k=2)
 
     @given(
         n=st.integers(2, 20),

@@ -15,7 +15,8 @@ from catcluster import (
 )
 from catcluster import kmodes
 from catcluster.dataset import distinct_rows
-from catcluster.kmodes import _mode_of, init_modes, mode_cost
+from catcluster.kmodes import init_modes
+from catcluster.metric import cluster_counts, heaviest
 
 from conftest import dataset_from_rows
 
@@ -31,9 +32,25 @@ def brute_force_mode_cost(ds) -> int:
     return best
 
 
+def grouped_modes(values, weights, sizes, assignment, k):
+    """(k, m) modes and the k clusters' mode costs, read from one count table."""
+    counts = cluster_counts(values, weights, sizes, assignment, k)
+    modes, top = heaviest(counts, sizes)
+    return modes, counts.sum(axis=1) - top.sum(axis=1)
+
+
 def dataset_mode(ds, indices=None):
     idx = slice(None) if indices is None else np.asarray(indices)
-    return _mode_of(ds.values[idx], ds.weights[idx], ds.schema.domain_sizes())
+    values = ds.values[idx]
+    one = np.zeros(len(values), dtype=np.int64)
+    modes, _ = grouped_modes(values, ds.weights[idx], ds.schema.domain_sizes(), one, 1)
+    return modes[0]
+
+
+def dataset_mode_cost(ds) -> int:
+    one = np.zeros(ds.n_records, dtype=np.int64)
+    _, costs = grouped_modes(ds.values, ds.weights, ds.schema.domain_sizes(), one, 1)
+    return int(costs[0])
 
 
 class TestComputeMode:
@@ -74,20 +91,21 @@ class TestComputeMode:
         mode = dataset_mode(ds)
         cost = int(((ds.values != mode).sum(axis=1) * ds.weights).sum())
         assert cost == brute_force_mode_cost(ds)
-        assert cost == mode_cost(ds.values, ds.weights, ds.schema.domain_sizes())
+        assert cost == dataset_mode_cost(ds)
 
 
 class TestCategoryCounts:
     def test_mode_cost_exact_above_2_53(self):
         values = np.array([[0], [1], [1]], dtype=np.int32)
         weights = np.array([2**53 + 1, 1, 1], dtype=np.int64)
-        assert mode_cost(values, weights, np.array([2])) == 2
+        _, costs = grouped_modes(values, weights, np.array([2]), np.zeros(3, dtype=np.int64), 1)
+        assert costs.tolist() == [2]
 
     def test_mode_exact_above_2_53(self):
         # float64 counts would round both categories to 2**53 and tie on "a"
         ds = dataset_from_rows([["a"], ["b"]], weights=[2**53, 2**53 + 1])
         assert ds.decode(dataset_mode(ds)) == ["b"]
-        assert mode_cost(ds.values, ds.weights, ds.schema.domain_sizes()) == 2**53
+        assert dataset_mode_cost(ds) == 2**53
 
     @given(
         s=st.integers(1, 12),
@@ -95,26 +113,30 @@ class TestCategoryCounts:
         cats=st.integers(1, 4),
         seed=st.integers(0, 10_000),
         weights=st.lists(st.integers(1, 2**40), min_size=12, max_size=12),
+        k=st.integers(1, 3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_mode_and_cost_match_brute_force(self, s, m, cats, seed, weights):
+    def test_mode_and_cost_match_brute_force(self, s, m, cats, seed, weights, k):
         rng = np.random.default_rng(seed)
         values = rng.integers(0, cats, size=(s, m)).astype(np.int32)
+        assignment = rng.integers(0, k, size=s)  # clusters may be empty
         w = weights[:s]
-        sizes = np.full(m, cats)
-        mode = _mode_of(values, np.array(w, dtype=np.int64), sizes)
-        # O(s^2) brute force with Python integers: the best representative
-        # built attribute by attribute from the members' own categories
-        want_mode, want_cost = [], 0
-        for r in range(m):
-            costs = {
-                c: sum(w[i] for i in range(s) if values[i, r] != c) for c in range(cats)
-            }
-            best = min(costs.values())
-            want_mode.append(min(c for c in costs if costs[c] == best))
-            want_cost += best
-        assert mode.tolist() == want_mode
-        assert mode_cost(values, np.array(w, dtype=np.int64), sizes) == want_cost
+        modes, costs = grouped_modes(values, np.array(w, dtype=np.int64), np.full(m, cats), assignment, k)
+        # O(s^2) brute force with Python integers: per cluster, the best
+        # representative built attribute by attribute from the members' own
+        # categories (category 0 at cost 0 for an empty cluster)
+        for c in range(k):
+            members = [i for i in range(s) if assignment[i] == c]
+            want_mode, want_cost = [], 0
+            for r in range(m):
+                per_category = {
+                    v: sum(w[i] for i in members if values[i, r] != v) for v in range(cats)
+                }
+                best = min(per_category.values())
+                want_mode.append(min(v for v in per_category if per_category[v] == best))
+                want_cost += best
+            assert modes[c].tolist() == want_mode
+            assert int(costs[c]) == want_cost
 
 
 class TestInitAndAssign:
@@ -138,13 +160,13 @@ class TestInitAndAssign:
 
     def test_assign_tie_goes_to_lowest_cluster(self, aq_cluster):
         modes = np.array([[0, 1], [1, 0]], dtype=np.int32)  # [a,q], [b,p]
-        assignment = assign_points(aq_cluster, modes)
+        assignment = assign_points(aq_cluster.values, modes)
         assert assignment.tolist() == [0, 0, 0]
 
     def test_assign_exact_match(self):
         ds = dataset_from_rows([["a"], ["b"]])
         modes = np.array([[1], [0]], dtype=np.int32)
-        assert assign_points(ds, modes).tolist() == [1, 0]
+        assert assign_points(ds.values, modes).tolist() == [1, 0]
 
 
 class TestRunKModes:

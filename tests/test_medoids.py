@@ -18,6 +18,7 @@ from catcluster import (
     exhaustive_search,
     exhaustive_search_naive,
     local_search,
+    objective_under_modes,
     pairwise_matrix,
     random_dataset,
 )
@@ -493,10 +494,8 @@ class TestLemmaAudits:
         assert brute_force_kmodes_objective(four_point, 4) == 0
 
     def test_partition_oracle_matches_mode_cost_for_k1(self):
-        from catcluster.kmodes import mode_cost
-
         ds = random_dataset(n=8, m=3, max_categories=3, seed=9)
-        want = mode_cost(ds.values, ds.weights, ds.schema.domain_sizes())
+        want = objective_under_modes(ds, np.zeros(ds.n_records, dtype=np.int64))
         assert brute_force_kmodes_objective(ds, 1) == want
 
     def test_partition_oracle_size_guard(self):

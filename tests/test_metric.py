@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from catcluster import check_metric_properties, metric, pairwise_matrix, random_dataset
 from catcluster.metric import (
     MatrixBudgetError,
+    cluster_counts,
     hamming,
+    heaviest,
     matrix_dtype,
     member_costs,
 )
@@ -103,16 +105,43 @@ class TestHammingKernel:
         cats=st.integers(1, 4),
         seed=st.integers(0, 10_000),
         weights=st.lists(st.integers(1, 2**40), min_size=12, max_size=12),
+        k=st.integers(1, 3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_member_costs_match_pairwise_sums(self, s, m, cats, seed, weights):
+    def test_member_costs_match_pairwise_sums(self, s, m, cats, seed, weights, k):
         rng = np.random.default_rng(seed)
         values = rng.integers(0, cats, size=(s, m)).astype(np.int32)
+        assignment = rng.integers(0, k, size=s)  # clusters may be empty
         w = weights[:s]
         d = broadcast_count(values, values).tolist()
-        want = [sum(w[i] * d[i][c] for i in range(s)) for c in range(s)]
-        got = member_costs(values, np.array(w, dtype=np.int64), np.full(m, cats))
-        assert got.tolist() == want
+        want = [
+            sum(w[i] * d[i][c] for i in range(s) if assignment[i] == assignment[c])
+            for c in range(s)
+        ]
+        sizes = np.full(m, cats)
+        counts = cluster_counts(values, np.array(w, dtype=np.int64), sizes, assignment, k)
+        assert member_costs(counts, sizes, values, assignment).tolist() == want
+
+    def test_count_table_spans_row_blocks(self):
+        n, m, k = 2 * metric._COUNT_ROWS + 123, 5, 3
+        rng = np.random.default_rng(6)
+        sizes = np.array([1, 2, 3, 4, 7])
+        values = (rng.integers(0, 1 << 20, size=(n, m)) % sizes).astype(np.int32)
+        weights = rng.integers(1, 2**40, size=n)
+        assignment = rng.integers(0, k, size=n)
+        # per cluster and attribute, counted on its own
+        want = np.zeros((k, sizes.sum()), dtype=np.int64)
+        for c in range(k):
+            members = assignment == c
+            for r, first in enumerate(np.cumsum(sizes) - sizes):
+                np.add.at(want[c], first + values[members, r], weights[members])
+        counts = cluster_counts(values, weights, sizes, assignment, k)
+        assert np.array_equal(counts, want)
+        modes, top = heaviest(counts, sizes)
+        for c in range(k):
+            for r, first in enumerate(np.cumsum(sizes) - sizes):
+                segment = want[c, first : first + sizes[r]]
+                assert (modes[c, r], top[c, r]) == (np.argmax(segment), segment.max())
 
 
 class TestMetricAudit:
