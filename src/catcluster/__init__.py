@@ -42,12 +42,7 @@ from .medoids import (
     exhaustive_search_naive,
     local_search,
 )
-from .metric import (
-    MatrixBudgetError,
-    MetricReport,
-    check_metric_properties,
-    pairwise_matrix,
-)
+from .metric import MetricReport, check_metric_properties
 
 __version__ = "0.1.0"
 
@@ -63,7 +58,6 @@ __all__ = [
     "Lemma1Report",
     "Lemma2Report",
     "LocalSearchConfig",
-    "MatrixBudgetError",
     "MedoidSolution",
     "MetricReport",
     "Schema",
@@ -85,7 +79,6 @@ __all__ = [
     "local_search",
     "objective_under_medoids",
     "objective_under_modes",
-    "pairwise_matrix",
     "random_dataset",
     "run_kmodes",
     "__version__",

@@ -39,7 +39,7 @@ from .medoids import (
     exhaustive_search_naive,
     local_search,
 )
-from .metric import MatrixBudgetError, check_metric_properties
+from .metric import check_metric_properties
 
 DATA_DIR_ENV = "CATCLUSTER_DATA_DIR"
 
@@ -255,15 +255,15 @@ def _parse_label_column(s):
         return s
 
 
-def _load_run_dataset(args) -> CategoricalDataset:
-    ds = load_csv(
+def _load_data(args) -> CategoricalDataset:
+    """The ``--data`` file, read with the ingestion options."""
+    return load_csv(
         args.data,
         label_column=_parse_label_column(args.label_column),
         missing_token=args.missing_token,
         missing_policy=args.missing_policy,
         header=args.header,
     )
-    return dedupe(ds) if args.dedupe else ds
 
 
 def _run_text(record: dict, report: EvalReport | None) -> str:
@@ -288,7 +288,9 @@ def _run_text(record: dict, report: EvalReport | None) -> str:
 
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
-    ds = _load_run_dataset(args)
+    ds = _load_data(args)
+    if args.dedupe:
+        ds = dedupe(ds)
     t_load = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -467,12 +469,7 @@ def _verify_dataset(args) -> CategoricalDataset:
     if args.name:
         return dedupe(load_named(args.name, path=args.data))
     if args.data:
-        ds = load_csv(
-            args.data,
-            label_column=_parse_label_column(args.label_column),
-            header=args.header,
-        )
-        return dedupe(ds)
+        return dedupe(_load_data(args))
     raise DatasetError(f"suite {args.suite!r} needs --name or --data")
 
 
@@ -644,7 +641,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, FetchError, InstanceTooLargeError, MatrixBudgetError) as exc:
+    except (DatasetError, FetchError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -4,14 +4,17 @@ to dataset members.
 Two routes: deterministic exhaustive enumeration of all k-subsets (optimal for
 the member-restricted objective, hence a 2-approximation to the unrestricted
 mode objective), and seeded swap-based local search for instances where
-enumeration is not affordable. Both read distance rows from the matrix or
-compute them on the fly, with identical results. The audit functions
-empirically certify the two bounds the approximation argument rests on.
+enumeration is not affordable. Both need only distance rows d(j, .), and
+each call picks their source once, from the input size: the n x n matrix
+while it fits ``MATRIX_BUDGET``, rows computed on the fly past it, with
+identical results. The audit functions empirically certify the two bounds
+the approximation argument rests on.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,24 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CategoricalDataset, random_dataset
-from .metric import (
-    DEFAULT_MATRIX_BUDGET,
-    MatrixBudgetError,
-    cluster_counts,
-    hamming,
-    heaviest,
-    matrix_dtype,
-    member_costs,
-    pairwise_matrix,
-    sum_dtype,
-)
+from .metric import cluster_counts, hamming, heaviest, matrix_dtype, member_costs, sum_dtype
 
 # distance terms n * C(n, k) the scan may sum without force=True: one to two
 # minutes on one thread at the 5e8 to 1.1e9 terms/s measured on 2 vCPUs
 EXHAUSTIVE_GATE = 5 * 10**10
+MATRIX_BUDGET = 1 << 30  # bytes: the largest n x n distance matrix a solver holds
 _CHUNK = 512  # completion rows read per array pass
 _SCAN_BYTES = 1 << 16  # minima of one block of prefixes: sets the scan's peak memory
 _NO_COST = np.iinfo(np.int64).max  # marks a (prefix, completion) pair that is not a subset
+# Lemma 2 audit instances: k medoids, at most N records, M attributes, CATEGORIES per attribute;
+# the partition oracle enumerates k**n labelings, so these stay small
+_LEMMA2_K, _LEMMA2_N, _LEMMA2_M, _LEMMA2_CATEGORIES = 2, 10, 4, 3
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -72,34 +69,27 @@ class MedoidSolution:
     elapsed: float
 
 
-def _resolve_matrix(dataset: CategoricalDataset, matrix):
-    if isinstance(matrix, str):
-        if matrix != "auto":
-            raise ValueError(f"unknown matrix mode {matrix!r}")
-        try:
-            return pairwise_matrix(dataset, max_bytes=DEFAULT_MATRIX_BUDGET)
-        except MatrixBudgetError:
-            return None
-    return matrix
+def _distance_rows(values: np.ndarray):
+    """``rows(index)``: the distance rows d(j, .) of the records selected by
+    ``index`` (a list or a slice), shape (count, n).
+
+    While the n x n matrix takes at most ``MATRIX_BUDGET`` bytes it is built
+    once and the rows are read from it (a contiguous slice is a view, not a
+    copy); past that, each call computes its rows with :func:`hamming`. Both
+    give the same integers, so the choice changes time and memory only.
+    """
+    n, m = values.shape
+    if n * n * np.dtype(matrix_dtype(m)).itemsize <= MATRIX_BUDGET:
+        return hamming(values, values).__getitem__
+    return lambda index: hamming(values[index], values)
 
 
-def _rows(values: np.ndarray, matrix, index) -> np.ndarray:
-    """Distance rows d(j, .) for the records selected by ``index`` (a list or
-    a slice), shape (count, n). The matrix is symmetric, so these are also its
-    columns; a contiguous slice of matrix rows is a view, not a copy."""
-    if matrix is not None:
-        return matrix[index]
-    return hamming(values[index], values)
-
-
-def _no_medoids(values: np.ndarray) -> np.ndarray:
-    """Scan base of an empty medoid set: m, the largest distance, for every record."""
-    return np.full(values.shape[0], values.shape[1], dtype=matrix_dtype(values.shape[1]))
-
-
-def _kept_base(values: np.ndarray, matrix, kept) -> np.ndarray:
-    """Scan base of the medoids ``kept``: each record's distance to the nearest."""
-    return _rows(values, matrix, list(kept)).min(axis=0) if kept else _no_medoids(values)
+def _kept_base(rows, kept) -> np.ndarray:
+    """Scan base of the medoids ``kept``: each record's distance to the
+    nearest. With none kept it is the dtype's maximum, at least m, so every
+    minimum the scan takes with it yields the other side."""
+    block = rows(list(kept))
+    return block.min(axis=0, initial=np.iinfo(block.dtype).max)
 
 
 def _summing_weights(dataset: CategoricalDataset) -> np.ndarray:
@@ -108,9 +98,7 @@ def _summing_weights(dataset: CategoricalDataset) -> np.ndarray:
     return dataset.weights.astype(sum_dtype(dataset.m, dataset.total_weight), copy=False)
 
 
-def cost_of_medoid_set(
-    dataset: CategoricalDataset, indices, matrix=None
-) -> tuple[int, np.ndarray]:
+def cost_of_medoid_set(dataset: CategoricalDataset, indices) -> tuple[int, np.ndarray]:
     """Weighted nearest-medoid objective and assignment for a fixed medoid set.
 
     Assignment ties go to the lowest position within the medoid list.
@@ -120,13 +108,13 @@ def cost_of_medoid_set(
         raise ValueError(f"duplicate medoid indices in {idx}")
     if any(i < 0 or i >= dataset.n_records for i in idx):
         raise ValueError(f"medoid index out of range in {idx}")
-    rows = _rows(dataset.values, matrix, idx)
+    rows = hamming(dataset.values[idx], dataset.values)
     assignment = np.argmin(rows, axis=0)  # first minimum = lowest position
     objective = int(dataset.weights @ rows.min(axis=0))
     return objective, assignment
 
 
-def _sweep(values, weights, matrix, bases, start):
+def _sweep(rows, weights, bases, start):
     """sum_i w_i * min(bases[r, i], d(c, i)) for every row r of ``bases`` and
     every record c >= start: shape (len(bases), n - start), int64.
 
@@ -138,18 +126,18 @@ def _sweep(values, weights, matrix, bases, start):
     n = len(weights)
     costs = np.empty((len(bases), n - start), dtype=np.int64)
     for s in range(start, n, _CHUNK):
-        rows = _rows(values, matrix, slice(s, s + _CHUNK))
-        block = np.minimum(bases[:, None, :], rows[None, :, :])
-        costs[:, s - start : s - start + len(rows)] = np.einsum("bcn,n->bc", block, weights)
+        chunk = rows(slice(s, s + _CHUNK))
+        block = np.minimum(bases[:, None, :], chunk[None, :, :])
+        costs[:, s - start : s - start + len(chunk)] = np.einsum("bcn,n->bc", block, weights)
     return costs
 
 
-def _best_extension(values, weights, matrix, bases, after, excluded):
+def _best_extension(rows, weights, bases, after, excluded):
     """First row-major minimum of sum_i w_i * min(bases[r, i], d(c, i)) over the
     rows r of ``bases`` and the records c > after[r] (``after`` ascending) that
     are not ``excluded``: (cost, r, c), or None when no pair qualifies."""
     start = int(after[0]) + 1
-    costs = _sweep(values, weights, matrix, bases, start)
+    costs = _sweep(rows, weights, bases, start)
     invalid = (np.arange(start, len(weights)) <= after[:, None]) | excluded[start:]
     costs[invalid] = _NO_COST
     r, t = divmod(int(np.argmin(costs)), costs.shape[1])  # first minimum, row-major
@@ -158,11 +146,11 @@ def _best_extension(values, weights, matrix, bases, after, excluded):
     return int(costs[r, t]), r, start + t
 
 
-def _scan(values, weights, matrix, base, excluded, size, heads=None):
+def _scan(rows, weights, base, excluded, size, heads=None):
     """Lowest (cost, subset) over the ascending ``size``-subsets of the records
     not ``excluded``, added to the medoids behind ``base`` (each record's
-    distance to its nearest kept medoid, m when none is kept); None when no
-    subset exists.
+    distance to its nearest kept medoid, see :func:`_kept_base`); None when
+    no subset exists.
 
     Python loops only over the (size - 2)-prefixes, in lexicographic order.
     For each, a block of next members j is taken at once, and all their
@@ -175,7 +163,7 @@ def _scan(values, weights, matrix, base, excluded, size, heads=None):
     the pool being the records not excluded, ascending.
     """
     if size == 1:
-        found = _best_extension(values, weights, matrix, base[None, :], np.array([-1]), excluded)
+        found = _best_extension(rows, weights, base[None, :], np.array([-1]), excluded)
         return None if found is None else (found[0], (found[2],))
     pool = np.flatnonzero(~excluded)
     n, row_bytes = len(weights), base.nbytes
@@ -188,7 +176,7 @@ def _scan(values, weights, matrix, base, excluded, size, heads=None):
     best = None
     for positions in prefixes:  # pool positions of the (size - 2)-prefix
         prefix = [int(x) for x in pool[list(positions)]]
-        qbase = np.minimum(base, _rows(values, matrix, prefix).min(axis=0)) if prefix else base
+        qbase = np.minimum(base, rows(prefix).min(axis=0)) if prefix else base
         a, b = (positions[-1] + 1, len(pool)) if positions else (lo, hi)
         b = min(b, len(pool) - 1)  # the last pool member has no completion
         while a < b:
@@ -196,8 +184,8 @@ def _scan(values, weights, matrix, base, excluded, size, heads=None):
             # completion rows within _SCAN_BYTES, and at least one
             width = min(n - 1 - int(pool[a]), _CHUNK)
             js = pool[a : min(b, a + max(1, _SCAN_BYTES // (width * row_bytes)))]
-            bases = np.minimum(qbase, _rows(values, matrix, js))
-            found = _best_extension(values, weights, matrix, bases, js, excluded)
+            bases = np.minimum(qbase, rows(js))
+            found = _best_extension(rows, weights, bases, js, excluded)
             if found is not None and (best is None or found[0] < best[0]):
                 best = (found[0], (*prefix, int(js[found[1]]), found[2]))
             a += len(js)
@@ -222,12 +210,7 @@ def _balanced_first_ranges(n: int, k: int, parts: int) -> list[tuple[int, int]]:
 
 
 def exhaustive_search(
-    dataset: CategoricalDataset,
-    k: int,
-    matrix="auto",
-    workers: int = 1,
-    force: bool = False,
-    gate_threshold: int = EXHAUSTIVE_GATE,
+    dataset: CategoricalDataset, k: int, workers: int = 1, force: bool = False
 ) -> MedoidSolution:
     """Optimal medoid k-subset by a full scan of all k-subsets, ties broken by
     the lexicographically smallest index tuple.
@@ -237,33 +220,31 @@ def exhaustive_search(
     n * C(n, k) weighted distance terms, exactly (in int32 while
     m * total weight < 2**31, else int64), and skips no subset: Python loops
     over the (k-2)-prefixes only, and one array pass scores a block of next
-    members with all of their completions (see :func:`_scan`). Instances of more than ``gate_threshold`` terms are
-    refused unless ``force`` is set. ``workers`` threads scan contiguous
-    ranges of first indices; the output is independent of their number.
+    members with all of their completions (see :func:`_scan`). Instances of
+    more than ``EXHAUSTIVE_GATE`` terms are refused unless ``force`` is set.
+    ``workers`` threads, at most one per CPU, scan contiguous ranges of first
+    indices; the output is independent of their number.
     """
     t0 = time.perf_counter()
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
-    if n * math.comb(n, k) > gate_threshold and not force:
+    if n * math.comb(n, k) > EXHAUSTIVE_GATE and not force:
         raise InstanceTooLargeError(
             f"exhaustive enumeration over {n} records at k={k} exceeds the gate of "
-            f"{gate_threshold:.3g} distance terms, n * C(n, k); "
+            f"{EXHAUSTIVE_GATE:.3g} distance terms, n * C(n, k); "
             "pass force=True (CLI: --force) to run anyway"
         )
-    matrix = _resolve_matrix(dataset, matrix)
-    values, weights = dataset.values, _summing_weights(dataset)
-    base, excluded = _no_medoids(values), np.zeros(n, dtype=bool)
+    rows, weights = _distance_rows(dataset.values), _summing_weights(dataset)
+    base, excluded = _kept_base(rows, ()), np.zeros(n, dtype=bool)
     # k = 1 has no prefix to split: its scan is one pass over all completions
-    ranges = _balanced_first_ranges(n, k, max(workers, 1) if k > 1 else 1)
+    parts = max(1, min(workers, os.cpu_count() or 1)) if k > 1 else 1
+    ranges = _balanced_first_ranges(n, k, parts)
     with ThreadPoolExecutor(max_workers=len(ranges)) as ex:  # numpy releases the GIL
-        results = list(ex.map(
-            lambda heads: _scan(values, weights, matrix, base, excluded, k, heads),
-            ranges,
-        ))
+        results = list(ex.map(lambda heads: _scan(rows, weights, base, excluded, k, heads), ranges))
 
     best_cost, best_subset = min(results)  # by (cost, tuple): the earliest range wins ties
-    objective, assignment = cost_of_medoid_set(dataset, best_subset, matrix)
+    objective, assignment = cost_of_medoid_set(dataset, best_subset)
     if objective != best_cost:
         raise RuntimeError(f"scan cost {best_cost} != recomputed objective {objective}")
     return MedoidSolution(
@@ -304,7 +285,6 @@ def local_search(
     dataset: CategoricalDataset,
     k: int,
     config: LocalSearchConfig,
-    matrix="auto",
 ) -> MedoidSolution:
     """Swap-based local search: from a seeded random k-subset, repeatedly apply
     the best improving exchange of up to p medoids for equally many
@@ -320,19 +300,18 @@ def local_search(
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
-    matrix = _resolve_matrix(dataset, matrix)
-    values, weights = dataset.values, _summing_weights(dataset)
+    rows, weights = _distance_rows(dataset.values), _summing_weights(dataset)
     rng = np.random.default_rng(config.seed)
     starts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(config.restarts)]
 
     best_overall: tuple[int, tuple[int, ...], bool] | None = None
     for start in starts:
         medoids = [int(i) for i in start]
-        cost, _ = cost_of_medoid_set(dataset, medoids, matrix)
+        cost, _ = cost_of_medoid_set(dataset, medoids)
         stable = False  # set once no strictly improving exchange of up to p medoids is left
-        rows = {}  # the last step's single-swap cost rows, by kept medoid set
+        last = {}  # the last step's single-swap cost rows, by kept medoid set
         for _ in range(config.max_steps):
-            swap = _best_swap(values, weights, matrix, medoids, config.p, rows)
+            swap = _best_swap(rows, weights, medoids, config.p, last)
             if swap is None or swap[0] >= cost:
                 stable = True
                 break
@@ -346,7 +325,7 @@ def local_search(
         if best_overall is None or candidate[0] < best_overall[0]:
             best_overall = candidate
 
-    objective, assignment = cost_of_medoid_set(dataset, best_overall[1], matrix)
+    objective, assignment = cost_of_medoid_set(dataset, best_overall[1])
     if objective != best_overall[0]:
         raise RuntimeError(f"swap bookkeeping cost {best_overall[0]} != recomputed objective {objective}")
     return MedoidSolution(
@@ -359,12 +338,12 @@ def local_search(
     )
 
 
-def _single_swap_costs(values, weights, matrix, medoids, rows):
+def _single_swap_costs(rows, weights, medoids, last):
     """(k, n) int64 table of sum_i w_i * min(d(c, i), base_r(i)) for every
     removal position r and record c, base_r being the distance to the nearest
-    medoid kept without position r (m when none is).
+    medoid kept without position r (see :func:`_kept_base`).
 
-    ``rows`` maps kept medoid sets to their rows from the previous step and
+    ``last`` maps kept medoid sets to their rows from the previous step and
     is refilled with this step's. After an accepted swap r -> c, removing c
     keeps exactly the set the previous step kept for removal r, so a step
     after the first sweeps the distance rows k - 1 times instead of k.
@@ -372,29 +351,29 @@ def _single_swap_costs(values, weights, matrix, medoids, rows):
     fresh = {}
     for r in range(len(medoids)):
         kept = (*medoids[:r], *medoids[r + 1 :])
-        row = rows.get(kept)
+        row = last.get(kept)
         if row is None:
-            row = _sweep(values, weights, matrix, _kept_base(values, matrix, kept)[None, :], 0)[0]
+            row = _sweep(rows, weights, _kept_base(rows, kept)[None, :], 0)[0]
         fresh[kept] = row
-    rows.clear()
-    rows.update(fresh)
+    last.clear()
+    last.update(fresh)
     return np.stack(list(fresh.values()))
 
 
-def _best_swap(values, weights, matrix, medoids, p, rows):
+def _best_swap(rows, weights, medoids, p, last):
     """Best (cost, removal positions, added indices) over swap sizes 1..p;
     None when every record is a medoid. Deterministic:
     sizes ascending, removal positions and additions in lexicographic order,
     strict improvement to move the incumbent.
 
     Size 1 is the first row-major minimum of :func:`_single_swap_costs` over
-    the non-medoid columns, which reuses and refreshes ``rows``; larger sizes
+    the non-medoid columns, which reuses and refreshes ``last``; larger sizes
     run :func:`_scan` once per removal set.
     """
     k, n = len(medoids), len(weights)
     if k == n:
         return None
-    costs = _single_swap_costs(values, weights, matrix, medoids, rows)
+    costs = _single_swap_costs(rows, weights, medoids, last)
     costs[:, medoids] = _NO_COST
     r, c = divmod(int(np.argmin(costs)), n)  # first minimum, row-major
     best = (int(costs[r, c]), (r,), (c,))
@@ -403,7 +382,7 @@ def _best_swap(values, weights, matrix, medoids, p, rows):
     for s in range(2, min(p, k, n - k) + 1):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
-            found = _scan(values, weights, matrix, _kept_base(values, matrix, kept), in_medoids, s)
+            found = _scan(rows, weights, _kept_base(rows, kept), in_medoids, s)
             if found is not None and found[0] < best[0]:
                 best = (found[0], removals, found[1])
     return best
@@ -505,28 +484,22 @@ class Lemma2Report:
         return not self.violations
 
 
-def audit_lemma2(
-    trials: int,
-    seed: int,
-    n_max: int = 10,
-    m_max: int = 4,
-    max_categories: int = 3,
-    k: int = 2,
-) -> Lemma2Report:
-    """On seeded random instances, certify that the optimal member-restricted
-    objective is at most twice the optimal mode objective."""
+def audit_lemma2(trials: int, seed: int) -> Lemma2Report:
+    """On seeded random instances of ``_LEMMA2_K`` to ``_LEMMA2_N`` records,
+    certify that the optimal member-restricted objective is at most twice the
+    optimal mode objective."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     violations = []
     for _ in range(trials):
-        n = int(rng.integers(k, n_max + 1))
-        m = int(rng.integers(1, m_max + 1))
+        n = int(rng.integers(_LEMMA2_K, _LEMMA2_N + 1))
+        m = int(rng.integers(1, _LEMMA2_M + 1))
         inst_seed = int(rng.integers(0, 2**63 - 1))
-        inst = random_dataset(n=n, m=m, max_categories=max_categories, seed=inst_seed)
-        medoid_opt = exhaustive_search_naive(inst, k).medoid_objective
-        mode_opt = brute_force_kmodes_objective(inst, k)
+        inst = random_dataset(n=n, m=m, max_categories=_LEMMA2_CATEGORIES, seed=inst_seed)
+        medoid_opt = exhaustive_search_naive(inst, _LEMMA2_K).medoid_objective
+        mode_opt = brute_force_kmodes_objective(inst, _LEMMA2_K)
         ratio = 1.0 if mode_opt == 0 else medoid_opt / mode_opt
         max_ratio = max(max_ratio, ratio)
         if medoid_opt > 2 * mode_opt:

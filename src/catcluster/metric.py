@@ -21,17 +21,12 @@ import numpy as np
 
 from .dataset import CategoricalDataset
 
-DEFAULT_MATRIX_BUDGET = 1 << 30  # bytes
 _BLOCK_BYTES = 1 << 22  # one one-hot block, and one block of the float product
 # each side is encoded again for every block of the other: fewer rows than
 # this and the encoding, not the product, takes the time on wide domains
 _MIN_BLOCK_ROWS = 256
 _AUDIT_PAIRS = 128  # pairs whose distances the metric audit reads from one block
 _COUNT_ROWS = 4096  # records one scatter of the count table takes: bounds its temporaries
-
-
-class MatrixBudgetError(MemoryError):
-    """Materializing the pairwise matrix would exceed the configured byte cap."""
 
 
 def matrix_dtype(m: int):
@@ -86,22 +81,6 @@ def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             block = out[s : s + a_rows, bs : bs + b_rows]
             np.subtract(m, xa @ xb.T, out=block, casting="unsafe")
     return out
-
-
-def pairwise_matrix(dataset: CategoricalDataset, max_bytes: int = DEFAULT_MATRIX_BUDGET) -> np.ndarray:
-    """Full n x n distance matrix in the smallest integer width that holds m.
-
-    Raises :class:`MatrixBudgetError` when the matrix would exceed ``max_bytes``;
-    callers are expected to fall back to on-the-fly distances.
-    """
-    values = dataset.values
-    n, m = values.shape
-    need = n * n * np.dtype(matrix_dtype(m)).itemsize
-    if need > max_bytes:
-        raise MatrixBudgetError(
-            f"{n}x{n} distance matrix needs {need} bytes, cap is {max_bytes}"
-        )
-    return hamming(values, values)
 
 
 def cluster_counts(

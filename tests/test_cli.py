@@ -236,6 +236,17 @@ class TestVerify:
         assert record["violations"] == []
         assert record["trials"] == 3
 
+    def test_ingestion_options_reach_the_loader(self, capsys, tmp_path):
+        path = tmp_path / "missing.csv"
+        path.write_text("democrat,y,?\nrepublican,n,y\n")
+        argv = ["verify", "--suite", "metric", "--data", str(path), "--label-column", "0",
+                "--trials", "20", "--missing-policy", "reject"]
+        assert cli.main(argv) == 2
+        assert "policy=reject" in capsys.readouterr().err
+        # with "?" an ordinary token, "y" is the missing one
+        assert cli.main([*argv, "--missing-token", "y"]) == 2
+        assert cli.main([*argv, "--missing-token", "NA"]) == 0
+
     def test_dataset_suites_need_input(self, capsys):
         code = cli.main(["verify", "--suite", "metric"])
         assert code == 2

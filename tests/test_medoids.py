@@ -19,7 +19,6 @@ from catcluster import (
     exhaustive_search_naive,
     local_search,
     objective_under_modes,
-    pairwise_matrix,
     random_dataset,
 )
 
@@ -66,12 +65,16 @@ class TestCostOfMedoidSet:
         with pytest.raises(ValueError, match="range"):
             cost_of_medoid_set(four_point, [0, 9])
 
-    def test_matrix_backed_equals_on_the_fly(self, four_point):
-        matrix = pairwise_matrix(four_point)
+    def test_matrix_backed_equals_on_the_fly(self, four_point, monkeypatch):
+        # the solvers' rows, from the matrix and computed per call, give the
+        # objective cost_of_medoid_set recomputes from its own rows
+        held = medoids._distance_rows(four_point.values)
+        monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
+        on_the_fly = medoids._distance_rows(four_point.values)
         for pair in FOUR_POINT_PAIR_COSTS:
-            assert cost_of_medoid_set(four_point, pair)[0] == (
-                cost_of_medoid_set(four_point, pair, matrix)[0]
-            )
+            for rows in (held, on_the_fly):
+                got = int(four_point.weights @ rows(list(pair)).min(axis=0))
+                assert got == cost_of_medoid_set(four_point, pair)[0]
 
     def test_weighted_objective(self):
         ds = dataset_from_rows([["a"], ["b"]], weights=[3, 1])
@@ -101,13 +104,14 @@ class TestExhaustiveSearch:
         assert sol.medoid_indices == naive.medoid_indices == (0, 1)
         assert sol.medoid_objective == naive.medoid_objective == 2
 
-    def test_gate_refuses_without_force(self):
+    def test_gate_refuses_without_force(self, monkeypatch):
         ds = random_dataset(n=30, m=2, max_categories=2, seed=0)  # 30 * C(30, 2) = 13 050 terms
+        monkeypatch.setattr(medoids, "EXHAUSTIVE_GATE", 13_049)
         with pytest.raises(InstanceTooLargeError, match="force"):
-            exhaustive_search(ds, 2, gate_threshold=13_049)
-        assert exhaustive_search(ds, 2, gate_threshold=13_050).medoid_objective >= 0
-        sol = exhaustive_search(ds, 2, gate_threshold=10, force=True)
-        assert sol.medoid_objective >= 0
+            exhaustive_search(ds, 2)
+        assert exhaustive_search(ds, 2, force=True).medoid_objective >= 0
+        monkeypatch.setattr(medoids, "EXHAUSTIVE_GATE", 13_050)
+        assert exhaustive_search(ds, 2).medoid_objective >= 0
 
     def test_default_gate_counts_work_not_records(self, monkeypatch):
         ds = random_dataset(n=2000, m=2, max_categories=2, seed=0)
@@ -124,13 +128,40 @@ class TestExhaustiveSearch:
         with pytest.raises(ValueError):
             exhaustive_search(four_point, 5)
 
-    def test_worker_and_matrix_parity(self):
+    def test_worker_and_matrix_parity(self, monkeypatch):
         ds = random_dataset(n=55, m=5, max_categories=3, seed=21)
         base = exhaustive_search(ds, 3)
-        for kwargs in ({"workers": 3}, {"matrix": None}, {"workers": 2, "matrix": None}):
-            other = exhaustive_search(ds, 3, **kwargs)
+        for workers, budget in ((3, medoids.MATRIX_BUDGET), (1, 0), (2, 0)):
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", budget)  # 0: rows on the fly
+            other = exhaustive_search(ds, 3, workers=workers)
             assert other.medoid_objective == base.medoid_objective
             assert other.medoid_indices == base.medoid_indices
+            assert other.assignment.tolist() == base.assignment.tolist()
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool records its size and runs the ranges in this thread
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(medoids.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(medoids, "ThreadPoolExecutor", RecordingPool)
+        ds = random_dataset(n=40, m=3, max_categories=2, seed=3)  # 39 first indices at k = 2
+        sol = exhaustive_search(ds, 2, workers=4096)
+        naive = exhaustive_search_naive(ds, 2)
+        assert pools == [2]
+        assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
 
     @pytest.mark.parametrize("n,k", [(5, 4), (9, 3), (24, 2), (30, 1)])
     def test_worker_counts_agree(self, n, k):
@@ -176,8 +207,9 @@ class TestExhaustiveSearch:
             names = [names[i % ((n + 1) // 2)] for i in range(n)]
         if weighted or repeated:
             ds = dataset_from_rows(names, weights=weights[:n] if weighted else None)
-        with mock.patch.object(medoids, "_SCAN_BYTES", scan_bytes):
-            scan = exhaustive_search(ds, k, matrix=None if on_the_fly else "auto", workers=workers)
+        budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
+        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget):
+            scan = exhaustive_search(ds, k, workers=workers)
         naive = exhaustive_search_naive(ds, k)
         assert scan.medoid_objective == naive.medoid_objective
         assert scan.medoid_indices == naive.medoid_indices
@@ -240,11 +272,16 @@ class TestLocalSearch:
         assert a.medoid_indices == b.medoid_indices
         assert a.medoid_objective == b.medoid_objective
 
-    def test_matrix_parity(self):
+    def test_matrix_parity(self, monkeypatch):
         ds = random_dataset(n=60, m=4, max_categories=3, seed=8)
-        a = local_search(ds, 3, LocalSearchConfig(seed=1), matrix="auto")
-        b = local_search(ds, 3, LocalSearchConfig(seed=1), matrix=None)
-        assert a.medoid_indices == b.medoid_indices
+        for p in (1, 2):
+            a = local_search(ds, 3, LocalSearchConfig(p=p, seed=1))
+            with monkeypatch.context() as patch:
+                patch.setattr(medoids, "MATRIX_BUDGET", 0)  # rows on the fly
+                b = local_search(ds, 3, LocalSearchConfig(p=p, seed=1))
+            assert (a.medoid_indices, a.medoid_objective, a.guarantee) == (
+                b.medoid_indices, b.medoid_objective, b.guarantee)
+            assert a.assignment.tolist() == b.assignment.tolist()
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -308,9 +345,9 @@ class TestLocalSearch:
                     cost = cost_of_medoid_set(ds, kept + list(additions))[0]
                     if want is None or cost < want[0]:
                         want = (cost, removals, additions)
-        matrix = None if on_the_fly else pairwise_matrix(ds)
-        with mock.patch.object(medoids, "_SCAN_BYTES", scan_bytes):
-            got = medoids._best_swap(ds.values, ds.weights, matrix, current, p, {})
+        budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
+        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget):
+            got = medoids._best_swap(medoids._distance_rows(ds.values), ds.weights, current, p, {})
         assert got == want
 
     def test_p2_swaps_escape_a_p1_optimum(self):
@@ -343,7 +380,7 @@ class TestSingleSwapTable:
     """The p = 1 step: one table of single-swap costs, one row carried over."""
 
     @staticmethod
-    def scan_oracle(ds, matrix, medoids_now):
+    def scan_oracle(ds, rows, medoids_now):
         # today's order, one _scan per removal in int64: lowest cost, then
         # lowest removal position, then lowest candidate
         in_medoids = np.zeros(ds.n_records, dtype=bool)
@@ -351,8 +388,8 @@ class TestSingleSwapTable:
         best = None
         for r in range(len(medoids_now)):
             kept = medoids_now[:r] + medoids_now[r + 1 :]
-            base = medoids._kept_base(ds.values, matrix, kept)
-            found = medoids._scan(ds.values, ds.weights, matrix, base, in_medoids, 1)
+            base = medoids._kept_base(rows, kept)
+            found = medoids._scan(rows, ds.weights, base, in_medoids, 1)
             if found is not None and (best is None or found[0] < best[0]):
                 best = (found[0], (r,), found[1])
         return best
@@ -382,13 +419,14 @@ class TestSingleSwapTable:
         ds = dataset_from_rows(names, weights=w)
         summing = medoids._summing_weights(ds)
         assert summing.dtype == (np.int64 if m * sum(w) >= 2**31 else np.int32)
-        matrix = None if on_the_fly else pairwise_matrix(ds)
+        with mock.patch.object(medoids, "MATRIX_BUDGET", 0 if on_the_fly else medoids.MATRIX_BUDGET):
+            rows = medoids._distance_rows(ds.values)
         current = sorted(np.random.default_rng(pick).choice(n, size=k, replace=False).tolist())
         cost = cost_of_medoid_set(ds, current)[0]
-        rows = {}
+        last = {}
         for _ in range(4):  # later steps read the row carried over
-            got = medoids._best_swap(ds.values, summing, matrix, current, 1, rows)
-            assert got == self.scan_oracle(ds, matrix, current)
+            got = medoids._best_swap(rows, summing, current, 1, last)
+            assert got == self.scan_oracle(ds, rows, current)
             if got is None or got[0] >= cost:
                 break
             cost, (r,), (c,) = got
@@ -401,9 +439,9 @@ class TestSingleSwapTable:
         sweeps, per_step = [], []
         sweep, best_swap = medoids._sweep, medoids._best_swap
 
-        def counting_sweep(values, weights, matrix, bases, start):
+        def counting_sweep(rows, weights, bases, start):
             sweeps.append(len(bases))
-            return sweep(values, weights, matrix, bases, start)
+            return sweep(rows, weights, bases, start)
 
         def counting_step(*args):
             before = sum(sweeps)
@@ -413,22 +451,26 @@ class TestSingleSwapTable:
 
         monkeypatch.setattr(medoids, "_sweep", counting_sweep)
         monkeypatch.setattr(medoids, "_best_swap", counting_step)
-        local_search(ds, k, LocalSearchConfig(p=1, seed=0))
-        assert len(per_step) >= (2 if k == 1 else 4)  # steps after accepted swaps
-        assert per_step == [k] + [k - 1] * (len(per_step) - 1)
+        for budget in (medoids.MATRIX_BUDGET, 0):  # matrix rows, then rows on the fly
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", budget)
+            per_step.clear()
+            local_search(ds, k, LocalSearchConfig(p=1, seed=0))
+            assert len(per_step) >= (2 if k == 1 else 4)  # steps after accepted swaps
+            assert per_step == [k] + [k - 1] * (len(per_step) - 1)
 
     @pytest.mark.parametrize("total, width", [(2**31 - 1, np.int32), (2**31, np.int64)])
     @pytest.mark.parametrize("on_the_fly", [False, True])
-    def test_sums_exact_at_the_width_boundary(self, total, width, on_the_fly):
+    def test_sums_exact_at_the_width_boundary(self, total, width, on_the_fly, monkeypatch):
         # m = 1: a candidate's cost is the weight of the records unlike it,
         # up to total - 2 here, for record "b"
         ds = dataset_from_rows([["a"], ["b"], ["c"], ["a"]], weights=[1, 2, total - 7, 4])
         summing = medoids._summing_weights(ds)
         assert sum_dtype(ds.m, ds.total_weight) is width and summing.dtype == width
-        matrix = None if on_the_fly else pairwise_matrix(ds)
+        if on_the_fly:
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
         dist = (ds.values[:, None, :] != ds.values[None, :, :]).sum(axis=2)
         bases = np.stack([np.full(4, ds.m), dist[2], dist[[0, 1]].min(axis=0)])
-        got = medoids._sweep(ds.values, summing, matrix, bases.astype(np.uint8), 0)
+        got = medoids._sweep(medoids._distance_rows(ds.values), summing, bases.astype(np.uint8), 0)
         want = np.array(
             [[sum(int(w) * min(int(b), int(d)) for w, b, d in zip(ds.weights, base, dist[c]))
               for c in range(4)] for base in bases]
@@ -436,8 +478,8 @@ class TestSingleSwapTable:
         assert got.dtype == np.int64
         assert got.tolist() == want.tolist()
         assert got.max() == total - 2
-        ex = exhaustive_search(ds, 1, matrix=matrix)
-        ls = local_search(ds, 1, LocalSearchConfig(seed=0), matrix=matrix)
+        ex = exhaustive_search(ds, 1)
+        ls = local_search(ds, 1, LocalSearchConfig(seed=0))
         assert ex.medoid_objective == ls.medoid_objective == int(want[0].min()) == 7
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcluster import check_metric_properties, metric, pairwise_matrix, random_dataset
+from catcluster import check_metric_properties, medoids, metric, random_dataset
 from catcluster.metric import (
-    MatrixBudgetError,
     cluster_counts,
     hamming,
     heaviest,
@@ -25,19 +24,20 @@ def broadcast_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class TestPairwiseMatrix:
     def test_single_record(self):
-        m = pairwise_matrix(dataset_from_rows([["a", "b"]]))
+        one = dataset_from_rows([["a", "b"]]).values
+        m = hamming(one, one)
         assert m.shape == (1, 1)
         assert m[0, 0] == 0
 
     def test_all_different(self):
         ds = dataset_from_rows([["a", "x"], ["b", "y"], ["c", "z"]])
-        m = pairwise_matrix(ds)
+        m = hamming(ds.values, ds.values)
         off = m[~np.eye(3, dtype=bool)]
         assert (off == 2).all()
 
     def test_matches_naive_and_columns(self):
         ds = random_dataset(n=40, m=6, max_categories=4, seed=3)
-        m = pairwise_matrix(ds)
+        m = hamming(ds.values, ds.values)
         assert (m == m.T).all()
         assert (np.diag(m) == 0).all()
         naive = np.array(
@@ -52,7 +52,7 @@ class TestPairwiseMatrix:
 
     def test_matches_broadcast_oracle(self):
         ds = random_dataset(n=200, m=8, max_categories=3, seed=1)
-        d = pairwise_matrix(ds)
+        d = hamming(ds.values, ds.values)
         assert d.dtype == np.uint8
         assert np.array_equal(d, broadcast_count(ds.values, ds.values))
 
@@ -62,10 +62,26 @@ class TestPairwiseMatrix:
         assert matrix_dtype(256) == np.uint16
         assert matrix_dtype(70000) == np.uint32
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        # the solvers hold the 100 x 100 uint8 matrix at exactly its 10 000
+        # bytes of budget, and compute rows per call one byte below that
         ds = random_dataset(n=100, m=4, max_categories=3, seed=0)
-        with pytest.raises(MatrixBudgetError):
-            pairwise_matrix(ds, max_bytes=100)
+        calls = []
+
+        def counting_hamming(a, b):
+            calls.append((len(a), len(b)))
+            return hamming(a, b)
+
+        monkeypatch.setattr(medoids, "hamming", counting_hamming)
+        want = broadcast_count(ds.values[10:20], ds.values)
+        for budget, built, per_read in ((10_000, [(100, 100)], []), (9_999, [], [(10, 100)])):
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", budget)
+            calls.clear()
+            rows = medoids._distance_rows(ds.values)
+            assert calls == built
+            calls.clear()
+            assert np.array_equal(rows(slice(10, 20)), want)
+            assert calls == per_read
 
 
 class TestHammingKernel:
