@@ -115,8 +115,11 @@ def _check_named_shape(ds: CategoricalDataset, name: str, path) -> None:
         )
 
 
-def load_named(name: str, path=None) -> CategoricalDataset:
-    """Load one of the named datasets from an explicit path or the cache."""
+def load_named(
+    name: str, path=None, missing_token: str = "?", missing_policy: str = "treat-as-category"
+) -> CategoricalDataset:
+    """Load one of the named datasets from an explicit path or the cache, with
+    the missing-value options of :func:`load_csv`."""
     info = NAMED_DATASETS[name]
     p = Path(path) if path else dataset_path(name)
     if p is None or not p.exists():
@@ -126,7 +129,9 @@ def load_named(name: str, path=None) -> CategoricalDataset:
             f"`catcluster fetch --name {name}` or place {info['filename']} "
             f"in one of those directories ({DATA_DIR_ENV} overrides the cache)"
         )
-    ds = load_csv(p, label_column=info["label_column"])
+    ds = load_csv(
+        p, label_column=info["label_column"], missing_token=missing_token, missing_policy=missing_policy
+    )
     _check_named_shape(ds, name, p)
     return ds
 
@@ -185,16 +190,16 @@ def _assignment_digest(assignment: np.ndarray) -> str:
 
 def _compact_assignment(assignment: np.ndarray, k: int):
     """Drop empty clusters, remapping ids to 0..k_eff-1; returns the dropped ids."""
-    present = np.unique(assignment)
-    if present.size == k:
+    present = np.bincount(assignment, minlength=k) > 0
+    if present.all():
         return assignment, k, []
-    compact = np.searchsorted(present, assignment)
-    dropped = sorted(set(range(k)) - {int(c) for c in present})
-    return compact, int(present.size), dropped
+    compact = (np.cumsum(present) - 1)[assignment]
+    return compact, int(present.sum()), np.flatnonzero(~present).tolist()
 
 
 def _solution_common(ds: CategoricalDataset, assignment: np.ndarray, k: int) -> dict:
-    weights = np.bincount(assignment, weights=ds.weights, minlength=k)
+    weights = np.zeros(k, dtype=np.int64)
+    np.add.at(weights, assignment, ds.weights)  # exact, where float64 sums past 2**53 are not
     return {
         "cluster_weights": [int(w) for w in weights],
         "assignment_sha256": _assignment_digest(assignment),
@@ -467,7 +472,9 @@ def cmd_reproduce(args) -> int:
 
 def _verify_dataset(args) -> CategoricalDataset:
     if args.name:
-        return dedupe(load_named(args.name, path=args.data))
+        return dedupe(load_named(
+            args.name, path=args.data, missing_token=args.missing_token, missing_policy=args.missing_policy
+        ))
     if args.data:
         return dedupe(_load_data(args))
     raise DatasetError(f"suite {args.suite!r} needs --name or --data")

@@ -7,8 +7,10 @@ mode objective), and seeded swap-based local search for instances where
 enumeration is not affordable. Both need only distance rows d(j, .), and
 each call picks their source once, from the input size: the n x n matrix
 while it fits ``MATRIX_BUDGET``, rows computed on the fly past it, with
-identical results. The audit functions empirically certify the two bounds
-the approximation argument rests on.
+identical results. Every sum of weighted distances runs through one exact
+sweep (:func:`_sweep`) over columns grouped by record weight. The audit
+functions empirically certify the two bounds the approximation argument
+rests on.
 """
 from __future__ import annotations
 
@@ -18,18 +20,21 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import CategoricalDataset, random_dataset
-from .metric import cluster_counts, hamming, heaviest, matrix_dtype, member_costs, sum_dtype
+from .metric import cluster_counts, hamming, heaviest, matrix_dtype, member_costs
 
-# distance terms n * C(n, k) the scan may sum without force=True: one to two
-# minutes on one thread at the 5e8 to 1.1e9 terms/s measured on 2 vCPUs
+# distance terms n * C(n, k) the scan may sum without force=True: 15 to 50 s
+# on one thread at the 1e9 to 3.3e9 terms/s measured on 2 vCPUs
 EXHAUSTIVE_GATE = 5 * 10**10
 MATRIX_BUDGET = 1 << 30  # bytes: the largest n x n distance matrix a solver holds
-_CHUNK = 512  # completion rows read per array pass
-_SCAN_BYTES = 1 << 16  # minima of one block of prefixes: sets the scan's peak memory
+_CHUNK = 512  # distance rows read per call: on the fly, every read encodes all n records again
+_SCAN_BYTES = 1 << 18  # one block of minima: sets the peak memory of every sweep
+# exact width of a group sum of at most max // m distances, one above the distances' width
+_GROUP_SUM = {np.dtype(np.uint8): np.uint16, np.dtype(np.uint16): np.uint32, np.dtype(np.uint32): np.int64}
 _NO_COST = np.iinfo(np.int64).max  # marks a (prefix, completion) pair that is not a subset
 # Lemma 2 audit instances: k medoids, at most N records, M attributes, CATEGORIES per attribute;
 # the partition oracle enumerates k**n labelings, so these stay small
@@ -69,9 +74,37 @@ class MedoidSolution:
     elapsed: float
 
 
-def _distance_rows(values: np.ndarray):
+class _Columns(NamedTuple):
+    """The summation axis of every sweep: the records sorted by weight,
+    stably, and cut into groups of one weight value and at most
+    ``max(dtype) // m`` records, ``dtype`` being one unsigned width above the
+    distances' (uint16 over uint8). A group's distances then sum exactly in
+    ``dtype``, and the group sums times their weights exactly in int64."""
+
+    order: np.ndarray  # the record behind each column
+    starts: np.ndarray  # first column of each group
+    weights: np.ndarray  # each group's weight, int64
+    dtype: type  # width in which one group's distances sum
+
+
+def _columns(dataset: CategoricalDataset) -> _Columns:
+    """The summation axis of ``dataset``'s sweeps (see :class:`_Columns`)."""
+    dtype = _GROUP_SUM[np.dtype(matrix_dtype(dataset.m))]
+    cap = np.iinfo(dtype).max // dataset.m
+    order = np.argsort(dataset.weights, kind="stable")
+    weights = dataset.weights[order]
+    position = np.arange(len(weights))
+    new_weight = np.r_[True, weights[1:] != weights[:-1]]
+    first = np.maximum.accumulate(np.where(new_weight, position, 0))  # where each weight's run starts
+    starts = np.flatnonzero((position - first) % cap == 0)
+    return _Columns(order, starts, weights[starts], dtype)
+
+
+def _distance_rows(values: np.ndarray, order: np.ndarray):
     """``rows(index)``: the distance rows d(j, .) of the records selected by
-    ``index`` (a list or a slice), shape (count, n).
+    ``index`` (a list or a slice), shape (count, n). Rows are records in file
+    order; columns are the records in ``order``, the summation order of
+    :func:`_columns`.
 
     While the n x n matrix takes at most ``MATRIX_BUDGET`` bytes it is built
     once and the rows are read from it (a contiguous slice is a view, not a
@@ -79,9 +112,10 @@ def _distance_rows(values: np.ndarray):
     give the same integers, so the choice changes time and memory only.
     """
     n, m = values.shape
+    columns = values[order]
     if n * n * np.dtype(matrix_dtype(m)).itemsize <= MATRIX_BUDGET:
-        return hamming(values, values).__getitem__
-    return lambda index: hamming(values[index], values)
+        return hamming(values, columns).__getitem__
+    return lambda index: hamming(values[index], columns)
 
 
 def _kept_base(rows, kept) -> np.ndarray:
@@ -90,12 +124,6 @@ def _kept_base(rows, kept) -> np.ndarray:
     minimum the scan takes with it yields the other side."""
     block = rows(list(kept))
     return block.min(axis=0, initial=np.iinfo(block.dtype).max)
-
-
-def _summing_weights(dataset: CategoricalDataset) -> np.ndarray:
-    """Record weights in the width every sweep sums in: int32 while
-    m * total weight < 2**31, where it is exact and faster, else int64."""
-    return dataset.weights.astype(sum_dtype(dataset.m, dataset.total_weight), copy=False)
 
 
 def cost_of_medoid_set(dataset: CategoricalDataset, indices) -> tuple[int, np.ndarray]:
@@ -114,31 +142,36 @@ def cost_of_medoid_set(dataset: CategoricalDataset, indices) -> tuple[int, np.nd
     return objective, assignment
 
 
-def _sweep(rows, weights, bases, start):
+def _sweep(rows, columns, bases, start):
     """sum_i w_i * min(bases[r, i], d(c, i)) for every row r of ``bases`` and
-    every record c >= start: shape (len(bases), n - start), int64.
+    every record c >= start: shape (len(bases), n - start), int64, exact.
 
-    Each pass over the distance rows is one sweep. Completion rows are read
-    ``_CHUNK`` at a time; each (rows of bases, chunk, n) block of minima is
-    summed by one einsum in the dtype of ``weights`` (see
-    :func:`_summing_weights`).
+    Each pass over the distance rows is one sweep. Rows are read ``_CHUNK``
+    at a time, and their minima with all of ``bases`` taken in blocks of at
+    most ``_SCAN_BYTES``. A block is summed per weight group of ``columns``
+    by one ``np.add.reduceat`` in the group width, and the group sums times
+    the group weights in int64.
     """
-    n = len(weights)
+    n = len(columns.order)
+    step = max(1, _SCAN_BYTES // bases.nbytes)  # rows per block of minima
     costs = np.empty((len(bases), n - start), dtype=np.int64)
     for s in range(start, n, _CHUNK):
         chunk = rows(slice(s, s + _CHUNK))
-        block = np.minimum(bases[:, None, :], chunk[None, :, :])
-        costs[:, s - start : s - start + len(chunk)] = np.einsum("bcn,n->bc", block, weights)
+        for t in range(0, len(chunk), step):
+            block = np.minimum(bases[:, None, :], chunk[None, t : t + step, :])
+            sums = np.add.reduceat(block, columns.starts, axis=2, dtype=columns.dtype)
+            at = s - start + t
+            costs[:, at : at + block.shape[1]] = sums @ columns.weights
     return costs
 
 
-def _best_extension(rows, weights, bases, after, excluded):
+def _best_extension(rows, columns, bases, after, excluded):
     """First row-major minimum of sum_i w_i * min(bases[r, i], d(c, i)) over the
     rows r of ``bases`` and the records c > after[r] (``after`` ascending) that
     are not ``excluded``: (cost, r, c), or None when no pair qualifies."""
     start = int(after[0]) + 1
-    costs = _sweep(rows, weights, bases, start)
-    invalid = (np.arange(start, len(weights)) <= after[:, None]) | excluded[start:]
+    costs = _sweep(rows, columns, bases, start)
+    invalid = (np.arange(start, len(excluded)) <= after[:, None]) | excluded[start:]
     costs[invalid] = _NO_COST
     r, t = divmod(int(np.argmin(costs)), costs.shape[1])  # first minimum, row-major
     if invalid[r, t]:
@@ -146,7 +179,7 @@ def _best_extension(rows, weights, bases, after, excluded):
     return int(costs[r, t]), r, start + t
 
 
-def _scan(rows, weights, base, excluded, size, heads=None):
+def _scan(rows, columns, base, excluded, size, heads=None):
     """Lowest (cost, subset) over the ascending ``size``-subsets of the records
     not ``excluded``, added to the medoids behind ``base`` (each record's
     distance to its nearest kept medoid, see :func:`_kept_base`); None when
@@ -163,10 +196,10 @@ def _scan(rows, weights, base, excluded, size, heads=None):
     the pool being the records not excluded, ascending.
     """
     if size == 1:
-        found = _best_extension(rows, weights, base[None, :], np.array([-1]), excluded)
+        found = _best_extension(rows, columns, base[None, :], np.array([-1]), excluded)
         return None if found is None else (found[0], (found[2],))
     pool = np.flatnonzero(~excluded)
-    n, row_bytes = len(weights), base.nbytes
+    n, row_bytes = len(base), base.nbytes
     lo, hi = heads or (0, len(pool))
     prefixes = [()] if size == 2 else (
         (i, *rest)
@@ -180,12 +213,12 @@ def _scan(rows, weights, base, excluded, size, heads=None):
         a, b = (positions[-1] + 1, len(pool)) if positions else (lo, hi)
         b = min(b, len(pool) - 1)  # the last pool member has no completion
         while a < b:
-            # as many next members as keep their minima over one read of
-            # completion rows within _SCAN_BYTES, and at least one
-            width = min(n - 1 - int(pool[a]), _CHUNK)
+            # as many next members as keep their minima with all of their
+            # completions within _SCAN_BYTES, and at least one
+            width = n - 1 - int(pool[a])
             js = pool[a : min(b, a + max(1, _SCAN_BYTES // (width * row_bytes)))]
             bases = np.minimum(qbase, rows(js))
-            found = _best_extension(rows, weights, bases, js, excluded)
+            found = _best_extension(rows, columns, bases, js, excluded)
             if found is not None and (best is None or found[0] < best[0]):
                 best = (found[0], (*prefix, int(js[found[1]]), found[2]))
             a += len(js)
@@ -217,8 +250,8 @@ def exhaustive_search(
 
     The result is optimal for the member-restricted objective, which bounds
     the unrestricted mode objective within a factor of 2. The scan sums
-    n * C(n, k) weighted distance terms, exactly (in int32 while
-    m * total weight < 2**31, else int64), and skips no subset: Python loops
+    n * C(n, k) weighted distance terms, exactly (see :func:`_sweep`), and
+    skips no subset: Python loops
     over the (k-2)-prefixes only, and one array pass scores a block of next
     members with all of their completions (see :func:`_scan`). Instances of
     more than ``EXHAUSTIVE_GATE`` terms are refused unless ``force`` is set.
@@ -235,13 +268,14 @@ def exhaustive_search(
             f"{EXHAUSTIVE_GATE:.3g} distance terms, n * C(n, k); "
             "pass force=True (CLI: --force) to run anyway"
         )
-    rows, weights = _distance_rows(dataset.values), _summing_weights(dataset)
+    columns = _columns(dataset)
+    rows = _distance_rows(dataset.values, columns.order)
     base, excluded = _kept_base(rows, ()), np.zeros(n, dtype=bool)
     # k = 1 has no prefix to split: its scan is one pass over all completions
     parts = max(1, min(workers, os.cpu_count() or 1)) if k > 1 else 1
     ranges = _balanced_first_ranges(n, k, parts)
     with ThreadPoolExecutor(max_workers=len(ranges)) as ex:  # numpy releases the GIL
-        results = list(ex.map(lambda heads: _scan(rows, weights, base, excluded, k, heads), ranges))
+        results = list(ex.map(lambda heads: _scan(rows, columns, base, excluded, k, heads), ranges))
 
     best_cost, best_subset = min(results)  # by (cost, tuple): the earliest range wins ties
     objective, assignment = cost_of_medoid_set(dataset, best_subset)
@@ -300,7 +334,8 @@ def local_search(
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
-    rows, weights = _distance_rows(dataset.values), _summing_weights(dataset)
+    columns = _columns(dataset)
+    rows = _distance_rows(dataset.values, columns.order)
     rng = np.random.default_rng(config.seed)
     starts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(config.restarts)]
 
@@ -311,7 +346,7 @@ def local_search(
         stable = False  # set once no strictly improving exchange of up to p medoids is left
         last = {}  # the last step's single-swap cost rows, by kept medoid set
         for _ in range(config.max_steps):
-            swap = _best_swap(rows, weights, medoids, config.p, last)
+            swap = _best_swap(rows, columns, medoids, config.p, last)
             if swap is None or swap[0] >= cost:
                 stable = True
                 break
@@ -338,7 +373,7 @@ def local_search(
     )
 
 
-def _single_swap_costs(rows, weights, medoids, last):
+def _single_swap_costs(rows, columns, medoids, last):
     """(k, n) int64 table of sum_i w_i * min(d(c, i), base_r(i)) for every
     removal position r and record c, base_r being the distance to the nearest
     medoid kept without position r (see :func:`_kept_base`).
@@ -346,21 +381,21 @@ def _single_swap_costs(rows, weights, medoids, last):
     ``last`` maps kept medoid sets to their rows from the previous step and
     is refilled with this step's. After an accepted swap r -> c, removing c
     keeps exactly the set the previous step kept for removal r, so a step
-    after the first sweeps the distance rows k - 1 times instead of k.
+    after the first has k - 1 fresh rows instead of k. The fresh rows come
+    from one sweep, which reads or computes each distance row once.
     """
-    fresh = {}
-    for r in range(len(medoids)):
-        kept = (*medoids[:r], *medoids[r + 1 :])
-        row = last.get(kept)
-        if row is None:
-            row = _sweep(rows, weights, _kept_base(rows, kept)[None, :], 0)[0]
-        fresh[kept] = row
+    kept_sets = [(*medoids[:r], *medoids[r + 1 :]) for r in range(len(medoids))]
+    fresh = [kept for kept in kept_sets if kept not in last]
+    if fresh:
+        bases = np.stack([_kept_base(rows, kept) for kept in fresh])
+        last.update(zip(fresh, _sweep(rows, columns, bases, 0)))
+    table = {kept: last[kept] for kept in kept_sets}
     last.clear()
-    last.update(fresh)
-    return np.stack(list(fresh.values()))
+    last.update(table)
+    return np.stack(list(table.values()))
 
 
-def _best_swap(rows, weights, medoids, p, last):
+def _best_swap(rows, columns, medoids, p, last):
     """Best (cost, removal positions, added indices) over swap sizes 1..p;
     None when every record is a medoid. Deterministic:
     sizes ascending, removal positions and additions in lexicographic order,
@@ -370,10 +405,10 @@ def _best_swap(rows, weights, medoids, p, last):
     the non-medoid columns, which reuses and refreshes ``last``; larger sizes
     run :func:`_scan` once per removal set.
     """
-    k, n = len(medoids), len(weights)
+    k, n = len(medoids), len(columns.order)
     if k == n:
         return None
-    costs = _single_swap_costs(rows, weights, medoids, last)
+    costs = _single_swap_costs(rows, columns, medoids, last)
     costs[:, medoids] = _NO_COST
     r, c = divmod(int(np.argmin(costs)), n)  # first minimum, row-major
     best = (int(costs[r, c]), (r,), (c,))
@@ -382,7 +417,7 @@ def _best_swap(rows, weights, medoids, p, last):
     for s in range(2, min(p, k, n - k) + 1):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
-            found = _scan(rows, weights, _kept_base(rows, kept), in_medoids, s)
+            found = _scan(rows, columns, _kept_base(rows, kept), in_medoids, s)
             if found is not None and found[0] < best[0]:
                 best = (found[0], removals, found[1])
     return best

@@ -38,13 +38,6 @@ def matrix_dtype(m: int):
     return np.uint32
 
 
-def sum_dtype(m: int, total_weight: int):
-    """Integer width in which sums of w_i * d_i with d_i in [0, m] are exact:
-    every partial sum is at most m * total_weight, so int32 below 2**31,
-    int64 otherwise."""
-    return np.int32 if m * total_weight <= np.iinfo(np.int32).max else np.int64
-
-
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     """First one-hot column of each attribute."""
     return np.cumsum(sizes) - sizes

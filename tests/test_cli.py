@@ -2,9 +2,12 @@ import json
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from catcluster import cli, dataset
+
+from conftest import dataset_from_rows
 
 
 TOY_ROWS = [
@@ -247,6 +250,17 @@ class TestVerify:
         assert cli.main([*argv, "--missing-token", "y"]) == 2
         assert cli.main([*argv, "--missing-token", "NA"]) == 0
 
+    def test_named_dataset_honours_missing_options(self, capsys, tmp_path):
+        path = tmp_path / "votes.csv"
+        rows = [",".join(["democrat"] + ["yn"[(i + j) % 2] for j in range(16)]) for i in range(435)]
+        rows[7] = rows[7][:-1] + "?"
+        path.write_text("\n".join(rows) + "\n")
+        argv = ["verify", "--suite", "metric", "--name", "votes", "--data", str(path), "--trials", "20"]
+        assert cli.main(argv) == 0
+        assert cli.main([*argv, "--missing-policy", "reject"]) == 2
+        assert "policy=reject" in capsys.readouterr().err
+        assert cli.main([*argv, "--missing-policy", "reject", "--missing-token", "NA"]) == 0
+
     def test_dataset_suites_need_input(self, capsys):
         code = cli.main(["verify", "--suite", "metric"])
         assert code == 2
@@ -356,6 +370,21 @@ class TestReproduce:
         code = cli.main(["reproduce", "--table", "votes", "--data", str(toy_csv)])
         assert code == 2
         assert "does not look like the votes dataset" in capsys.readouterr().err
+
+
+class TestSolutionCommon:
+    def test_cluster_weights_are_exact_past_float_precision(self):
+        # float64 sums 2**53 + 1 to 2**53
+        ds = dataset_from_rows([["x"], ["y"], ["x"]], weights=[2**53, 1, 5])
+        common = cli._solution_common(ds, np.array([0, 0, 2]), 3)
+        assert common["cluster_weights"] == [9007199254740993, 0, 5]
+
+    def test_compaction_drops_empty_clusters(self):
+        assignment = np.array([3, 0, 3, 5, 0])
+        compact, k, dropped = cli._compact_assignment(assignment, 6)
+        assert (compact.tolist(), k, dropped) == ([1, 0, 1, 2, 0], 3, [1, 2, 4])
+        full = np.array([1, 0, 1])
+        assert cli._compact_assignment(full, 2) == (full, 2, [])
 
 
 class TestMisc:

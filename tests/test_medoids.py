@@ -22,8 +22,6 @@ from catcluster import (
     random_dataset,
 )
 
-from catcluster.metric import sum_dtype
-
 from conftest import dataset_from_rows
 
 # all six k=2 medoid pairs of the four-point instance, hand-evaluated
@@ -68,12 +66,13 @@ class TestCostOfMedoidSet:
     def test_matrix_backed_equals_on_the_fly(self, four_point, monkeypatch):
         # the solvers' rows, from the matrix and computed per call, give the
         # objective cost_of_medoid_set recomputes from its own rows
-        held = medoids._distance_rows(four_point.values)
+        order = medoids._columns(four_point).order
+        held = medoids._distance_rows(four_point.values, order)
         monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
-        on_the_fly = medoids._distance_rows(four_point.values)
+        on_the_fly = medoids._distance_rows(four_point.values, order)
         for pair in FOUR_POINT_PAIR_COSTS:
             for rows in (held, on_the_fly):
-                got = int(four_point.weights @ rows(list(pair)).min(axis=0))
+                got = int(four_point.weights[order] @ rows(list(pair)).min(axis=0))
                 assert got == cost_of_medoid_set(four_point, pair)[0]
 
     def test_weighted_objective(self):
@@ -346,8 +345,10 @@ class TestLocalSearch:
                     if want is None or cost < want[0]:
                         want = (cost, removals, additions)
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
+        columns = medoids._columns(ds)
         with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget):
-            got = medoids._best_swap(medoids._distance_rows(ds.values), ds.weights, current, p, {})
+            rows = medoids._distance_rows(ds.values, columns.order)
+            got = medoids._best_swap(rows, columns, current, p, {})
         assert got == want
 
     def test_p2_swaps_escape_a_p1_optimum(self):
@@ -380,16 +381,16 @@ class TestSingleSwapTable:
     """The p = 1 step: one table of single-swap costs, one row carried over."""
 
     @staticmethod
-    def scan_oracle(ds, rows, medoids_now):
-        # today's order, one _scan per removal in int64: lowest cost, then
-        # lowest removal position, then lowest candidate
+    def scan_oracle(ds, rows, columns, medoids_now):
+        # one _scan per removal: lowest cost, then lowest removal position,
+        # then lowest candidate
         in_medoids = np.zeros(ds.n_records, dtype=bool)
         in_medoids[medoids_now] = True
         best = None
         for r in range(len(medoids_now)):
             kept = medoids_now[:r] + medoids_now[r + 1 :]
             base = medoids._kept_base(rows, kept)
-            found = medoids._scan(rows, ds.weights, base, in_medoids, 1)
+            found = medoids._scan(rows, columns, base, in_medoids, 1)
             if found is not None and (best is None or found[0] < best[0]):
                 best = (found[0], (r,), found[1])
         return best
@@ -409,7 +410,7 @@ class TestSingleSwapTable:
     def test_steps_equal_per_removal_scan(
         self, n, m, k, seed, weights, big, repeated, on_the_fly, pick
     ):
-        # small weights sum in int32, weights up to 2**40 in int64
+        # small weights, and weights up to 2**40
         k = min(k, n)
         ds = random_dataset(n=n, m=m, max_categories=3, seed=seed)
         names = [[f"v{v}" for v in row] for row in ds.values]
@@ -417,16 +418,15 @@ class TestSingleSwapTable:
             names = [names[i % ((n + 1) // 2)] for i in range(n)]
         w = weights[:n] if big else [x % 50 + 1 for x in weights[:n]]
         ds = dataset_from_rows(names, weights=w)
-        summing = medoids._summing_weights(ds)
-        assert summing.dtype == (np.int64 if m * sum(w) >= 2**31 else np.int32)
+        columns = medoids._columns(ds)
         with mock.patch.object(medoids, "MATRIX_BUDGET", 0 if on_the_fly else medoids.MATRIX_BUDGET):
-            rows = medoids._distance_rows(ds.values)
+            rows = medoids._distance_rows(ds.values, columns.order)
         current = sorted(np.random.default_rng(pick).choice(n, size=k, replace=False).tolist())
         cost = cost_of_medoid_set(ds, current)[0]
         last = {}
         for _ in range(4):  # later steps read the row carried over
-            got = medoids._best_swap(rows, summing, current, 1, last)
-            assert got == self.scan_oracle(ds, rows, current)
+            got = medoids._best_swap(rows, columns, current, 1, last)
+            assert got == self.scan_oracle(ds, rows, columns, current)
             if got is None or got[0] >= cost:
                 break
             cost, (r,), (c,) = got
@@ -458,29 +458,54 @@ class TestSingleSwapTable:
             assert len(per_step) >= (2 if k == 1 else 4)  # steps after accepted swaps
             assert per_step == [k] + [k - 1] * (len(per_step) - 1)
 
-    @pytest.mark.parametrize("total, width", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    @pytest.mark.parametrize("m", [16, 255, 256])
     @pytest.mark.parametrize("on_the_fly", [False, True])
-    def test_sums_exact_at_the_width_boundary(self, total, width, on_the_fly, monkeypatch):
-        # m = 1: a candidate's cost is the weight of the records unlike it,
-        # up to total - 2 here, for record "b"
-        ds = dataset_from_rows([["a"], ["b"], ["c"], ["a"]], weights=[1, 2, total - 7, 4])
-        summing = medoids._summing_weights(ds)
-        assert sum_dtype(ds.m, ds.total_weight) is width and summing.dtype == width
+    def test_full_group_sums_exactly(self, m, on_the_fly, monkeypatch):
+        # record 0, of weight 2, sits at distance m from the others, of weight
+        # 1 and summed first; floor(65535 / m) of them fill a uint16 group
+        # exactly, one more cuts a second group (uint8 distances) or fits the
+        # uint32 group (m = 256)
+        full = 65535 // m
         if on_the_fly:
             monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
-        dist = (ds.values[:, None, :] != ds.values[None, :, :]).sum(axis=2)
-        bases = np.stack([np.full(4, ds.m), dist[2], dist[[0, 1]].min(axis=0)])
-        got = medoids._sweep(medoids._distance_rows(ds.values), summing, bases.astype(np.uint8), 0)
-        want = np.array(
-            [[sum(int(w) * min(int(b), int(d)) for w, b, d in zip(ds.weights, base, dist[c]))
-              for c in range(4)] for base in bases]
-        )
-        assert got.dtype == np.int64
-        assert got.tolist() == want.tolist()
-        assert got.max() == total - 2
+        for others in (full, full + 1):
+            ds = dataset_from_rows([["a"] * m] + [["b"] * m] * others, weights=[2] + [1] * others)
+            columns = medoids._columns(ds)
+            assert columns.order[-1] == 0
+            assert len(columns.starts) == (3 if others * m > 65535 and m < 256 else 2)
+            rows = medoids._distance_rows(ds.values, columns.order)
+            got = medoids._sweep(rows, columns, medoids._kept_base(rows, ())[None, :], 0)
+            assert got[0, 0] == others * m == cost_of_medoid_set(ds, [0])[0]
+            assert got[0, 1:].tolist() == [2 * m] * others
+
+    @pytest.mark.parametrize("on_the_fly", [False, True])
+    def test_sums_exact_past_float_precision(self, on_the_fly, monkeypatch):
+        # 8200 records in 6 distinct rows, weights just below 2**40 in 7
+        # groups: the total passes 2**53, where float64 sums lose units
+        values = np.random.default_rng(3).integers(0, 3, size=(6, 3))
+        names = [[f"v{v}" for v in values[i % 6]] for i in range(8200)]
+        w = [2**40 - (i * 5 % 7) for i in range(8200)]
+        ds = dataset_from_rows(names, weights=w)
+        assert ds.total_weight > 2**53
+        if on_the_fly:
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
+        columns = medoids._columns(ds)
+        rows = medoids._distance_rows(ds.values, columns.order)
+        dist = (values[:, None, :] != values[None, :, :]).sum(axis=2)
+        pattern_weight = [sum(w[i::6]) for i in range(6)]  # exact Python ints
+        start = 8200 - 12
+        for kept in ((), (1,), (0, 2)):
+            base = medoids._kept_base(rows, kept)
+            got = medoids._sweep(rows, columns, base[None, :], start)[0]
+            near = [min([dist[q % 6, p] for q in kept], default=ds.m) for p in range(6)]
+            want = [sum(pw * min(near[p], dist[c % 6, p]) for p, pw in enumerate(pattern_weight))
+                    for c in range(start, 8200)]
+            assert got.tolist() == want
+            assert max(want) > 2**53
+        best = min(sum(pw * dist[c, p] for p, pw in enumerate(pattern_weight)) for c in range(6))
         ex = exhaustive_search(ds, 1)
         ls = local_search(ds, 1, LocalSearchConfig(seed=0))
-        assert ex.medoid_objective == ls.medoid_objective == int(want[0].min()) == 7
+        assert ex.medoid_objective == ls.medoid_objective == best
 
 
 class TestLemmaAudits:
