@@ -381,18 +381,21 @@ class TestSingleSwapTable:
     """The p = 1 step: one table of single-swap costs, one row carried over."""
 
     @staticmethod
-    def scan_oracle(ds, rows, columns, medoids_now):
-        # one _scan per removal: lowest cost, then lowest removal position,
-        # then lowest candidate
-        in_medoids = np.zeros(ds.n_records, dtype=bool)
-        in_medoids[medoids_now] = True
+    def swap_oracle(ds, medoids_now):
+        # every single swap per removal, summed in Python integers apart from
+        # the sweep: lowest cost, then lowest removal position, then lowest
+        # candidate
+        values, w = ds.values.tolist(), [int(x) for x in ds.weights]
+        dist = [[sum(a != b for a, b in zip(u, v)) for v in values] for u in values]
         best = None
         for r in range(len(medoids_now)):
             kept = medoids_now[:r] + medoids_now[r + 1 :]
-            base = medoids._kept_base(rows, kept)
-            found = medoids._scan(rows, columns, base, in_medoids, 1)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = (found[0], (r,), found[1])
+            for c in range(ds.n_records):
+                if c in medoids_now:
+                    continue
+                cost = sum(wi * min(dist[q][i] for q in (*kept, c)) for i, wi in enumerate(w))
+                if best is None or cost < best[0]:
+                    best = (cost, (r,), (c,))
         return best
 
     @given(
@@ -426,7 +429,7 @@ class TestSingleSwapTable:
         last = {}
         for _ in range(4):  # later steps read the row carried over
             got = medoids._best_swap(rows, columns, current, 1, last)
-            assert got == self.scan_oracle(ds, rows, columns, current)
+            assert got == self.swap_oracle(ds, current)
             if got is None or got[0] >= cost:
                 break
             cost, (r,), (c,) = got
@@ -462,34 +465,37 @@ class TestSingleSwapTable:
     @pytest.mark.parametrize("on_the_fly", [False, True])
     def test_full_group_sums_exactly(self, m, on_the_fly, monkeypatch):
         # record 0, of weight 2, sits at distance m from the others, of weight
-        # 1 and summed first; floor(65535 / m) of them fill a uint16 group
+        # 1 and grouped; floor(65535 / m) of them fill a uint16 group
         # exactly, one more cuts a second group (uint8 distances) or fits the
-        # uint32 group (m = 256)
+        # uint32 group (m = 256); record 0 alone is the tail
         full = 65535 // m
         if on_the_fly:
             monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
         for others in (full, full + 1):
             ds = dataset_from_rows([["a"] * m] + [["b"] * m] * others, weights=[2] + [1] * others)
             columns = medoids._columns(ds)
-            assert columns.order[-1] == 0
-            assert len(columns.starts) == (3 if others * m > 65535 and m < 256 else 2)
+            assert columns.order[-1] == 0 and columns.tail.tolist() == [2]
+            assert len(columns.starts) == (2 if others * m > 65535 and m < 256 else 1)
             rows = medoids._distance_rows(ds.values, columns.order)
             got = medoids._sweep(rows, columns, medoids._kept_base(rows, ())[None, :], 0)
             assert got[0, 0] == others * m == cost_of_medoid_set(ds, [0])[0]
             assert got[0, 1:].tolist() == [2 * m] * others
 
+    @pytest.mark.parametrize("spread", [7, 8200])
     @pytest.mark.parametrize("on_the_fly", [False, True])
-    def test_sums_exact_past_float_precision(self, on_the_fly, monkeypatch):
-        # 8200 records in 6 distinct rows, weights just below 2**40 in 7
-        # groups: the total passes 2**53, where float64 sums lose units
+    def test_sums_exact_past_float_precision(self, on_the_fly, spread, monkeypatch):
+        # 8200 records in 6 distinct rows, weights just below 2**40, in 7
+        # groups or all distinct, so all in the tail: the total passes 2**53,
+        # where float64 sums lose units
         values = np.random.default_rng(3).integers(0, 3, size=(6, 3))
         names = [[f"v{v}" for v in values[i % 6]] for i in range(8200)]
-        w = [2**40 - (i * 5 % 7) for i in range(8200)]
+        w = [2**40 - (i * 3 % spread) for i in range(8200)]
         ds = dataset_from_rows(names, weights=w)
         assert ds.total_weight > 2**53
         if on_the_fly:
             monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
         columns = medoids._columns(ds)
+        assert (len(columns.starts), len(columns.tail)) == ((7, 0) if spread == 7 else (0, 8200))
         rows = medoids._distance_rows(ds.values, columns.order)
         dist = (values[:, None, :] != values[None, :, :]).sum(axis=2)
         pattern_weight = [sum(w[i::6]) for i in range(6)]  # exact Python ints
@@ -506,6 +512,65 @@ class TestSingleSwapTable:
         ex = exhaustive_search(ds, 1)
         ls = local_search(ds, 1, LocalSearchConfig(seed=0))
         assert ex.medoid_objective == ls.medoid_objective == best
+
+    @pytest.mark.parametrize("total, width", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    @pytest.mark.parametrize("on_the_fly", [False, True])
+    def test_sums_exact_at_the_width_boundary(self, total, width, on_the_fly, monkeypatch):
+        # m = 1, four records of distinct weights, all in the tail: a
+        # candidate's cost is the weight of the records unlike it, up to
+        # total - 2 here, for record "b"
+        ds = dataset_from_rows([["a"], ["b"], ["c"], ["a"]], weights=[1, 2, total - 7, 4])
+        columns = medoids._columns(ds)
+        assert len(columns.starts) == 0 and columns.tail.dtype == width
+        if on_the_fly:
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
+        dist = (ds.values[:, None, :] != ds.values[None, :, :]).sum(axis=2)
+        bases = np.stack([np.full(4, ds.m), dist[2], dist[[0, 1]].min(axis=0)])
+        rows = medoids._distance_rows(ds.values, columns.order)
+        got = medoids._sweep(rows, columns, bases[:, columns.order].astype(np.uint8), 0)
+        want = [[sum(int(w) * min(int(b), int(d)) for w, b, d in zip(ds.weights, base, dist[c]))
+                 for c in range(4)] for base in bases]
+        assert got.tolist() == want
+        assert got.max() == total - 2
+        ex = exhaustive_search(ds, 1)
+        ls = local_search(ds, 1, LocalSearchConfig(seed=0))
+        assert ex.medoid_objective == ls.medoid_objective == min(want[0]) == 7
+
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        weights=st.lists(st.sampled_from([1, 2, 3, 2**40]), min_size=40, max_size=40),
+        group_min=st.sampled_from([1, 2, 5, medoids._GROUP_MIN]),
+        on_the_fly=st.booleans(),
+        scan_bytes=st.sampled_from([1, 1 << 30]),
+        kept=st.lists(st.integers(0, 39), max_size=3),
+        start=st.integers(0, 39),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_equals_direct_sum(
+        self, n, m, seed, weights, group_min, on_the_fly, scan_bytes, kept, start
+    ):
+        # groups of as few as one record, and the tail, against sums in
+        # Python integers
+        ds = random_dataset(n=n, m=m, max_categories=3, seed=seed)
+        ds = dataset_from_rows([[f"v{v}" for v in row] for row in ds.values], weights=weights[:n])
+        kept, start = sorted({q % n for q in kept}), start % n
+        budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
+        with mock.patch.multiple(
+            medoids, _GROUP_MIN=group_min, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget
+        ):
+            columns = medoids._columns(ds)
+            rows = medoids._distance_rows(ds.values, columns.order)
+            bases = np.stack([medoids._kept_base(rows, kept), medoids._kept_base(rows, kept[:1])])
+            got = medoids._sweep(rows, columns, bases, start)
+        assert sorted(columns.order.tolist()) == list(range(n))
+        assert group_min > 1 or len(columns.tail) == 0
+        values, w = ds.values.tolist(), [int(x) for x in ds.weights]
+        dist = [[sum(a != b for a, b in zip(u, v)) for v in values] for u in values]
+        want = [[sum(wi * min([m] + [dist[q][i] for q in (*near, c)]) for i, wi in enumerate(w))
+                 for c in range(start, n)] for near in (kept, kept[:1])]
+        assert got.tolist() == want
 
 
 class TestLemmaAudits:
