@@ -105,24 +105,15 @@ def dataset_path(name: str) -> Path | None:
     return None
 
 
-def _check_named_shape(ds: CategoricalDataset, name: str, path) -> None:
-    info = NAMED_DATASETS[name]
-    if ds.total_weight != info["rows"] or ds.m != info["columns"] - 1:
-        raise FetchError(
-            f"{path} does not look like the {name} dataset: expected "
-            f"{info['rows']} rows x {info['columns']} columns, found "
-            f"{ds.total_weight} rows x {ds.m + 1} columns"
-        )
-
-
 def load_named(
     name: str, path=None, missing_token: str = "?", missing_policy: str = "treat-as-category"
 ) -> CategoricalDataset:
     """Load one of the named datasets from an explicit path or the cache, with
-    the missing-value options of :func:`load_csv`."""
+    the missing-value options of :func:`load_csv`, and check its shape. A
+    missing explicit path fails in :func:`load_csv`, under its own name."""
     info = NAMED_DATASETS[name]
-    p = Path(path) if path else dataset_path(name)
-    if p is None or not p.exists():
+    p = path or dataset_path(name)
+    if p is None:
         searched = ", ".join(str(c) for c in _candidate_paths(name))
         raise FetchError(
             f"dataset {name!r} not found (searched {searched}); run "
@@ -132,7 +123,12 @@ def load_named(
     ds = load_csv(
         p, label_column=info["label_column"], missing_token=missing_token, missing_policy=missing_policy
     )
-    _check_named_shape(ds, name, p)
+    if ds.total_weight != info["rows"] or ds.m != info["columns"] - 1:
+        raise FetchError(
+            f"{p} does not look like the {name} dataset: expected "
+            f"{info['rows']} rows x {info['columns']} columns, found "
+            f"{ds.total_weight} rows x {ds.m + 1} columns"
+        )
     return ds
 
 
@@ -177,7 +173,7 @@ def fetch_dataset(
     tmp.write_bytes(payload)
     tmp.replace(dest)
     try:
-        _check_named_shape(load_csv(dest, label_column=info["label_column"]), name, dest)
+        load_named(name, path=dest)
     except (FetchError, DatasetError):
         dest.unlink(missing_ok=True)  # a bad file must not satisfy the next cache lookup
         raise
@@ -260,15 +256,25 @@ def _parse_label_column(s):
         return s
 
 
-def _load_data(args) -> CategoricalDataset:
-    """The ``--data`` file, read with the ingestion options."""
-    return load_csv(
-        args.data,
-        label_column=_parse_label_column(args.label_column),
-        missing_token=args.missing_token,
-        missing_policy=args.missing_policy,
-        header=args.header,
-    )
+def _load(args) -> CategoricalDataset:
+    """The input of run, verify and reproduce: the ``--name`` dataset from ``--data`` or
+    the cache, else the ``--data`` file with the ingestion options; merged into
+    weighted records when ``args.dedupe`` is set."""
+    if args.name:
+        ds = load_named(
+            args.name, path=args.data, missing_token=args.missing_token, missing_policy=args.missing_policy
+        )
+    elif args.data:
+        ds = load_csv(
+            args.data,
+            label_column=_parse_label_column(args.label_column),
+            missing_token=args.missing_token,
+            missing_policy=args.missing_policy,
+            header=args.header,
+        )
+    else:
+        raise DatasetError(f"suite {args.suite!r} needs --name or --data")
+    return dedupe(ds) if args.dedupe else ds
 
 
 def _run_text(record: dict, report: EvalReport | None) -> str:
@@ -291,26 +297,19 @@ def _run_text(record: dict, report: EvalReport | None) -> str:
     return "\n".join(lines)
 
 
-def cmd_run(args) -> int:
-    t0 = time.perf_counter()
-    ds = _load_data(args)
-    if args.dedupe:
-        ds = dedupe(ds)
-    t_load = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
+def _solve(ds: CategoricalDataset, args):
+    """Run ``args.algorithm``; returns (solution section, assignment with the
+    empty clusters dropped, their number k, medoid objective or None)."""
     if args.algorithm == "kmodes":
         config = KModesConfig(
             k=args.k, init=args.init, seed=args.seed, max_iterations=args.max_iterations
         )
         result = run_kmodes(ds, config, debug=args.debug)
-        assignment, k, dropped = _compact_assignment(result.assignment, args.k)
         solution = {
             "algorithm": "kmodes",
             "iterations": result.iterations,
             "converged": result.converged,
             "modes": [ds.decode(mode) for mode in result.modes],
-            **_solution_common(ds, assignment, k),
         }
         if args.debug and result.objective_history is not None:
             solution["objective_history"] = list(result.objective_history)
@@ -318,7 +317,7 @@ def cmd_run(args) -> int:
         medoid_objective = None
     else:
         if args.algorithm == "exhaustive":
-            sol = exhaustive_search(ds, args.k, workers=args.threads, force=args.force)
+            result = exhaustive_search(ds, args.k, workers=args.threads, force=args.force)
         else:
             config = LocalSearchConfig(
                 p=args.p,
@@ -327,18 +326,28 @@ def cmd_run(args) -> int:
                 max_steps=args.max_steps,
                 restarts=args.restarts,
             )
-            sol = local_search(ds, args.k, config)
-        assignment, k, dropped = _compact_assignment(sol.assignment, args.k)
+            result = local_search(ds, args.k, config)
         solution = {
-            "algorithm": sol.algorithm,
-            "medoid_indices": [int(i) for i in sol.medoid_indices],
-            "medoids": [ds.decode(ds.values[i]) for i in sol.medoid_indices],
-            "guarantee": sol.guarantee,
-            **_solution_common(ds, assignment, k),
+            "algorithm": result.algorithm,
+            "medoid_indices": [int(i) for i in result.medoid_indices],
+            "medoids": [ds.decode(ds.values[i]) for i in result.medoid_indices],
+            "guarantee": result.guarantee,
         }
-        medoid_objective = sol.medoid_objective
+        medoid_objective = result.medoid_objective
+    assignment, k, dropped = _compact_assignment(result.assignment, args.k)
+    solution.update(_solution_common(ds, assignment, k))
     if dropped:
         solution["empty_clusters_dropped"] = dropped
+    return solution, assignment, k, medoid_objective
+
+
+def cmd_run(args) -> int:
+    t0 = time.perf_counter()
+    ds = _load(args)
+    t_load = time.perf_counter() - t0
+
+    t1 = time.perf_counter()
+    solution, assignment, k, medoid_objective = _solve(ds, args)
     t_solve = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -414,22 +423,20 @@ def _deviation_rows(measured: dict, ref: dict) -> list[tuple[str, str, str, str]
 
 
 def cmd_reproduce(args) -> int:
-    name = args.table
+    name = args.name
     ref = REFERENCE_RESULTS[name]
-    ds = dedupe(load_named(name, path=args.data))
+    ds = _load(args)
+    # each row is the `run` of these options on the deduped file, with every
+    # other option at run's default; _solve reads no input, so --data is a stand-in
+    run_argv = ["run", "--data", "-", "--k", "2", "--restarts", "5",
+                "--seed", str(args.seed), "--threads", str(args.threads)]
+    parse = build_parser().parse_args
 
-    km = run_kmodes(ds, KModesConfig(k=2, init="first-k-distinct"))
-    km_assignment, km_k, _ = _compact_assignment(km.assignment, 2)
-    km_report = evaluate(ds, km_assignment, k=km_k)
+    def measure(algorithm: str) -> EvalReport:
+        _, assignment, k, medoid_objective = _solve(ds, parse([*run_argv, "--algorithm", algorithm]))
+        return _evaluation_section(ds, assignment, k, medoid_objective)[0]
 
-    if ref["approx_algorithm"] == "exhaustive":
-        sol = exhaustive_search(ds, 2, workers=args.threads)
-    else:
-        sol = local_search(
-            ds, 2, LocalSearchConfig(p=1, seed=args.seed, restarts=5)
-        )
-    ap_assignment, ap_k, _ = _compact_assignment(sol.assignment, 2)
-    ap_report = evaluate(ds, ap_assignment, medoid_objective=sol.medoid_objective, k=ap_k)
+    km_report, ap_report = measure("kmodes"), measure(ref["approx_algorithm"])
 
     measured = {
         "kmodes_error": km_report.error,
@@ -470,17 +477,9 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _verify_dataset(args) -> CategoricalDataset:
-    if args.name:
-        return dedupe(load_named(
-            args.name, path=args.data, missing_token=args.missing_token, missing_policy=args.missing_policy
-        ))
-    if args.data:
-        return dedupe(_load_data(args))
-    raise DatasetError(f"suite {args.suite!r} needs --name or --data")
-
-
 def _verify_oracle(trials: int, seed: int):
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     violations = []
     for _ in range(trials):
@@ -514,12 +513,12 @@ def cmd_verify(args) -> int:
     detail: dict = {}
 
     if args.suite == "metric":
-        ds = _verify_dataset(args)
+        ds = _load(args)
         report = check_metric_properties(ds, trials, args.seed)
         violations = [{"triple": list(t), "axiom": a} for t, a in report.violations]
         detail["triples_checked"] = report.triples_checked
     elif args.suite == "lemma1":
-        ds = _verify_dataset(args)
+        ds = _load(args)
         report = audit_lemma1(ds, trials, args.seed)
         violations = [
             {"subset_size": len(s), "medoid_cost": mc, "mode_cost": oc}
@@ -621,15 +620,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--debug", action="store_true", help="record and assert per-iteration objectives")
     p_run.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
     _add_output_options(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, name=None)
 
     p_rep = sub.add_parser("reproduce", help="rerun the reference experiments and compare")
-    p_rep.add_argument("--table", choices=list(REFERENCE_RESULTS), required=True)
+    p_rep.add_argument("--table", dest="name", choices=list(REFERENCE_RESULTS), required=True)
     p_rep.add_argument("--data", default=None, help="explicit dataset file (otherwise the cache is searched)")
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--threads", type=int, default=1)
     _add_output_options(p_rep, default_format="text")
-    p_rep.set_defaults(func=cmd_reproduce)
+    p_rep.set_defaults(func=cmd_reproduce, dedupe=True, missing_token="?", missing_policy="treat-as-category")
 
     p_ver = sub.add_parser("verify", help="run a property audit; exit 1 on any violation")
     p_ver.add_argument("--suite", choices=["metric", "lemma1", "lemma2", "oracle"], required=True)
@@ -639,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--trials", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)
     _add_output_options(p_ver, default_format="text")
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=cmd_verify, dedupe=True)
 
     return parser
 
@@ -648,10 +647,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, FetchError, InstanceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (DatasetError, FetchError, InstanceTooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
 import json
 import urllib.error
+from fractions import Fraction
 import urllib.request
 
 import numpy as np
@@ -32,6 +33,18 @@ def toy_csv(tmp_path):
 def unlabeled_csv(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("\n".join(r.split(",", 1)[1] for r in TOY_ROWS) + "\n")
+    return path
+
+
+@pytest.fixture
+def votes_csv(tmp_path):
+    """Votes-shaped: 435 rows x 17 columns, two labels in column 0, a few "?" fields."""
+    ds = dataset.random_dataset(n=435, m=16, max_categories=3, seed=3, n_labels=2, min_categories=2)
+    rows = [[ds.label_name(label), *ds.decode(v)] for v, label in zip(ds.values, ds.labels)]
+    for i in range(6):
+        rows[37 * i + 5][1 + 11 * i % 16] = "?"
+    path = tmp_path / "votes.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
     return path
 
 
@@ -261,6 +274,14 @@ class TestVerify:
         assert "policy=reject" in capsys.readouterr().err
         assert cli.main([*argv, "--missing-policy", "reject", "--missing-token", "NA"]) == 0
 
+    @pytest.mark.parametrize("suite", ["metric", "lemma1", "lemma2", "oracle"])
+    def test_no_trials_is_an_error(self, capsys, toy_csv, suite):
+        code = cli.main(["verify", "--suite", suite, "--data", str(toy_csv), "--label-column", "0",
+                         "--trials", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "must be >= 1" in captured.err and captured.out == ""
+
     def test_dataset_suites_need_input(self, capsys):
         code = cli.main(["verify", "--suite", "metric"])
         assert code == 2
@@ -370,6 +391,33 @@ class TestReproduce:
         code = cli.main(["reproduce", "--table", "votes", "--data", str(toy_csv)])
         assert code == 2
         assert "does not look like the votes dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["reproduce", "--table", "votes"],
+                                         ["verify", "--suite", "metric", "--name", "votes"]])
+    def test_missing_explicit_path_is_named(self, capsys, tmp_path, command):
+        absent = tmp_path / "nope.csv"
+        assert cli.main([*command, "--data", str(absent)]) == 2
+        assert str(absent) in capsys.readouterr().err
+
+    def test_votes_rows_match_run(self, capsys, votes_csv):
+        record = run_json(capsys, ["reproduce", "--table", "votes", "--data", str(votes_csv),
+                                   "--format", "json"])
+        measured = record["measured"]
+
+        def run(algorithm):
+            report = run_json(capsys, ["run", "--data", str(votes_csv), "--label-column", "0", "--dedupe",
+                                       "--algorithm", algorithm, "--k", "2"])
+            return report["objectives"], report["evaluation"]
+
+        objectives, evaluation = run("kmodes")
+        assert measured["kmodes_objective"] == objectives["mode_objective"]
+        assert Fraction(measured["kmodes_error_exact"]) == Fraction(evaluation["error"]["exact"])
+        assert record["kmodes_confusion"] == evaluation["confusion"]["counts"]
+        objectives, evaluation = run("exhaustive")
+        assert measured["approx_medoid_objective"] == objectives["medoid_objective"]
+        assert measured["approx_mode_objective"] == objectives["mode_objective"]
+        assert Fraction(measured["approx_error_exact"]) == Fraction(evaluation["error"]["exact"])
+        assert record["approx_confusion"] == evaluation["confusion"]["counts"]
 
 
 class TestSolutionCommon:
