@@ -30,24 +30,24 @@ from .kmodes import (
 )
 from .medoids import (
     InstanceTooLargeError,
-    Lemma1Report,
-    Lemma2Report,
     LocalSearchConfig,
     MedoidSolution,
     audit_lemma1,
     audit_lemma2,
+    audit_oracle,
     brute_force_kmodes_objective,
     cost_of_medoid_set,
     exhaustive_search,
     exhaustive_search_naive,
     local_search,
 )
-from .metric import MetricReport, check_metric_properties
+from .metric import AuditReport, check_metric_properties
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributeDomain",
+    "AuditReport",
     "CategoricalDataset",
     "ConfusionMatrix",
     "DatasetError",
@@ -55,16 +55,14 @@ __all__ = [
     "InstanceTooLargeError",
     "KModesConfig",
     "KModesResult",
-    "Lemma1Report",
-    "Lemma2Report",
     "LocalSearchConfig",
     "MedoidSolution",
-    "MetricReport",
     "Schema",
     "accuracy_error",
     "assign_points",
     "audit_lemma1",
     "audit_lemma2",
+    "audit_oracle",
     "brute_force_kmodes_objective",
     "check_metric_properties",
     "confusion",

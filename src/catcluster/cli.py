@@ -25,7 +25,6 @@ from .dataset import (
     dataset_stats,
     dedupe,
     load_csv,
-    random_dataset,
 )
 from .evaluate import EvalReport, evaluate, format_rounded
 from .kmodes import KModesConfig, run_kmodes
@@ -35,8 +34,8 @@ from .medoids import (
     LocalSearchConfig,
     audit_lemma1,
     audit_lemma2,
+    audit_oracle,
     exhaustive_search,
-    exhaustive_search_naive,
     local_search,
 )
 from .metric import check_metric_properties
@@ -477,83 +476,35 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _verify_oracle(trials: int, seed: int):
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    violations = []
-    for _ in range(trials):
-        n = int(rng.integers(2, 41))
-        m = int(rng.integers(1, 7))
-        cats = int(rng.integers(2, 5))
-        k = int(rng.integers(1, min(3, n) + 1))
-        inst_seed = int(rng.integers(0, 2**63 - 1))
-        inst = random_dataset(n=n, m=m, max_categories=cats, seed=inst_seed)
-        scan = exhaustive_search(inst, k)
-        naive = exhaustive_search_naive(inst, k)
-        if (scan.medoid_objective, scan.medoid_indices) != (
-            naive.medoid_objective,
-            naive.medoid_indices,
-        ):
-            violations.append(
-                {
-                    "instance_seed": inst_seed,
-                    "n": n,
-                    "k": k,
-                    "scan": [scan.medoid_objective, list(scan.medoid_indices)],
-                    "naive": [naive.medoid_objective, list(naive.medoid_indices)],
-                }
-            )
-    return violations
-
-
 def cmd_verify(args) -> int:
     defaults = {"metric": 100000, "lemma1": 1000, "lemma2": 200, "oracle": 50}
     trials = args.trials if args.trials is not None else defaults[args.suite]
-    detail: dict = {}
-
-    if args.suite == "metric":
-        ds = _load(args)
-        report = check_metric_properties(ds, trials, args.seed)
-        violations = [{"triple": list(t), "axiom": a} for t, a in report.violations]
-        detail["triples_checked"] = report.triples_checked
-    elif args.suite == "lemma1":
-        ds = _load(args)
-        report = audit_lemma1(ds, trials, args.seed)
-        violations = [
-            {"subset_size": len(s), "medoid_cost": mc, "mode_cost": oc}
-            for s, mc, oc in report.violations
-        ]
-        detail["max_ratio"] = report.max_ratio
-        detail["histogram"] = [list(b) for b in report.histogram]
-    elif args.suite == "lemma2":
-        report = audit_lemma2(trials, args.seed)
-        violations = [
-            {"instance_seed": s, "medoid_optimum": a, "mode_optimum": b}
-            for s, a, b in report.violations
-        ]
-        detail["max_ratio"] = report.max_ratio
+    if args.suite in ("metric", "lemma1"):
+        audit = check_metric_properties if args.suite == "metric" else audit_lemma1
+        report = audit(_load(args), trials, args.seed)
+    elif args.name or args.data:
+        raise DatasetError(f"suite {args.suite!r} reads no input: drop --name and --data")
     else:
-        violations = _verify_oracle(trials, args.seed)
+        audit = audit_lemma2 if args.suite == "lemma2" else audit_oracle
+        report = audit(trials, args.seed)
 
-    passed = not violations
     record = {
         "version": __version__,
         "command": "verify",
         "suite": args.suite,
-        "trials": trials,
+        "trials": report.trials,
         "seed": args.seed,
-        "violations": violations,
-        "passed": passed,
-        **detail,
+        "violations": list(report.violations),
+        "passed": report.passed,
+        **report.figures,
     }
-    summary = f"verify {args.suite}: trials={trials} violations={len(violations)} -> " + (
-        "pass" if passed else "FAIL"
+    summary = f"verify {args.suite}: trials={trials} violations={len(report.violations)} -> " + (
+        "pass" if report.passed else "FAIL"
     )
-    if args.suite in ("lemma1", "lemma2"):
-        summary += f" (max ratio {detail['max_ratio']:.4f}, bound 2)"
+    if "max_ratio" in report.figures:
+        summary += f" (max ratio {report.figures['max_ratio']:.4f}, bound 2)"
     _emit(record, args.format, args.output, text=summary)
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def cmd_fetch(args) -> int:

@@ -8,9 +8,15 @@ enumeration is not affordable. Both need only distance rows d(j, .), and
 each call picks their source once, from the input size: the n x n matrix
 while it fits ``MATRIX_BUDGET``, rows computed on the fly past it, with
 identical results. Every sum of weighted distances runs through one exact
-sweep (:func:`_sweep`) over columns grouped by record weight. The audit
-functions empirically certify the two bounds the approximation argument
-rests on.
+sweep (:func:`_sweep`) over columns grouped by record weight.
+
+The audits empirically certify the two bounds the approximation argument
+rests on (:func:`audit_lemma1`, :func:`audit_lemma2`) and the scan against
+its enumeration oracle (:func:`audit_oracle`). Each returns a
+:class:`~catcluster.metric.AuditReport`, as the metric-axiom audit does. The
+oracles they compare with, :func:`exhaustive_search_naive` and
+:func:`brute_force_kmodes_objective`, enumerate every subset or partition
+with plain counts, apart from the kernel and the sweep.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import CategoricalDataset, random_dataset
-from .metric import cluster_counts, hamming, heaviest, matrix_dtype, member_costs
+from .metric import AuditReport, cluster_counts, hamming, heaviest, matrix_dtype, member_costs
 
 # distance terms n * C(n, k) the scan may sum without force=True: 15 to 50 s
 # on one thread at the 1e9 to 3.3e9 terms/s measured on 2 vCPUs
@@ -64,8 +70,8 @@ class LocalSearchConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.min_relative_improvement < 0:
-            raise ValueError("min_relative_improvement must be >= 0")
+        if not (math.isfinite(self.min_relative_improvement) and self.min_relative_improvement >= 0):
+            raise ValueError("min_relative_improvement must be finite and >= 0")
 
 
 @dataclass
@@ -282,6 +288,8 @@ def exhaustive_search(
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if n * math.comb(n, k) > EXHAUSTIVE_GATE and not force:
         raise InstanceTooLargeError(
             f"exhaustive enumeration over {n} records at k={k} exceeds the gate of "
@@ -292,7 +300,7 @@ def exhaustive_search(
     rows = _distance_rows(dataset.values, columns.order)
     base, excluded = _kept_base(rows, ()), np.zeros(n, dtype=bool)
     # k = 1 has no prefix to split: its scan is one pass over all completions
-    parts = max(1, min(workers, os.cpu_count() or 1)) if k > 1 else 1
+    parts = min(workers, os.cpu_count() or 1) if k > 1 else 1
     ranges = _balanced_first_ranges(n, k, parts)
     with ThreadPoolExecutor(max_workers=len(ranges)) as ex:  # numpy releases the GIL
         results = list(ex.map(lambda heads: _scan(rows, columns, base, excluded, k, heads), ranges))
@@ -443,25 +451,13 @@ def _best_swap(rows, columns, medoids, p, last):
     return best
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Best-medoid vs mode cost ratios over sampled subsets; the bound is 2."""
-
-    trials: int
-    max_ratio: float
-    histogram: tuple[tuple[float, float, int], ...]
-    violations: tuple[tuple[tuple[int, ...], int, int], ...]  # (subset, medoid cost, mode cost)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def audit_lemma1(dataset: CategoricalDataset, trials: int, seed: int) -> Lemma1Report:
+def audit_lemma1(dataset: CategoricalDataset, trials: int, seed: int) -> AuditReport:
     """Sample random non-empty record subsets; check that the best member
     representative costs at most twice the mode on every one. The 0/0 case
     (singleton or all-identical subsets) counts as ratio 1. Both costs come
-    from the subset's one-cluster count table; no distance block is built."""
+    from the subset's one-cluster count table; no distance block is built.
+    Figures: the largest ratio and a 20-bin histogram of the ratios over
+    [0, 2], as [low, high, count] bins."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -480,18 +476,11 @@ def audit_lemma1(dataset: CategoricalDataset, trials: int, seed: int) -> Lemma1R
         m_cost = int(counts.sum()) - int(heaviest(counts, sizes)[1].sum())
         ratios[t] = 1.0 if m_cost == 0 else medoid_cost / m_cost
         if medoid_cost > 2 * m_cost:
-            violations.append((tuple(int(i) for i in idx), medoid_cost, m_cost))
+            violations.append({"subset_size": s, "medoid_cost": medoid_cost, "mode_cost": m_cost})
 
     counts, edges = np.histogram(ratios, bins=20, range=(0.0, 2.0))
-    histogram = tuple(
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
-    )
-    return Lemma1Report(
-        trials=trials,
-        max_ratio=float(ratios.max()),
-        histogram=histogram,
-        violations=tuple(violations),
-    )
+    histogram = [[float(edges[i]), float(edges[i + 1]), int(counts[i])] for i in range(len(counts))]
+    return AuditReport(trials, tuple(violations), {"max_ratio": float(ratios.max()), "histogram": histogram})
 
 
 def brute_force_kmodes_objective(dataset: CategoricalDataset, k: int, cap: int = 5_000_000) -> int:
@@ -526,23 +515,10 @@ def brute_force_kmodes_objective(dataset: CategoricalDataset, k: int, cap: int =
     return best
 
 
-@dataclass(frozen=True)
-class Lemma2Report:
-    """Medoid optimum vs partition-brute-force mode optimum on random instances."""
-
-    trials: int
-    max_ratio: float
-    violations: tuple[tuple[int, int, int], ...]  # (instance seed, medoid opt, mode opt)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def audit_lemma2(trials: int, seed: int) -> Lemma2Report:
+def audit_lemma2(trials: int, seed: int) -> AuditReport:
     """On seeded random instances of ``_LEMMA2_K`` to ``_LEMMA2_N`` records,
     certify that the optimal member-restricted objective is at most twice the
-    optimal mode objective."""
+    optimal mode objective. Figure: the largest ratio of the two."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -558,5 +534,31 @@ def audit_lemma2(trials: int, seed: int) -> Lemma2Report:
         ratio = 1.0 if mode_opt == 0 else medoid_opt / mode_opt
         max_ratio = max(max_ratio, ratio)
         if medoid_opt > 2 * mode_opt:
-            violations.append((inst_seed, medoid_opt, mode_opt))
-    return Lemma2Report(trials=trials, max_ratio=max_ratio, violations=tuple(violations))
+            violations.append(
+                {"instance_seed": inst_seed, "medoid_optimum": medoid_opt, "mode_optimum": mode_opt}
+            )
+    return AuditReport(trials, tuple(violations), {"max_ratio": max_ratio})
+
+
+def audit_oracle(trials: int, seed: int) -> AuditReport:
+    """On seeded random instances of 2 to 40 records and k <= 3, certify that
+    :func:`exhaustive_search` returns the objective and the medoid tuple of
+    the enumeration oracle :func:`exhaustive_search_naive`."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    violations = []
+    for _ in range(trials):
+        n = int(rng.integers(2, 41))
+        m = int(rng.integers(1, 7))
+        cats = int(rng.integers(2, 5))
+        k = int(rng.integers(1, min(3, n) + 1))
+        inst_seed = int(rng.integers(0, 2**63 - 1))
+        inst = random_dataset(n=n, m=m, max_categories=cats, seed=inst_seed)
+        scan, naive = exhaustive_search(inst, k), exhaustive_search_naive(inst, k)
+        found = [[sol.medoid_objective, list(sol.medoid_indices)] for sol in (scan, naive)]
+        if found[0] != found[1]:
+            violations.append(
+                {"instance_seed": inst_seed, "n": n, "k": k, "scan": found[0], "naive": found[1]}
+            )
+    return AuditReport(trials, tuple(violations))

@@ -15,7 +15,7 @@ sizes) table (:func:`cluster_counts`); every cluster's mode and mode cost
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,36 +123,37 @@ def member_costs(
 
 
 @dataclass(frozen=True)
-class MetricReport:
-    """Outcome of the metric-axiom audit over sampled triples."""
+class AuditReport:
+    """Outcome of an audit, as ``verify`` prints it: the number of trials, each
+    violation as a JSON-ready record, and the suite's own ``figures`` (such
+    as the largest cost ratio seen)."""
 
-    triples_checked: int
-    violations: tuple[tuple[tuple[int, int, int], str], ...]
+    trials: int
+    violations: tuple[dict, ...]
+    figures: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-def check_metric_properties(
-    dataset: CategoricalDataset, sample_size: int, seed: int
-) -> MetricReport:
-    """Assert the four metric axioms on ``sample_size`` seeded random triples,
+def check_metric_properties(dataset: CategoricalDataset, trials: int, seed: int) -> AuditReport:
+    """Assert the four metric axioms on ``trials`` seeded random triples,
     with the distances read from :func:`hamming`, the kernel every solver
     runs. Each is also counted directly, attribute by attribute; a difference
     is a "kernel mismatch" violation.
 
-    Violations are returned as data, not raised; a non-empty list indicates an
-    implementation bug, never a property of the input data.
+    Violations are returned as data, not raised; any one indicates
+    an implementation bug, never a property of the input data.
     """
-    if sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     v = dataset.values
     n = dataset.n_records
-    i = rng.integers(0, n, size=sample_size)
-    j = rng.integers(0, n, size=sample_size)
-    k = rng.integers(0, n, size=sample_size)
+    i = rng.integers(0, n, size=trials)
+    j = rng.integers(0, n, size=trials)
+    k = rng.integers(0, n, size=trials)
 
     def kernel(a, b):  # d(v[a_t], v[b_t]): the diagonals of small blocks of hamming
         out = np.empty(len(a), dtype=np.int64)
@@ -167,11 +168,11 @@ def check_metric_properties(
     direct_ik = (v[i] != v[k]).sum(axis=1)
     equal_ij = (v[i] == v[j]).all(axis=1)
 
-    violations: list[tuple[tuple[int, int, int], str]] = []
+    violations = []
 
     def record_violations(mask: np.ndarray, axiom: str):
         for t in np.flatnonzero(mask):
-            violations.append(((int(i[t]), int(j[t]), int(k[t])), axiom))
+            violations.append({"triple": [int(i[t]), int(j[t]), int(k[t])], "axiom": axiom})
 
     record_violations(
         (d_ij != direct_ij) | (d_ji != direct_ij) | (d_jk != direct_jk) | (d_ik != direct_ik),
@@ -183,4 +184,4 @@ def check_metric_properties(
     record_violations(d_ij != d_ji, "symmetry")
     record_violations(d_ij + d_jk < d_ik, "triangle inequality")
 
-    return MetricReport(triples_checked=sample_size, violations=tuple(violations))
+    return AuditReport(trials, tuple(violations), {"triples_checked": trials})

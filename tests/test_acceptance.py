@@ -16,6 +16,7 @@ from catcluster import (
     accuracy_error,
     audit_lemma1,
     audit_lemma2,
+    audit_oracle,
     check_metric_properties,
     evaluate,
     exhaustive_search,
@@ -24,7 +25,6 @@ from catcluster import (
     random_dataset,
     run_kmodes,
 )
-from catcluster.cli import _verify_oracle
 from catcluster.evaluate import ConfusionMatrix
 from catcluster.metric import cluster_counts, heaviest
 
@@ -158,8 +158,8 @@ def test_06a_metric_axioms_votes():
     dt = time.perf_counter() - t0
     _report(
         "6-votes",
-        report.passed and report.triples_checked == 100_000 and dt < 10.0,
-        f"{report.triples_checked} triples, {len(report.violations)} violations, "
+        report.passed and report.figures["triples_checked"] == 100_000 and dt < 10.0,
+        f"{report.figures['triples_checked']} triples, {len(report.violations)} violations, "
         f"{dt:.2f}s (<10s)",
     )
 
@@ -172,8 +172,8 @@ def test_06b_metric_axioms_mushroom():
     dt = time.perf_counter() - t0
     _report(
         "6-mushroom",
-        report.passed and report.triples_checked == 100_000 and dt < 10.0,
-        f"{report.triples_checked} triples, {len(report.violations)} violations, "
+        report.passed and report.figures["triples_checked"] == 100_000 and dt < 10.0,
+        f"{report.figures['triples_checked']} triples, {len(report.violations)} violations, "
         f"{dt:.2f}s (<10s)",
     )
 
@@ -186,8 +186,8 @@ def test_07_medoid_vs_mode_cost_ratio_votes():
     dt = time.perf_counter() - t0
     _report(
         "7",
-        report.passed and report.max_ratio <= 2.0 and dt < 60.0,
-        f"1000 subsets, max best-medoid/mode ratio {report.max_ratio:.4f} <= 2, "
+        report.passed and report.figures["max_ratio"] <= 2.0 and dt < 60.0,
+        f"1000 subsets, max best-medoid/mode ratio {report.figures['max_ratio']:.4f} <= 2, "
         f"{dt:.2f}s (<60s)",
     )
 
@@ -198,20 +198,20 @@ def test_08_medoid_vs_mode_optimum_random_instances():
     dt = time.perf_counter() - t0
     _report(
         "8",
-        report.passed and report.max_ratio <= 2.0 and dt < 60.0,
-        f"200 instances, max medoid-opt/mode-opt ratio {report.max_ratio:.4f} <= 2, "
+        report.passed and report.figures["max_ratio"] <= 2.0 and dt < 60.0,
+        f"200 instances, max medoid-opt/mode-opt ratio {report.figures['max_ratio']:.4f} <= 2, "
         f"{dt:.2f}s (<60s)",
     )
 
 
 def test_09_scan_matches_naive_enumeration():
     t0 = time.perf_counter()
-    violations = _verify_oracle(50, seed=0)
+    report = audit_oracle(50, seed=0)
     dt = time.perf_counter() - t0
     _report(
         "9",
-        violations == [] and dt < 60.0,
-        f"50 instances, {len(violations)} objective/tuple mismatches, {dt:.2f}s (<60s)",
+        report.violations == () and dt < 60.0,
+        f"50 instances, {len(report.violations)} objective/tuple mismatches, {dt:.2f}s (<60s)",
     )
 
 

@@ -6,7 +6,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from catcluster import cli, dataset
+from catcluster import cli, dataset, medoids, metric
 
 from conftest import dataset_from_rows
 
@@ -211,6 +211,14 @@ class TestRunErrors:
                          "--algorithm", "kmodes", "--k", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_an_error(self, capsys, toy_csv, threads):
+        code = cli.main(["run", "--data", str(toy_csv), "--label-column", "0",
+                         "--algorithm", "exhaustive", "--k", "2", "--threads", threads])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "workers must be >= 1" in captured.err and captured.out == ""
+
     def test_exhaustive_gate_names_force(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("\n".join(f"v{i % 5},w{i % 7}" for i in range(2001)) + "\n")
@@ -276,11 +284,39 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["metric", "lemma1", "lemma2", "oracle"])
     def test_no_trials_is_an_error(self, capsys, toy_csv, suite):
-        code = cli.main(["verify", "--suite", suite, "--data", str(toy_csv), "--label-column", "0",
-                         "--trials", "0"])
+        data = ["--data", str(toy_csv), "--label-column", "0"] if suite in ("metric", "lemma1") else []
+        code = cli.main(["verify", "--suite", suite, *data, "--trials", "0"])
         assert code == 2
         captured = capsys.readouterr()
-        assert "must be >= 1" in captured.err and captured.out == ""
+        assert "trials must be >= 1" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["lemma2", "oracle"])
+    @pytest.mark.parametrize("flag", ["--data", "--name"])
+    def test_no_input_suites_refuse_input(self, capsys, toy_csv, suite, flag):
+        source = str(toy_csv) if flag == "--data" else "votes"
+        code = cli.main(["verify", "--suite", suite, flag, source, "--trials", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"suite {suite!r} reads no input" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("suite,keys", [
+        ("metric", {"triple", "axiom"}),
+        ("lemma1", {"subset_size", "medoid_cost", "mode_cost"}),
+    ])
+    def test_violations_exit_1(self, capsys, toy_csv, monkeypatch, suite, keys):
+        # each suite meets its own fault: a kernel that never reads the last
+        # attribute, and best members priced at three times their cost
+        hamming, member_costs = metric.hamming, medoids.member_costs
+        monkeypatch.setattr(metric, "hamming", lambda a, b: hamming(a[:, :-1], b[:, :-1]))
+        monkeypatch.setattr(medoids, "member_costs", lambda *args: 3 * member_costs(*args))
+        argv = ["verify", "--suite", suite, "--data", str(toy_csv), "--label-column", "0", "--trials", "50"]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"verify {suite}: trials=50 violations=") and "-> FAIL" in out
+        assert cli.main([*argv, "--format", "json"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["passed"] is False and record["violations"]
+        assert all(set(violation) == keys for violation in record["violations"])
 
     def test_dataset_suites_need_input(self, capsys):
         code = cli.main(["verify", "--suite", "metric"])

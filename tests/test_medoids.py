@@ -127,6 +127,12 @@ class TestExhaustiveSearch:
         with pytest.raises(ValueError):
             exhaustive_search(four_point, 5)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_invalid_workers(self, four_point, k):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                exhaustive_search(four_point, k, workers=workers)
+
     def test_worker_and_matrix_parity(self, monkeypatch):
         ds = random_dataset(n=55, m=5, max_categories=3, seed=21)
         base = exhaustive_search(ds, 3)
@@ -261,8 +267,9 @@ class TestLocalSearch:
             LocalSearchConfig(p=0)
         with pytest.raises(ValueError):
             LocalSearchConfig(restarts=0)
-        with pytest.raises(ValueError):
-            LocalSearchConfig(min_relative_improvement=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                LocalSearchConfig(min_relative_improvement=bad)
 
     def test_deterministic_given_seed(self):
         ds = random_dataset(n=80, m=5, max_categories=3, seed=17)
@@ -577,19 +584,19 @@ class TestLemmaAudits:
     def test_lemma1_hand_cluster(self, aq_cluster):
         report = audit_lemma1(aq_cluster, trials=50, seed=0)
         assert report.passed
-        assert report.max_ratio <= 2.0
+        assert report.figures["max_ratio"] <= 2.0
 
     def test_lemma1_identical_rows_ratio_is_one(self):
         ds = dataset_from_rows([["a", "b"]] * 5)
         report = audit_lemma1(ds, trials=20, seed=1)
         assert report.passed
-        assert report.max_ratio == 1.0
+        assert report.figures["max_ratio"] == 1.0
 
     def test_lemma1_histogram_covers_trials(self):
         ds = random_dataset(n=50, m=5, max_categories=3, seed=11)
         report = audit_lemma1(ds, trials=200, seed=3)
         assert report.passed
-        assert sum(count for _, _, count in report.histogram) == 200
+        assert sum(count for _, _, count in report.figures["histogram"]) == 200
         assert report.trials == 200
 
     # reports of the matrix-backed audit that preceded the count-based one
@@ -611,14 +618,14 @@ class TestLemmaAudits:
             ds = dedupe(ds)
             assert ds.weights.max() > 1
         report = audit_lemma1(ds, trials=trials, seed=seed)
-        assert report.max_ratio == max_ratio
-        assert [count for _, _, count in report.histogram] == [histogram.get(b, 0) for b in range(20)]
+        assert report.figures["max_ratio"] == max_ratio
+        assert [count for _, _, count in report.figures["histogram"]] == [histogram.get(b, 0) for b in range(20)]
         assert report.violations == ()
 
     def test_lemma2_small_run_passes(self):
         report = audit_lemma2(trials=40, seed=0)
         assert report.passed
-        assert report.max_ratio <= 2.0
+        assert report.figures["max_ratio"] <= 2.0
         assert report.trials == 40
 
     def test_partition_oracle_on_hand_instance(self, four_point):

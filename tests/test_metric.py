@@ -166,7 +166,7 @@ class TestMetricAudit:
         ds = random_dataset(n=300, m=10, max_categories=5, seed=7)
         report = check_metric_properties(ds, 20000, seed=0)
         assert report.passed
-        assert report.triples_checked == 20000
+        assert report.figures == {"triples_checked": 20000}
         assert report.violations == ()
 
     def test_single_record_dataset(self):
@@ -185,7 +185,7 @@ class TestMetricAudit:
         monkeypatch.setattr(metric, "hamming", lambda a, b: real(a[:, :-1], b[:, :-1]))
         report = check_metric_properties(ds, 500, seed=0)
         assert not report.passed
-        assert {axiom for _, axiom in report.violations} >= {"kernel mismatch"}
+        assert {v["axiom"] for v in report.violations} >= {"kernel mismatch"}
 
     def test_seeded_reproducibility(self):
         ds = random_dataset(n=50, m=5, max_categories=4, seed=2)
