@@ -219,6 +219,17 @@ class TestRunErrors:
         captured = capsys.readouterr()
         assert "workers must be >= 1" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["run", "--algorithm", "kmodes", "--k", "2"],
+                                         ["run", "--algorithm", "local-search", "--k", "2"],
+                                         ["reproduce", "--table", "mushroom"]])
+    def test_threads_refused_at_the_parser(self, capsys, toy_csv, command, threads):
+        code = cli.main([*command, "--data", str(toy_csv), "--threads", threads])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"argument --threads: workers must be >= 1, got {threads}" in captured.err
+        assert captured.out == ""
+
     def test_exhaustive_gate_names_force(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("\n".join(f"v{i % 5},w{i % 7}" for i in range(2001)) + "\n")
