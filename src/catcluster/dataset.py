@@ -64,14 +64,42 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def unsigned_dtype(top: int):
+    """Smallest unsigned integer width that holds every integer in [0, top]:
+    the width of category codes (``top`` = largest domain size - 1) and of
+    distances (``top`` = m)."""
+    if top <= np.iinfo(np.uint8).max:
+        return np.uint8
+    if top <= np.iinfo(np.uint16).max:
+        return np.uint16
+    return np.uint32
+
+
+def _codes(ids, sizes: np.ndarray) -> np.ndarray:
+    """Category ids checked against their domain sizes (one per column, or one
+    for a vector) in the caller's integer dtype, so that no id wraps and no
+    wider copy is made, then held read-only in the narrowest unsigned width
+    of the largest domain."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise DatasetError(f"category ids must be integers, not {ids.dtype}")
+    if ids.size and (ids.min() < 0 or (ids.max(axis=0) >= sizes).any()):
+        raise DatasetError("category id out of domain range")
+    return _readonly(np.ascontiguousarray(ids, dtype=unsigned_dtype(int(np.max(sizes, initial=0)) - 1)))
+
+
 @dataclass(frozen=True)
 class CategoricalDataset:
     """Encoded categorical data: value matrix, weights, optional labels.
 
-    ``values`` is an (n_records, m) int32 matrix of category ids.
-    ``total_weight`` is the original row count; it equals ``weights.sum()``
-    whether or not duplicates were merged. Arrays are frozen read-only, so
-    a dataset is safe to share across threads.
+    ``values`` is an (n_records, m) matrix of category ids and ``labels`` a
+    vector of label ids, each in the narrowest unsigned width that holds its
+    largest domain (:func:`unsigned_dtype`): uint8 up to 256 categories,
+    uint16 up to 65 536, else uint32. Ids are checked against the domains in
+    the dtype they are given in; cast them to a signed type before signed
+    arithmetic. ``total_weight`` is the original row count; it equals
+    ``weights.sum()`` whether or not duplicates were merged. Arrays are frozen
+    read-only, so a dataset is safe to share across threads.
     """
 
     schema: Schema
@@ -81,20 +109,19 @@ class CategoricalDataset:
     total_weight: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(np.ascontiguousarray(self.values, dtype=np.int32)))
+        if np.ndim(self.values) != 2 or np.shape(self.values)[1] != self.schema.m:
+            raise DatasetError("value matrix shape does not match schema")
+        object.__setattr__(self, "values", _codes(self.values, self.schema.domain_sizes()))
         object.__setattr__(self, "weights", _readonly(np.ascontiguousarray(self.weights, dtype=np.int64)))
         if self.labels is not None:
-            object.__setattr__(self, "labels", _readonly(np.ascontiguousarray(self.labels, dtype=np.int32)))
-        if self.values.ndim != 2 or self.values.shape[1] != self.schema.m:
-            raise DatasetError("value matrix shape does not match schema")
+            domain = self.schema.label_domain
+            if domain is None or np.shape(self.labels) != (self.n_records,):
+                raise DatasetError("labels need a label domain and one label per record")
+            object.__setattr__(self, "labels", _codes(self.labels, np.int64(domain.size)))
         if int(self.weights.sum()) != self.total_weight:
             raise DatasetError("record weights do not add up to total_weight")
         if (self.weights < 1).any():
             raise DatasetError("record weights must be positive")
-        # per-column extremes: no (n, m) temporary, nor an int64 one from comparing with the sizes
-        low, high = self.values.min(initial=0), self.values.max(axis=0, initial=-1)
-        if low < 0 or (high >= self.schema.domain_sizes()).any():
-            raise DatasetError("category id out of domain range")
 
     @property
     def n_records(self) -> int:
@@ -124,12 +151,12 @@ def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct row of ``keys``, in first-appearance order,
     and each row's group: the position of its distinct row in that order.
 
-    ``keys`` are non-negative codes; rows are sorted as bytes in the
-    narrowest unsigned width that holds every code (one byte per code while
-    no domain has more than 256 categories). The result does not depend on
-    that width: it is re-ranked to first-appearance order.
+    ``keys`` are integer codes; rows are sorted as bytes in the keys' own
+    dtype, which for a dataset's codes is already their narrowest width (one
+    byte per code while no domain has more than 256 categories). The result
+    does not depend on that width: it is re-ranked to first-appearance order.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.min_scalar_type(int(keys.max(initial=0))))
+    keys = np.ascontiguousarray(keys)
     rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted distinct rows -> first-appearance order
@@ -167,7 +194,10 @@ def load_csv(
     like any other category; ``reject`` raises on the first occurrence.
     Blank lines are skipped; error messages name the physical file line. A
     header row, when present, fixes the number of fields of every row.
-    Rows are read ``_CHUNK_ROWS`` at a time and encoded column by column.
+    Rows are read ``_CHUNK_ROWS`` at a time and encoded column by column
+    into an int32 block, which is then kept in the narrowest unsigned width
+    of the largest table so far; the feature columns are copied from those
+    narrow blocks into the dataset's own width, one block at a time.
     """
     if missing_policy not in ("treat-as-category", "reject"):
         raise DatasetError(f"unknown missing_policy {missing_policy!r}")
@@ -182,7 +212,7 @@ def load_csv(
         n_cols = len(first) if names is None else len(names)  # a header fixes the width
         tables: list[dict[str, int]] = [{} for _ in range(n_cols)]
         first_missing: dict[int, int] = {}  # column -> first data row holding the missing token
-        blocks: list[np.ndarray] = []  # one (chunk rows, n_cols) id block per chunk
+        blocks: list[np.ndarray] = []  # one narrow (chunk rows, n_cols) id block per chunk
         n_rows = 0
         rows = itertools.chain([first], rows)
         while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
@@ -200,7 +230,7 @@ def load_csv(
                 block[:, c] = operator.itemgetter(*col)(table)  # a 1-row chunk gives a scalar
                 if missing_policy == "reject" and c not in first_missing and missing_token in table:
                     first_missing[c] = n_rows + col.index(missing_token)
-            blocks.append(block)
+            blocks.append(block.astype(unsigned_dtype(max(map(len, tables)) - 1)))
             n_rows += len(chunk)
 
     label_idx = None if label_column is None else _resolve_label_column(label_column, names, n_cols)
@@ -216,13 +246,16 @@ def load_csv(
             f"column {names[c]!r} (policy=reject)"
         )
 
-    # take keeps each block row-major; block[:, cols] would give a column-major copy
-    values = np.concatenate([block.take(feature_cols, axis=1) for block in blocks])
+    attributes = tuple(AttributeDomain(name=names[c], categories=tuple(tables[c])) for c in feature_cols)
+    values = np.empty((n_rows, len(feature_cols)), dtype=unsigned_dtype(max(a.size for a in attributes) - 1))
+    start = 0
+    for block in blocks:
+        values[start : start + len(block)] = block.take(feature_cols, axis=1)
+        start += len(block)
     labels = label_domain = None
     if label_idx is not None:
         labels = np.concatenate([block[:, label_idx] for block in blocks])
         label_domain = AttributeDomain(name=names[label_idx], categories=tuple(tables[label_idx]))
-    attributes = tuple(AttributeDomain(name=names[c], categories=tuple(tables[c])) for c in feature_cols)
     return CategoricalDataset(
         schema=Schema(attributes=attributes, label_domain=label_domain),
         values=values,
@@ -298,7 +331,7 @@ def random_dataset(
         raise DatasetError("invalid random_dataset parameters")
     rng = np.random.default_rng(seed)
     sizes = rng.integers(min_categories, max_categories + 1, size=m)
-    values = np.empty((n, m), dtype=np.int32)
+    values = np.empty((n, m), dtype=unsigned_dtype(int(sizes.max()) - 1))
     for r in range(m):
         values[:, r] = rng.integers(0, sizes[r], size=n)
     attributes = tuple(
@@ -307,7 +340,7 @@ def random_dataset(
     )
     labels = label_domain = None
     if n_labels > 0:
-        labels = rng.integers(0, n_labels, size=n).astype(np.int32)
+        labels = rng.integers(0, n_labels, size=n)
         label_domain = AttributeDomain(name="label", categories=tuple(f"L{c}" for c in range(n_labels)))
     return CategoricalDataset(
         schema=Schema(attributes=attributes, label_domain=label_domain),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import CategoricalDataset, DatasetError
-from .metric import cluster_counts, hamming, heaviest
+from .metric import cluster_counts, hamming, heaviest, member_costs
 
 INIT_METHODS = ("first-k-distinct", "random")
 
@@ -63,7 +63,7 @@ def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
         rng = np.random.default_rng(config.seed)
         picks = rng.choice(len(distinct), size=config.k, replace=False)
         chosen = distinct[picks]
-    return dataset.values[chosen].astype(np.int32)
+    return dataset.values[chosen]
 
 
 def assign_points(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -73,8 +73,11 @@ def assign_points(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return np.argmin(hamming(values, modes), axis=1)  # first minimum = lowest cluster index
 
 
-def _objective(values, weights, modes, assignment) -> int:
-    return int(((values != modes[assignment]).sum(axis=1) * weights).sum())
+def _objective(counts, sizes, modes) -> int:
+    """Summed weighted distance of every record to its cluster's mode, read
+    from the clusters' count table: each mode's cost as its own cluster's
+    representative, with no (n, m) block."""
+    return int(member_costs(counts, sizes, modes, np.arange(len(modes))).sum())
 
 
 def _reseed_empty_clusters(values, assignment, modes, k) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -120,13 +123,14 @@ def run_kmodes(dataset: CategoricalDataset, config: KModesConfig, debug: bool = 
     for it in range(1, config.max_iterations + 1):
         iterations = it
         # per attribute, a category of maximal weight in each cluster; first maximum = smallest id
-        modes = heaviest(cluster_counts(values, weights, sizes, assignment, k), sizes)[0].astype(np.int32)
+        counts = cluster_counts(values, weights, sizes, assignment, k)
+        modes = heaviest(counts, sizes)[0].astype(values.dtype)
         new_assignment = assign_points(values, modes)
         new_assignment, modes, reseeded = _reseed_empty_clusters(values, new_assignment, modes, k)
         if reseeded:
             reseeded_iters.append(it)
         if debug:
-            obj = _objective(values, weights, modes, new_assignment)
+            obj = _objective(cluster_counts(values, weights, sizes, new_assignment, k), sizes, modes)
             if history and it not in reseeded_iters and obj > history[-1]:
                 raise RuntimeError(f"objective increased {history[-1]} -> {obj} at iteration {it}")
             history.append(obj)
@@ -134,11 +138,13 @@ def run_kmodes(dataset: CategoricalDataset, config: KModesConfig, debug: bool = 
             converged = True
             break
         assignment = new_assignment
+    if not converged:  # the last table counted the assignment before the last step
+        counts = cluster_counts(values, weights, sizes, assignment, k)
 
     return KModesResult(
         assignment=assignment,
         modes=modes,
-        mode_objective=_objective(values, weights, modes, assignment),
+        mode_objective=_objective(counts, sizes, modes),
         iterations=iterations,
         converged=converged,
         objective_history=tuple(history) if debug else None,

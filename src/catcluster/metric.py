@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CategoricalDataset
+from .dataset import CategoricalDataset, unsigned_dtype
 
-_BLOCK_BYTES = 1 << 22  # one one-hot block, and one block of the float product
+_BLOCK_BYTES = 1 << 22  # one one-hot block; an a-side block with its scatter index and product
 # each side is encoded again for every block of the other: fewer rows than
 # this and the encoding, not the product, takes the time on wide domains
 _MIN_BLOCK_ROWS = 256
@@ -31,11 +31,7 @@ _COUNT_ROWS = 4096  # records one scatter of the count table takes: bounds its t
 
 def matrix_dtype(m: int):
     """Smallest unsigned integer width that holds a distance in [0, m]."""
-    if m <= np.iinfo(np.uint8).max:
-        return np.uint8
-    if m <= np.iinfo(np.uint16).max:
-        return np.uint16
-    return np.uint32
+    return unsigned_dtype(m)
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -68,11 +64,12 @@ def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b_rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (width * ftype.itemsize))
     for bs in range(0, b.shape[0], b_rows):
         xb = _onehot(b[bs : bs + b_rows], offsets, width, ftype)
-        a_rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (max(width, xb.shape[0]) * ftype.itemsize))
+        # an a-side row costs its one-hot row, its int64 scatter index and its row of the product
+        a_rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // ((width + xb.shape[0]) * ftype.itemsize + m * 8))
         for s in range(0, a.shape[0], a_rows):
-            xa = _onehot(a[s : s + a_rows], offsets, width, ftype)
-            block = out[s : s + a_rows, bs : bs + b_rows]
-            np.subtract(m, xa @ xb.T, out=block, casting="unsafe")
+            # one expression: neither the one-hot block nor its product outlives this step
+            np.subtract(m, _onehot(a[s : s + a_rows], offsets, width, ftype) @ xb.T,
+                        out=out[s : s + a_rows, bs : bs + b_rows], casting="unsafe")
     return out
 
 

@@ -3,6 +3,7 @@ import io
 import os
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catcluster import DatasetError, dataset, dataset_stats, dedupe, load_csv, random_dataset
-from catcluster.dataset import AttributeDomain, Schema, distinct_rows
+from catcluster.dataset import AttributeDomain, CategoricalDataset, Schema, distinct_rows
 
 from conftest import dataset_from_rows
 
@@ -415,3 +416,105 @@ class TestStatsAndValidation:
         assert ds.weights[0] == 1
         assert ds.label_name(ds.labels[0]) == "x"
         assert ds.decode(ds.values[0]) == ["a", "p"]
+
+
+def coded(sizes, values, labels=None, label_size=0):
+    """A dataset over domains of the given sizes, from raw id arrays."""
+    attributes = tuple(
+        AttributeDomain(name=f"a{j}", categories=tuple(map(str, range(s)))) for j, s in enumerate(sizes)
+    )
+    label_domain = AttributeDomain("y", tuple(map(str, range(label_size)))) if label_size else None
+    n = len(values)
+    return CategoricalDataset(
+        schema=Schema(attributes=attributes, label_domain=label_domain),
+        values=values,
+        weights=np.ones(n, dtype=np.int64),
+        labels=labels,
+        total_weight=n,
+    )
+
+
+class TestCodeWidth:
+    @pytest.mark.parametrize(
+        "largest, width", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)]
+    )
+    def test_codes_take_the_narrowest_width_of_the_largest_domain(self, largest, width):
+        values = np.array([[0, largest - 1], [1, 0]], dtype=np.int64)
+        ds = coded([2, largest], values, labels=np.array([largest - 1, 0]), label_size=largest)
+        assert ds.values.dtype == width and ds.labels.dtype == width
+        assert ds.values.tolist() == values.tolist() and ds.labels.tolist() == [largest - 1, 0]
+        assert dataset.unsigned_dtype(largest - 1) == width
+
+    def test_labels_follow_the_label_domain(self):
+        ds = coded([300], np.array([[299], [0]]), labels=np.array([1, 0]), label_size=2)
+        assert (ds.values.dtype, ds.labels.dtype) == (np.uint16, np.uint8)
+        ds = coded([2], np.array([[1], [0]]), labels=np.array([299, 0]), label_size=300)
+        assert (ds.values.dtype, ds.labels.dtype) == (np.uint8, np.uint16)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8])
+    def test_out_of_range_ids_raise_in_the_given_dtype(self, dtype):
+        good = np.array([[0, 2], [1, 0]], dtype=dtype)
+        ds = coded([2, 3], good, labels=np.array([1, 0], dtype=dtype), label_size=2)
+        assert ds.values.tolist() == good.tolist() and ds.values.dtype == np.uint8
+        assert not ds.values.flags.writeable and not ds.labels.flags.writeable
+        signed = np.dtype(dtype).kind == "i"
+        for bad in [3, -1] if signed else [3]:  # -1 must not wrap to 255
+            values = good.copy()
+            values[0, 1] = bad
+            with pytest.raises(DatasetError, match="out of domain range"):
+                coded([2, 3], values)
+        for bad in [2, -1] if signed else [2]:
+            with pytest.raises(DatasetError, match="out of domain range"):
+                coded([2, 3], good, labels=np.array([bad, 0], dtype=dtype), label_size=2)
+
+    def test_non_integer_ids_and_stray_labels_raise(self):
+        with pytest.raises(DatasetError, match="integers"):
+            coded([2], np.array([[0.0], [1.0]]))
+        with pytest.raises(DatasetError, match="label domain"):
+            coded([2], np.array([[0], [1]]), labels=np.array([0, 1]))
+        with pytest.raises(DatasetError, match="one label per record"):
+            coded([2], np.array([[0], [1]]), labels=np.array([0]), label_size=2)
+
+
+class TestWidthBoundary:
+    @pytest.mark.parametrize("chunk_rows", [2, 3])
+    @pytest.mark.parametrize("label_column", [None, 0, 1])
+    def test_257th_category_in_a_later_chunk_widens_the_codes(self, tmp_path, chunk_rows, label_column):
+        # column 1 meets its 257th category on row 257, chunks after the first
+        rows = [[f"k{i % 3}", f"c{i}", "xyz"[i % 2]] for i in range(300)] + [["k0", "c5", "x"]]
+        path = write_csv(tmp_path, "".join(",".join(r) + "\n" for r in rows))
+        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
+            ds = load_csv(path, label_column=label_column)
+            assert loaded(path, label_column=label_column) == oracle_load(path, label_column=label_column)
+        if label_column == 1:  # the wide column is the label
+            assert (ds.values.dtype, ds.labels.dtype) == (np.uint8, np.uint16)
+        else:
+            assert ds.values.dtype == np.uint16
+        assert ds.n_records == 301
+
+
+class TestIngestMemory:
+    N, M = 60_000, 22
+    BYTES_PER_CODE = 9  # the codes held once narrow, plus the dedupe sort; int32 codes need about 14
+    CHUNK_TEXT = 2 << 20  # one 4096-row chunk of single-letter fields peaks at about 1.7 MB in all
+
+    def test_load_and_dedupe_peak_per_code(self, tmp_path):
+        # distinct random rows: the dedupe sort keeps every one of them
+        rng = np.random.default_rng(1)
+        codes = rng.integers(0, 6, size=(self.N, self.M + 1))
+        lines = np.full((self.N, 2 * self.M + 2), ord(","), dtype=np.uint8)
+        lines[:, 0::2] = codes + ord("a")
+        lines[:, -1] = ord("\n")
+        path = tmp_path / "wide.csv"
+        path.write_bytes(lines.tobytes())
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ds = dedupe(load_csv(path, label_column=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= self.BYTES_PER_CODE * self.N * self.M + self.CHUNK_TEXT, peak / (self.N * self.M)
+        assert ds.n_records == self.N and ds.values.dtype == np.uint8

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -262,3 +263,39 @@ class TestRunKModes:
         ds = random_dataset(n=200, m=8, max_categories=5, seed=3)
         result = run_kmodes(ds, KModesConfig(k=5, max_iterations=1))
         assert result.iterations == 1
+
+
+def direct_objective(ds, result) -> int:
+    """Summed weighted mismatches of every record against its cluster's mode."""
+    mismatches = (ds.values != result.modes[result.assignment]).sum(axis=1)
+    return int((mismatches * ds.weights).sum())
+
+
+# a weighted input on which k = 5 from the first distinct records empties a
+# cluster in iteration 1 and reseeds it
+RESEEDING = dataset_from_rows(
+    [[1, 1, 2, 2], [0, 2, 2, 0], [0, 2, 2, 1], [2, 2, 2, 1], [1, 2, 2, 1],
+     [0, 1, 0, 2], [1, 0, 2, 2], [0, 1, 1, 2], [0, 1, 0, 1]],
+    weights=[1, 2, 3, 3, 1, 3, 1, 1, 3],
+)
+
+
+class TestObjectiveFromCountTable:
+    @pytest.mark.parametrize(
+        "ds, config, converged, reseeded",
+        [
+            (random_dataset(n=300, m=7, max_categories=5, seed=21), KModesConfig(k=6), True, ()),
+            (random_dataset(n=200, m=8, max_categories=5, seed=3), KModesConfig(k=5, max_iterations=1), False, ()),
+            (RESEEDING, KModesConfig(k=5), True, (1,)),
+            (RESEEDING, KModesConfig(k=5, max_iterations=1), False, (1,)),
+        ],
+    )
+    def test_matches_the_direct_count(self, ds, config, converged, reseeded):
+        result = run_kmodes(ds, config, debug=True)
+        assert (result.converged, result.reseeded_iterations) == (converged, reseeded)
+        assert result.mode_objective == direct_objective(ds, result)
+        # the i-th debug entry is the objective a run stopped after i iterations reports
+        for i, objective in enumerate(result.objective_history, start=1):
+            stopped = run_kmodes(ds, dataclasses.replace(config, max_iterations=i))
+            assert objective == direct_objective(ds, stopped)
+        assert result.objective_history[-1] == result.mode_objective

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcluster import check_metric_properties, medoids, metric, random_dataset
+from catcluster import KModesConfig, check_metric_properties, dedupe, medoids, metric, random_dataset, run_kmodes
 from catcluster.metric import (
     cluster_counts,
     hamming,
@@ -192,3 +192,82 @@ class TestMetricAudit:
         a = check_metric_properties(ds, 1000, seed=9)
         b = check_metric_properties(ds, 1000, seed=9)
         assert a == b
+
+
+class TestFullByteDomain:
+    """A 256-category attribute whose last id, 255, is present: its codes are
+    one byte wide, so any ``max + 1`` taken in the code dtype would wrap to 0."""
+
+    def dataset(self):
+        base = [[f"c{j % 256}", "pq"[j % 2], "xyz"[j % 3]] for j in range(300)]
+        rng = np.random.default_rng(8)
+        return dataset_from_rows(base + base[:150], weights=rng.integers(1, 50, size=450))
+
+    def test_kernel_and_count_table_match_direct_counts(self):
+        ds = self.dataset()
+        values, weights, sizes = ds.values, ds.weights, ds.schema.domain_sizes()
+        assert values.dtype == np.uint8 and values[:, 0].max() == 255 and sizes[0] == 256
+        wide = values.astype(np.int64)
+        assert np.array_equal(hamming(values, values[250:300]), broadcast_count(wide, wide[250:300]))
+        k = 3
+        assignment = np.arange(ds.n_records) % k
+        want = np.zeros((k, sizes.sum()), dtype=np.int64)
+        for row, w, c in zip(wide.tolist(), weights.tolist(), assignment):
+            for r, first in enumerate((np.cumsum(sizes) - sizes).tolist()):
+                want[c, first + row[r]] += w
+        counts = cluster_counts(values, weights, sizes, assignment, k)
+        assert np.array_equal(counts, want)
+        d = broadcast_count(wide, wide)
+        same = assignment[:, None] == assignment[None, :]
+        assert member_costs(counts, sizes, values, assignment).tolist() == (d * same * weights[:, None]).sum(0).tolist()
+
+    def test_dedupe_and_kmodes_match_direct_counts(self):
+        ds = self.dataset()
+        merged = dedupe(ds)
+        rows = [tuple(r) for r in ds.values.tolist()]
+        totals = {}
+        for row, w in zip(rows, ds.weights.tolist()):
+            totals[row] = totals.get(row, 0) + w
+        assert [tuple(r) for r in merged.values.tolist()] == list(totals)
+        assert merged.weights.tolist() == list(totals.values())
+        assert merged.values.dtype == np.uint8
+        for data in (ds, merged):
+            result = run_kmodes(data, KModesConfig(k=4))
+            wide = data.values.astype(np.int64)
+            for c in range(4):
+                members = result.assignment == c
+                for r in range(data.m):
+                    tally = np.bincount(wide[members, r], weights=data.weights[members], minlength=256)
+                    assert result.modes[c, r] == np.argmax(tally)  # first maximum: smallest id
+            direct = (wide != result.modes[result.assignment].astype(np.int64)).sum(axis=1) * data.weights
+            assert result.mode_objective == int(direct.sum())
+        assert run_kmodes(merged, KModesConfig(k=4)).mode_objective == run_kmodes(ds, KModesConfig(k=4)).mode_objective
+
+
+class TestHammingBlocks:
+    def spy_rows(self, a, b):
+        """hamming(a, b) and the row count of every one-hot block it encodes."""
+        rows, real = [], metric._onehot
+        def spy(codes, *args):
+            rows.append(codes.shape[0])
+            return real(codes, *args)
+        with mock.patch.object(metric, "_onehot", spy):
+            return hamming(a, b), rows
+
+    def test_a_blocks_against_few_rows_stay_within_the_budget(self):
+        rng = np.random.default_rng(2)
+        sizes = np.array([6, 4, 8, 2, 8, 2, 2, 2, 8, 2, 5, 4, 4, 8, 8, 2, 4, 3, 5, 8, 6, 7])
+        a = (rng.integers(0, 1 << 20, size=(30_000, sizes.size)) % sizes).astype(np.uint8)
+        a[0] = sizes - 1
+        b = a[:20]
+        d, rows = self.spy_rows(a, b)
+        assert np.array_equal(d, broadcast_count(a, b))
+        # one b block, then a-side blocks: one-hot rows, their int64 scatter index and their product
+        per_row = (sizes.sum() + b.shape[0]) * 4 + sizes.size * 8
+        assert rows[0] == 20 and len(rows) > 2 and max(rows[1:]) * per_row <= metric._BLOCK_BYTES
+
+    def test_square_build_keeps_its_block_shape(self):
+        # a matrix over thousands of records: all of b in one block, a in blocks of the 256-row floor
+        ds = random_dataset(n=4200, m=22, max_categories=8, seed=4)
+        _, rows = self.spy_rows(ds.values, ds.values)
+        assert rows[0] == 4200 and rows[1:] == [256] * 16 + [4200 - 16 * 256]
