@@ -312,16 +312,15 @@ def _solve(ds: CategoricalDataset, args):
         config = KModesConfig(
             k=args.k, init=args.init, seed=args.seed, max_iterations=args.max_iterations
         )
-        result = run_kmodes(ds, config, debug=args.debug)
+        result = run_kmodes(ds, config)
         solution = {
             "algorithm": "kmodes",
             "iterations": result.iterations,
             "converged": result.converged,
             "modes": [ds.decode(mode) for mode in result.modes],
+            "objective_history": list(result.objective_history),
+            "reseeded_iterations": list(result.reseeded_iterations),
         }
-        if args.debug and result.objective_history is not None:
-            solution["objective_history"] = list(result.objective_history)
-            solution["reseeded_iterations"] = list(result.reseeded_iterations)
         medoid_objective = None
     else:
         if args.algorithm == "exhaustive":
@@ -588,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"run exhaustive enumeration past its work gate of "
                        f"{EXHAUSTIVE_GATE:.0e} distance terms, n * C(n, k)")
     p_run.add_argument("--threads", type=_worker_count, default=1)
-    p_run.add_argument("--debug", action="store_true", help="record and assert per-iteration objectives")
     p_run.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
     _add_output_options(p_run)
     p_run.set_defaults(func=cmd_run, name=None)

@@ -36,10 +36,6 @@ class ConfusionMatrix:
     label_names: tuple[str, ...]
 
     @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 

@@ -4,12 +4,12 @@ Alternates nearest-representative assignment with frequency-based mode
 updates, every cluster's mode read from one grouped category-count table,
 until the assignment stops changing. Both half-steps are exact
 minimizers of the integer objective given the other half fixed, so the
-objective is non-increasing except across empty-cluster reseeds; the run is
-deterministic for a given dataset and config.
+objective is non-increasing except across empty-cluster reseeds, which
+every run checks; the run is deterministic for a given dataset and config.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +42,11 @@ class KModesResult:
     mode_objective: int
     iterations: int
     converged: bool
-    # populated in debug mode: objective after each iteration, and which
-    # iterations had an empty-cluster reseed (monotonicity holds between
-    # consecutive non-reseed iterations)
-    objective_history: tuple[int, ...] | None = None
-    reseeded_iterations: tuple[int, ...] = field(default_factory=tuple)
+    # the objective after each iteration, and which iterations had an
+    # empty-cluster reseed (iteration 0 is the initial assignment); the
+    # objective never rises in an iteration without a reseed
+    objective_history: tuple[int, ...]
+    reseeded_iterations: tuple[int, ...]
 
 
 def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
@@ -73,13 +73,6 @@ def assign_points(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return np.argmin(hamming(values, modes), axis=1)  # first minimum = lowest cluster index
 
 
-def _objective(counts, sizes, modes) -> int:
-    """Summed weighted distance of every record to its cluster's mode, read
-    from the clusters' count table: each mode's cost as its own cluster's
-    representative, with no (n, m) block."""
-    return int(member_costs(counts, sizes, modes, np.arange(len(modes))).sum())
-
-
 def _reseed_empty_clusters(values, assignment, modes, k) -> tuple[np.ndarray, np.ndarray, bool]:
     """Reseed each empty cluster's mode with the record farthest from its
     current representative (ties by lowest record index), skipping records
@@ -104,10 +97,10 @@ def _reseed_empty_clusters(values, assignment, modes, k) -> tuple[np.ndarray, np
     raise RuntimeError("empty-cluster reseeding did not stabilize")
 
 
-def run_kmodes(dataset: CategoricalDataset, config: KModesConfig, debug: bool = False) -> KModesResult:
+def run_kmodes(dataset: CategoricalDataset, config: KModesConfig) -> KModesResult:
     """Run the alternating heuristic until the assignment repeats or
-    ``max_iterations`` is hit. In debug mode the per-iteration objective is
-    recorded and checked non-increasing outside reseed iterations."""
+    ``max_iterations`` is hit, recording the objective after each iteration
+    and raising if it rises in an iteration without a reseed."""
     values, weights = dataset.values, dataset.weights
     sizes = dataset.schema.domain_sizes()
     k = config.k
@@ -115,38 +108,35 @@ def run_kmodes(dataset: CategoricalDataset, config: KModesConfig, debug: bool = 
     modes = init_modes(dataset, config)
     assignment = assign_points(values, modes)
     assignment, modes, reseeded = _reseed_empty_clusters(values, assignment, modes, k)
+    counts = cluster_counts(values, weights, sizes, assignment, k)
 
     history: list[int] = []
     reseeded_iters: list[int] = [0] if reseeded else []
-    converged = False
-    iterations = 0
     for it in range(1, config.max_iterations + 1):
-        iterations = it
         # per attribute, a category of maximal weight in each cluster; first maximum = smallest id
-        counts = cluster_counts(values, weights, sizes, assignment, k)
         modes = heaviest(counts, sizes)[0].astype(values.dtype)
         new_assignment = assign_points(values, modes)
         new_assignment, modes, reseeded = _reseed_empty_clusters(values, new_assignment, modes, k)
         if reseeded:
             reseeded_iters.append(it)
-        if debug:
-            obj = _objective(cluster_counts(values, weights, sizes, new_assignment, k), sizes, modes)
-            if history and it not in reseeded_iters and obj > history[-1]:
-                raise RuntimeError(f"objective increased {history[-1]} -> {obj} at iteration {it}")
-            history.append(obj)
-        if np.array_equal(new_assignment, assignment) and not reseeded:
-            converged = True
+        converged = not reseeded and np.array_equal(new_assignment, assignment)
+        if not converged:  # the table of the new assignment, which the next mode update reads
+            assignment = new_assignment
+            counts = cluster_counts(values, weights, sizes, assignment, k)
+        # each mode's cost as its own cluster's representative, with no (n, m) block
+        objective = int(member_costs(counts, sizes, modes, np.arange(k)).sum())
+        if history and not reseeded and objective > history[-1]:
+            raise RuntimeError(f"objective increased {history[-1]} -> {objective} at iteration {it}")
+        history.append(objective)
+        if converged:
             break
-        assignment = new_assignment
-    if not converged:  # the last table counted the assignment before the last step
-        counts = cluster_counts(values, weights, sizes, assignment, k)
 
     return KModesResult(
         assignment=assignment,
         modes=modes,
-        mode_objective=_objective(counts, sizes, modes),
-        iterations=iterations,
+        mode_objective=history[-1],
+        iterations=it,
         converged=converged,
-        objective_history=tuple(history) if debug else None,
+        objective_history=tuple(history),
         reseeded_iterations=tuple(reseeded_iters),
     )

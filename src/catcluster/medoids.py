@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,7 +80,6 @@ class MedoidSolution:
     medoid_objective: int
     algorithm: str  # "exhaustive" | "local-search"
     guarantee: float | None  # mode-objective approximation factor; None when its premise failed
-    elapsed: float
 
 
 class _Columns(NamedTuple):
@@ -284,7 +282,6 @@ def exhaustive_search(
     ``workers`` threads, at most one per CPU, scan contiguous ranges of first
     indices; the output is independent of their number.
     """
-    t0 = time.perf_counter()
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
@@ -315,7 +312,6 @@ def exhaustive_search(
         medoid_objective=objective,
         algorithm="exhaustive",
         guarantee=2.0,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -323,7 +319,6 @@ def exhaustive_search_naive(dataset: CategoricalDataset, k: int) -> MedoidSoluti
     """Enumeration oracle: full cost for every k-subset, one at a time, same
     tie rule as :func:`exhaustive_search`. Kept deliberately independent of
     the scan and of the distance kernel: distances are counted directly."""
-    t0 = time.perf_counter()
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
@@ -339,7 +334,6 @@ def exhaustive_search_naive(dataset: CategoricalDataset, k: int) -> MedoidSoluti
         medoid_objective=best[0],
         algorithm="exhaustive",
         guarantee=2.0,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -358,7 +352,6 @@ def local_search(
     annotation is None when the winning restart is not one: it stopped on
     ``max_steps``, or the threshold refused a strictly improving swap.
     """
-    t0 = time.perf_counter()
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
@@ -397,7 +390,6 @@ def local_search(
         medoid_objective=objective,
         algorithm="local-search",
         guarantee=2.0 * (3.0 + 2.0 / config.p) if best_overall[2] else None,
-        elapsed=time.perf_counter() - t0,
     )
 
 

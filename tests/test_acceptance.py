@@ -40,7 +40,7 @@ def _report(tag: str, ok: bool, detail: str) -> None:
 def votes_kmodes():
     ds = _load_cached("votes", True)
     t0 = time.perf_counter()
-    result = run_kmodes(ds, KModesConfig(k=2, init="first-k-distinct"), debug=True)
+    result = run_kmodes(ds, KModesConfig(k=2, init="first-k-distinct"))
     return result, time.perf_counter() - t0
 
 
@@ -48,7 +48,7 @@ def votes_kmodes():
 def mushroom_kmodes():
     ds = _load_cached("mushroom", True)
     t0 = time.perf_counter()
-    result = run_kmodes(ds, KModesConfig(k=2, init="first-k-distinct"), debug=True)
+    result = run_kmodes(ds, KModesConfig(k=2, init="first-k-distinct"))
     return result, time.perf_counter() - t0
 
 

@@ -159,10 +159,12 @@ class TestRun:
         record = run_json(
             capsys,
             ["run", "--data", str(toy_csv), "--label-column", "0",
-             "--algorithm", "kmodes", "--k", "2", "--debug"],
+             "--algorithm", "kmodes", "--k", "2"],
         )
         history = record["solution"]["objective_history"]
+        assert len(history) == record["solution"]["iterations"]
         assert history == sorted(history, reverse=True)
+        assert history[-1] == record["objectives"]["mode_objective"]
         assert record["solution"]["reseeded_iterations"] == []
 
     def test_tsv_format(self, capsys, toy_csv):

@@ -172,10 +172,11 @@ class TestInitAndAssign:
 
 class TestRunKModes:
     def test_k1_returns_dataset_mode(self, aq_cluster):
-        result = run_kmodes(aq_cluster, KModesConfig(k=1), debug=True)
+        result = run_kmodes(aq_cluster, KModesConfig(k=1))
         assert aq_cluster.decode(result.modes[0]) == ["a", "q"]
         assert result.mode_objective == 2
         assert result.converged
+        assert result.objective_history == (2,) and result.reseeded_iterations == ()
 
     def test_k_equals_distinct_gives_zero(self):
         ds = dataset_from_rows([["a", "p"], ["b", "q"], ["c", "r"]])
@@ -212,7 +213,7 @@ class TestRunKModes:
         distinct = len({row.tobytes() for row in ds.values})
         if k > distinct:
             k = distinct
-        result = run_kmodes(ds, KModesConfig(k=k), debug=True)
+        result = run_kmodes(ds, KModesConfig(k=k))
         hist = result.objective_history
         for prev, cur, it in zip(hist, hist[1:], range(2, len(hist) + 1)):
             if it not in result.reseeded_iterations:
@@ -252,12 +253,13 @@ class TestRunKModes:
     def test_debug_objective_increase_raises(self, monkeypatch):
         ds = random_dataset(n=120, m=6, max_categories=4, seed=1)
         config = KModesConfig(k=4)
-        result = run_kmodes(ds, config, debug=True)
+        result = run_kmodes(ds, config)
         assert len(result.objective_history) >= 2 and not result.reseeded_iterations
+        # every run reads its objective as the summed member costs of the count table
         rising = iter(range(10**6))
-        monkeypatch.setattr(kmodes, "_objective", lambda *args: next(rising))
+        monkeypatch.setattr(kmodes, "member_costs", lambda *args: np.array([next(rising)]))
         with pytest.raises(RuntimeError, match="objective increased"):
-            run_kmodes(ds, config, debug=True)
+            run_kmodes(ds, config)
 
     def test_max_iterations_caps_loop(self):
         ds = random_dataset(n=200, m=8, max_categories=5, seed=3)
@@ -280,22 +282,37 @@ RESEEDING = dataset_from_rows(
 )
 
 
+# converged and capped runs, each with and without a reseed in iteration 1
+RUNS = pytest.mark.parametrize(
+    "ds, config, converged, reseeded",
+    [
+        (random_dataset(n=300, m=7, max_categories=5, seed=21), KModesConfig(k=6), True, ()),
+        (random_dataset(n=200, m=8, max_categories=5, seed=3), KModesConfig(k=5, max_iterations=1), False, ()),
+        (RESEEDING, KModesConfig(k=5), True, (1,)),
+        (RESEEDING, KModesConfig(k=5, max_iterations=1), False, (1,)),
+    ],
+)
+
+
 class TestObjectiveFromCountTable:
-    @pytest.mark.parametrize(
-        "ds, config, converged, reseeded",
-        [
-            (random_dataset(n=300, m=7, max_categories=5, seed=21), KModesConfig(k=6), True, ()),
-            (random_dataset(n=200, m=8, max_categories=5, seed=3), KModesConfig(k=5, max_iterations=1), False, ()),
-            (RESEEDING, KModesConfig(k=5), True, (1,)),
-            (RESEEDING, KModesConfig(k=5, max_iterations=1), False, (1,)),
-        ],
-    )
+    @RUNS
     def test_matches_the_direct_count(self, ds, config, converged, reseeded):
-        result = run_kmodes(ds, config, debug=True)
+        result = run_kmodes(ds, config)
         assert (result.converged, result.reseeded_iterations) == (converged, reseeded)
         assert result.mode_objective == direct_objective(ds, result)
-        # the i-th debug entry is the objective a run stopped after i iterations reports
+        # the i-th entry is the objective a run stopped after i iterations reports
         for i, objective in enumerate(result.objective_history, start=1):
             stopped = run_kmodes(ds, dataclasses.replace(config, max_iterations=i))
             assert objective == direct_objective(ds, stopped)
         assert result.objective_history[-1] == result.mode_objective
+
+    @RUNS
+    def test_one_count_table_per_iteration(self, monkeypatch, ds, config, converged, reseeded):
+        # the table each iteration builds for its objective is the next mode
+        # update's, and a converged run builds none for its unchanged assignment
+        calls = []
+        monkeypatch.setattr(kmodes, "cluster_counts", lambda *args: calls.append(1) or cluster_counts(*args))
+        result = run_kmodes(ds, config)
+        assert (result.converged, result.reseeded_iterations) == (converged, reseeded)
+        assert len(result.objective_history) == result.iterations
+        assert len(calls) == (result.iterations if converged else result.iterations + 1)
