@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,26 +144,88 @@ class CategoricalDataset:
     @cached_property
     def distinct_records(self) -> np.ndarray:
         """First index of each distinct value vector, in first-appearance order;
-        computed on first use and then kept."""
-        return _readonly(distinct_rows(self.values)[0])
+        computed on first use and then kept. :func:`dedupe` hands it to the
+        dataset it builds, from the grouping pass that built it."""
+        return _readonly(_group_rows(self.values, self.schema.domain_sizes())[0])
 
 
-def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each distinct row of ``keys``, in first-appearance order,
-    and each row's group: the position of its distinct row in that order.
+def _void_rows(codes: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D code block as one opaque byte string, compared as bytes."""
+    codes = np.ascontiguousarray(codes)
+    return codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
 
-    ``keys`` are integer codes; rows are sorted as bytes in the keys' own
-    dtype, which for a dataset's codes is already their narrowest width (one
-    byte per code while no domain has more than 256 categories). The result
-    does not depend on that width: it is re-ranked to first-appearance order.
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal entries in ``keys``."""
+    new = np.ones(keys.shape[0], dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]  # the operator, not the ufunc, compares opaque rows
+    return np.flatnonzero(new)
+
+
+def _group_rows(
+    values: np.ndarray,
+    sizes: np.ndarray,
+    weights: np.ndarray | None = None,
+    labels: np.ndarray | None = None,
+    label_size: int = 1,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Group equal rows of ``values``, with ``labels`` as a last column when
+    given, by one stable sort. Codes must lie below ``sizes`` (one per
+    column) and labels below ``label_size``.
+
+    Returns, with the groups in first-appearance order: the first row of
+    each group; each group's summed ``weights`` (None without weights); and
+    the groups that hold the first occurrence of a value vector, ascending,
+    which are the ``distinct_records`` of the grouped records.
+
+    Each row is packed into one uint64 mixed-radix key, the label its last
+    digit, when the product of the sizes is at most 2**64; otherwise its
+    bytes are compared, the label's bytes last. Either way the rows of one
+    value vector lie next to each other in the sorted order, whatever their
+    labels, so the same pass gives the distinct value vectors.
     """
-    keys = np.ascontiguousarray(keys)
-    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # sorted distinct rows -> first-appearance order
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.ravel()]
+    columns, radix = list(values.T), list(map(int, sizes))
+    if labels is not None:
+        columns.append(labels)
+        radix.append(int(label_size))
+    packed = math.prod(radix) <= 1 << 64
+    if packed:
+        keys = np.zeros(values.shape[0], dtype=np.uint64)
+        for column, size in zip(columns, radix):
+            keys *= np.uint64(size)
+            keys += column
+    elif labels is None:
+        keys = _void_rows(values)
+    else:
+        n, width = labels.shape[0], labels.dtype.itemsize
+        keys = _void_rows(np.concatenate([np.ascontiguousarray(values).view(np.uint8),
+                                          np.ascontiguousarray(labels).view(np.uint8).reshape(n, width)], axis=1))
+    # the arrays below are released as soon as they are used up: past the
+    # keys and the permutation, the pass holds a few int64 entries per group
+    perm = np.argsort(keys, kind="stable")  # a group's first member is its first row
+    keys = keys[perm]
+    starts = _run_starts(keys)
+    if labels is not None:  # the groups of one value vector are adjacent in key order
+        if packed:
+            keys = keys[starts]
+            keys //= np.uint64(label_size)  # drop the label digit
+        else:
+            keys = _void_rows(values[perm[starts]])
+        runs = _run_starts(keys)
+    del keys
+    sums = None if weights is None else np.add.reduceat(weights[perm], starts)
+    first = perm[starts]  # groups in key order
+    del perm, starts
+    order = np.argsort(first)  # key order -> first-appearance order
+    if sums is not None:
+        sums = sums[order]
+    reps = first[order]
+    del order
+    if labels is None:  # every group is its own value vector
+        distinct = np.arange(reps.size)
+    else:  # a value vector first occurs at the earliest first row of its groups
+        distinct = np.searchsorted(reps, np.sort(np.minimum.reduceat(first, runs)))
+    return reps, sums, distinct
 
 
 def _resolve_label_column(label_column, names: list[str] | None, n_cols: int) -> int:
@@ -284,20 +347,21 @@ def dedupe(dataset: CategoricalDataset) -> CategoricalDataset:
 
     Weights are summed, first-appearance order is preserved, and
     ``total_weight`` is unchanged. Exact for every objective in this
-    package: distances and category frequencies are weight-linear.
+    package: distances and category frequencies are weight-linear. The
+    merged dataset's ``distinct_records`` come from the same grouping pass.
     """
-    labels = dataset.labels
-    keys = dataset.values if labels is None else np.column_stack([dataset.values, labels])
-    reps, group = distinct_rows(keys)
-    weights = np.zeros(reps.size, dtype=np.int64)
-    np.add.at(weights, group, dataset.weights)
-    return CategoricalDataset(
+    labels, domain = dataset.labels, dataset.schema.label_domain
+    reps, weights, distinct = _group_rows(dataset.values, dataset.schema.domain_sizes(), dataset.weights,
+                                         labels, 1 if domain is None else domain.size)
+    merged = CategoricalDataset(
         schema=dataset.schema,
         values=dataset.values[reps],
         weights=weights,
         labels=None if labels is None else labels[reps],
         total_weight=dataset.total_weight,
     )
+    object.__setattr__(merged, "distinct_records", _readonly(distinct))  # fills the cached property
+    return merged
 
 
 def dataset_stats(dataset: CategoricalDataset) -> dict:

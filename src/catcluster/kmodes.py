@@ -17,6 +17,7 @@ from .dataset import CategoricalDataset, DatasetError
 from .metric import cluster_counts, hamming, heaviest, member_costs
 
 INIT_METHODS = ("first-k-distinct", "random")
+_ASSIGN_ROWS = 2048  # records whose distances to the modes are held at once
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,18 @@ def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
 
 
 def assign_points(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Nearest-mode index per record, ties broken by lowest cluster index."""
+    """Nearest-mode index per record, ties broken by lowest cluster index.
+
+    The distances are taken ``_ASSIGN_ROWS`` records at a time, so beyond
+    its int64 output the call holds the same memory whatever the number of
+    records."""
     if modes.shape[0] == 0:
         raise ValueError("modes must be non-empty")
-    return np.argmin(hamming(values, modes), axis=1)  # first minimum = lowest cluster index
+    out = np.empty(values.shape[0], dtype=np.int64)
+    for s in range(0, values.shape[0], _ASSIGN_ROWS):
+        # first minimum = lowest cluster index
+        np.argmin(hamming(values[s : s + _ASSIGN_ROWS], modes), axis=1, out=out[s : s + _ASSIGN_ROWS])
+    return out
 
 
 def _reseed_empty_clusters(values, assignment, modes, k) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -144,15 +144,17 @@ class TestRun:
         assert merged["objectives"] == raw["objectives"]
         assert merged["evaluation"]["error"] == raw["evaluation"]["error"]
 
-    @pytest.mark.parametrize("dedupe, passes", [([], 1), (["--dedupe"], 2)])
-    def test_one_distinct_rows_pass_per_dataset(self, capsys, toy_csv, monkeypatch, dedupe, passes):
-        # k-modes init and the report's distinct count share one pass; dedupe makes its own
+    @pytest.mark.parametrize("dedupe", [[], ["--dedupe"]])
+    def test_one_distinct_rows_pass_per_dataset(self, capsys, toy_csv, monkeypatch, dedupe):
+        # one grouping pass per run: k-modes init and the report's distinct
+        # count share it, and dedupe hands its own to the merged dataset
         calls = []
-        real = dataset.distinct_rows
-        monkeypatch.setattr(dataset, "distinct_rows", lambda keys: calls.append(keys.shape) or real(keys))
+        real = dataset._group_rows
+        monkeypatch.setattr(dataset, "_group_rows",
+                            lambda values, *rest: calls.append(values.shape) or real(values, *rest))
         record = run_json(capsys, ["run", "--data", str(toy_csv), "--label-column", "0",
                                    "--algorithm", "kmodes", "--k", "2", *dedupe])
-        assert len(calls) == passes
+        assert len(calls) == 1
         assert record["dataset"]["distinct_values"] == 5
 
     def test_debug_records_objective_history(self, capsys, toy_csv):

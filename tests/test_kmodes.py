@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from catcluster import (
     run_kmodes,
 )
 from catcluster import kmodes
-from catcluster.dataset import distinct_rows
 from catcluster.kmodes import init_modes
-from catcluster.metric import cluster_counts, heaviest
+from catcluster.metric import cluster_counts, hamming, heaviest
 
 from conftest import dataset_from_rows
 
@@ -169,6 +169,32 @@ class TestInitAndAssign:
         modes = np.array([[1], [0]], dtype=np.int32)
         assert assign_points(ds.values, modes).tolist() == [1, 0]
 
+    def test_assign_blocks_match_one_distance_block(self, monkeypatch):
+        ds = random_dataset(n=50, m=5, max_categories=3, seed=8)
+        modes = ds.values[[0, 7, 9, 20]]
+        whole = np.argmin(hamming(ds.values, modes), axis=1)
+        for rows in (1, 3, 49, 50, 64):  # blocks that do and do not divide the records
+            monkeypatch.setattr(kmodes, "_ASSIGN_ROWS", rows)
+            assert np.array_equal(assign_points(ds.values, modes), whole)
+
+    def test_assign_memory_does_not_grow_with_n(self):
+        # beyond its int64 output, one block of distances and one-hot rows:
+        # measured 1.4 MB here, where one (n, k) distance block alone is 4 MB
+        n, k = 200_000, 20
+        ds = random_dataset(n=n, m=22, max_categories=8, seed=3, min_categories=2)
+        modes = ds.values[:k].copy()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assign_points(ds.values, modes)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8 * n + (2 << 20), peak - 8 * n
+
 
 class TestRunKModes:
     def test_k1_returns_dataset_mode(self, aq_cluster):
@@ -229,7 +255,8 @@ class TestRunKModes:
         b = run_kmodes(merged, KModesConfig(k=3))
         assert a.mode_objective == b.mode_objective
         # per-original-row assignments agree through each row's merged record
-        _, record_of_row = distinct_rows(raw.values)
+        record_of = {row.tobytes(): r for r, row in enumerate(merged.values)}
+        record_of_row = [record_of[row.tobytes()] for row in raw.values]
         assert np.array_equal(merged.values[record_of_row], raw.values)
         assert np.array_equal(b.assignment[record_of_row], a.assignment)
 
