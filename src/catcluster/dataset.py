@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-_CHUNK_ROWS = 4096  # CSV rows held as Python strings at a time while loading
+_CHUNK_ROWS = 4096  # CSV rows held as Python strings at a time by csv.reader
+_CHUNK_BYTES = 1 << 16  # file bytes tokenized at a time by the byte path: 256 KiB broke the ingest memory bound
 
 
 class DatasetError(ValueError):
@@ -257,44 +258,28 @@ def load_csv(
     like any other category; ``reject`` raises on the first occurrence.
     Blank lines are skipped; error messages name the physical file line. A
     header row, when present, fixes the number of fields of every row.
-    Rows are read ``_CHUNK_ROWS`` at a time and encoded column by column
-    into an int32 block, which is then kept in the narrowest unsigned width
-    of the largest table so far; the feature columns are copied from those
-    narrow blocks into the dataset's own width, one block at a time.
+
+    Two tokenizers give the same dataset. A regular file is read first as
+    bytes, ``_CHUNK_BYTES`` (64 KiB) of whole lines at a time
+    (:func:`_tokenize_bytes`), which takes plain ASCII fields of at most 8
+    bytes. On any other input it declines, and the file is read again from
+    its start by ``csv.reader``, ``_CHUNK_ROWS`` rows at a time
+    (:func:`_tokenize_rows`); so is any source that is not a regular file,
+    such as a pipe, which cannot be read twice. Only the ``csv.reader`` path
+    raises on what it reads, so every error message and line number comes
+    from it. Each chunk is encoded into a block of codes in the narrowest
+    unsigned width of the largest table so far; the feature columns are
+    copied from those narrow blocks into the dataset's own width, one block
+    at a time.
     """
     if missing_policy not in ("treat-as-category", "reject"):
         raise DatasetError(f"unknown missing_policy {missing_policy!r}")
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = filter(None, csv.reader(fh, delimiter=delimiter))  # a blank line reads as []
-        names = [c.strip() for c in next(rows, ())] if header else None  # [] only if the file is empty
-        first = next(rows, None)
-        if first is None:
-            raise DatasetError(f"{path}: empty input" + ("" if names == [] else " (no data rows)"))
-
-        n_cols = len(first) if names is None else len(names)  # a header fixes the width
-        tables: list[dict[str, int]] = [{} for _ in range(n_cols)]
-        first_missing: dict[int, int] = {}  # column -> first data row holding the missing token
-        blocks: list[np.ndarray] = []  # one narrow (chunk rows, n_cols) id block per chunk
-        n_rows = 0
-        rows = itertools.chain([first], rows)
-        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-            if set(map(len, chunk)) != {n_cols}:
-                bad = next(i for i, row in enumerate(chunk) if len(row) != n_cols)
-                raise DatasetError(
-                    f"{path}: ragged row {_line_of(path, delimiter, int(header) + n_rows + bad)} "
-                    f"has {len(chunk[bad])} fields, expected {n_cols}"
-                )
-            block = np.empty((len(chunk), n_cols), dtype=np.int32)
-            for c, col in enumerate(zip(*chunk)):
-                table = tables[c]
-                unseen = [tok for tok in dict.fromkeys(col) if tok not in table]
-                table.update(zip(unseen, itertools.count(len(table))))
-                block[:, c] = operator.itemgetter(*col)(table)  # a 1-row chunk gives a scalar
-                if missing_policy == "reject" and c not in first_missing and missing_token in table:
-                    first_missing[c] = n_rows + col.index(missing_token)
-            blocks.append(block.astype(unsigned_dtype(max(map(len, tables)) - 1)))
-            n_rows += len(chunk)
+    tokens = _tokenize_bytes(path, missing_token, missing_policy, header, delimiter) if path.is_file() else None
+    names, tables, blocks, first_missing = tokens or _tokenize_rows(
+        path, missing_token, missing_policy, header, delimiter
+    )
+    n_cols, n_rows = len(tables), sum(map(len, blocks))
 
     label_idx = None if label_column is None else _resolve_label_column(label_column, names, n_cols)
     feature_cols = [c for c in range(n_cols) if c != label_idx]
@@ -326,6 +311,149 @@ def load_csv(
         labels=labels,
         total_weight=n_rows,
     )
+
+
+def _tokenize_rows(path: Path, missing_token: str, missing_policy: str, header: bool, delimiter: str):
+    """The file read by ``csv.reader``, ``_CHUNK_ROWS`` rows at a time: the
+    header names (None without a header), each column's tokens in
+    first-appearance order, one narrow (chunk rows, columns) code block per
+    chunk, and under ``reject`` the first data row of each column that holds
+    the missing token. Raises on an empty input and on a ragged row."""
+    with open(path, newline="") as fh:
+        rows = filter(None, csv.reader(fh, delimiter=delimiter))  # a blank line reads as []
+        names = [c.strip() for c in next(rows, ())] if header else None  # [] only if the file is empty
+        first = next(rows, None)
+        if first is None:
+            raise DatasetError(f"{path}: empty input" + ("" if names == [] else " (no data rows)"))
+
+        n_cols = len(first) if names is None else len(names)  # a header fixes the width
+        tables: list[dict[str, int]] = [{} for _ in range(n_cols)]
+        first_missing: dict[int, int] = {}  # column -> first data row holding the missing token
+        blocks: list[np.ndarray] = []  # one narrow (chunk rows, n_cols) id block per chunk
+        n_rows = 0
+        rows = itertools.chain([first], rows)
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            if set(map(len, chunk)) != {n_cols}:
+                bad = next(i for i, row in enumerate(chunk) if len(row) != n_cols)
+                raise DatasetError(
+                    f"{path}: ragged row {_line_of(path, delimiter, int(header) + n_rows + bad)} "
+                    f"has {len(chunk[bad])} fields, expected {n_cols}"
+                )
+            block = np.empty((len(chunk), n_cols), dtype=np.int32)
+            for c, col in enumerate(zip(*chunk)):
+                table = tables[c]
+                unseen = [tok for tok in dict.fromkeys(col) if tok not in table]
+                table.update(zip(unseen, itertools.count(len(table))))
+                block[:, c] = operator.itemgetter(*col)(table)  # a 1-row chunk gives a scalar
+                if missing_policy == "reject" and c not in first_missing and missing_token in table:
+                    first_missing[c] = n_rows + col.index(missing_token)
+            blocks.append(block.astype(unsigned_dtype(max(map(len, tables)) - 1)))
+            n_rows += len(chunk)
+    return names, tables, blocks, first_missing
+
+
+def _line_chunks(fh):
+    """A binary file's bytes in pieces of about ``_CHUNK_BYTES`` that end at
+    a newline; a last line without one is given one."""
+    rest = b""
+    while data := fh.read(_CHUNK_BYTES):
+        rest += data
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest + b"\n"
+
+
+def _tokenize_bytes(path: Path, missing_token: str, missing_policy: str, header: bool, delimiter: str):
+    """:func:`_tokenize_rows`' result for a file of plain ASCII fields of at
+    most 8 bytes, read as bytes; None (decline) for any file that needs
+    ``csv.reader``'s rules or an error message: a quote, a CR, a NUL or a
+    byte >= 0x80, a longer data field, a row whose field count is not the
+    first row's (or the header's), no data row, or under ``reject`` the
+    missing token in any column.
+
+    Each chunk of whole lines is split at every delimiter and newline, and
+    blank lines are dropped. A field's bytes, read through a stride-1 uint64
+    view and masked by the field's length, form one little-endian integer
+    key, so tokens compare as integers. The chunk's distinct keys come from
+    one sort and each field's token from a binary search. One
+    ``np.minimum.at`` finds where each (column, token) cell first appears;
+    only the cells met go through Python, in that order, to extend the
+    column tables, and one gather through the resulting lookup table gives
+    the chunk's codes. The chunk's bytes and a few 8-byte entries per field
+    are held at once.
+    """
+    if len(delimiter) != 1 or delimiter in '"\r\n\0' or not delimiter.isascii():
+        return None
+    masks = np.array([(1 << 8 * size) - 1 for size in range(9)], dtype=np.uint64)
+    names = None
+    tables: list[dict[int, int]] = []  # per column, token key -> id
+    blocks: list[np.ndarray] = []
+    with open(path, "rb") as fh:
+        for chunk in _line_chunks(fh):
+            # bytes that csv.reader reads apart, or that need decoding
+            if not chunk.isascii() or b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+                return None
+            if header and names is None:
+                line, _, chunk = chunk.lstrip(b"\n").partition(b"\n")
+                if not line:  # only blank lines so far
+                    continue
+                if len(line) > csv.field_size_limit():  # csv.reader may refuse a name this long
+                    return None
+                names = [c.strip() for c in line.decode("ascii").split(delimiter)]
+                if not chunk:
+                    continue
+            raw = np.frombuffer(chunk, dtype=np.uint8)
+            ends = np.flatnonzero((raw == ord(delimiter)) | (raw == ord("\n")))
+            starts = np.empty_like(ends)
+            starts[0] = 0
+            np.add(ends[:-1], 1, out=starts[1:])
+            sizes = ends - starts
+            line_end = raw[ends] == ord("\n")
+            blank = line_end & (sizes == 0)
+            blank[1:] &= line_end[:-1]  # an empty field that is a whole line
+            if blank.all():
+                continue
+            if blank.any():
+                starts, sizes, line_end = starts[~blank], sizes[~blank], line_end[~blank]
+            if sizes.max() > 8:
+                return None
+            if not tables:  # the header, or else the first data row, fixes the width
+                tables = [{} for _ in range(len(names) if header else int(np.argmax(line_end)) + 1)]
+            n_cols = len(tables)
+            if line_end.size % n_cols:
+                return None
+            grid = line_end.reshape(-1, n_cols)
+            if not grid[:, -1].all() or grid[:, :-1].any():
+                return None
+
+            padded = np.zeros(raw.size + 8, dtype=np.uint8)
+            padded[: raw.size] = raw
+            words = np.ndarray(raw.size, dtype="<u8", buffer=padded, strides=(1,))  # 8 bytes from every offset
+            keys = words.take(starts) & masks.take(sizes)
+            ordered = np.sort(keys)
+            distinct = ordered[_run_starts(ordered)]
+            # cell = column * len(distinct) + token, in file order
+            cells = (np.searchsorted(distinct, keys).reshape(-1, n_cols) + np.arange(n_cols) * distinct.size).ravel()
+            first = np.full(n_cols * distinct.size, cells.size)
+            np.minimum.at(first, cells, np.arange(cells.size))
+            met = np.flatnonzero(first < cells.size)
+            lookup = np.empty(first.size, dtype=np.int64)
+            tokens = distinct.tolist()
+            for cell in met[np.argsort(first[met])].tolist():
+                column, token = divmod(cell, distinct.size)
+                table = tables[column]
+                lookup[cell] = table.setdefault(tokens[token], len(table))
+            lookup = lookup.astype(unsigned_dtype(max(map(len, tables)) - 1))
+            blocks.append(lookup[cells].reshape(-1, n_cols))
+    if not blocks:
+        return None
+    categories = [[key.to_bytes(8, "little").rstrip(b"\0").decode("ascii") for key in table] for table in tables]
+    if missing_policy == "reject" and any(missing_token in column for column in categories):
+        return None
+    return names, categories, blocks, {}
 
 
 def _line_of(path: Path, delimiter: str, record: int) -> int:

@@ -82,6 +82,24 @@ def assign_points(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _farthest_record(values: np.ndarray, modes: np.ndarray, c: int) -> int:
+    """Index of the record farthest from mode ``c`` (ties by lowest record
+    index) among those equal to no other mode, read ``_ASSIGN_ROWS`` records
+    at a time."""
+    best, pick = -1, -1
+    for s in range(0, values.shape[0], _ASSIGN_ROWS):
+        dists = hamming(values[s : s + _ASSIGN_ROWS], modes)
+        matched = dists == 0
+        matched[:, c] = False
+        d = np.where(matched.any(axis=1), -1, dists[:, c].astype(np.int64))
+        i = int(np.argmax(d))  # first maximum = lowest record index
+        if d[i] > best:  # strictly: an equal distance in a later block does not win
+            best, pick = int(d[i]), s + i
+    if best < 0:
+        raise RuntimeError("no reseed candidate for empty cluster")
+    return pick
+
+
 def _reseed_empty_clusters(values, assignment, modes, k) -> tuple[np.ndarray, np.ndarray, bool]:
     """Reseed each empty cluster's mode with the record farthest from its
     current representative (ties by lowest record index), skipping records
@@ -95,13 +113,7 @@ def _reseed_empty_clusters(values, assignment, modes, k) -> tuple[np.ndarray, np
         reseeded = True
         modes = modes.copy()
         for c in empty:
-            dists = hamming(values, modes)
-            d = dists[:, c].astype(np.int64)
-            d[(np.delete(dists, c, axis=1) == 0).any(axis=1)] = -1
-            pick = int(np.argmax(d))  # first maximum = lowest record index
-            if d[pick] < 0:
-                raise RuntimeError("no reseed candidate for empty cluster")
-            modes[c] = values[pick]
+            modes[c] = values[_farthest_record(values, modes, c)]
         assignment = assign_points(values, modes)
     raise RuntimeError("empty-cluster reseeding did not stabilize")
 

@@ -134,6 +134,7 @@ class TestLoadCsv:
         assert not writer.is_alive()
 
     def test_one_row_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "_tokenize_bytes", lambda *args: None)  # the csv.reader path
         monkeypatch.setattr(dataset, "_CHUNK_ROWS", 1)
         ds = load_csv(write_csv(tmp_path, "x,a,b\ny,a,c\nx,d,b\n"), label_column=0)
         assert ds.values.tolist() == [[0, 0], [0, 1], [1, 0]]
@@ -270,6 +271,102 @@ class TestLoadCsvAgainstOracle:
             ]:
                 message = loaded(path, **options)
                 assert isinstance(message, str) and message == oracle_load(path, **options)
+
+
+def byte_path_only():
+    """A context in which load_csv fails the test if it reads through csv.reader."""
+    return mock.patch.object(dataset, "_tokenize_rows", side_effect=AssertionError("csv.reader ran"))
+
+
+def outcome(load, path, **options):
+    """``load``'s result, or the ``csv.Error`` it raises: before Python 3.11,
+    csv.reader refuses a NUL."""
+    try:
+        return load(path, **options)
+    except csv.Error as e:
+        return f"csv.Error: {e}"
+
+
+PLAIN_TOKEN = st.text(alphabet="abcXYZ019? ", max_size=8)
+
+
+@st.composite
+def plain_files(draw):
+    """CSV text the byte path takes: fields of 0-8 ASCII letters, digits, '?'
+    and spaces (none empty in a one-column file, where that is a blank line),
+    blank lines, ',' or ';', a header now and then, a missing final newline
+    now and then; plus load_csv options."""
+    n_cols = draw(st.integers(1, 4))
+    token = PLAIN_TOKEN if n_cols > 1 else PLAIN_TOKEN.filter(bool)
+    rows = draw(st.lists(st.lists(token, min_size=n_cols, max_size=n_cols), min_size=1, max_size=12))
+    header = draw(st.booleans())
+    if header:  # names are stripped, and may be longer than 8 bytes
+        names = st.text(alphabet="abc01 ", min_size=int(n_cols == 1), max_size=12)
+        rows.insert(0, draw(st.lists(names, min_size=n_cols, max_size=n_cols)))
+    delimiter = draw(st.sampled_from(",;"))
+    lines = [delimiter.join(row) for row in rows]
+    for i in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
+        lines.insert(i, "")
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    names = [c.strip() for c in rows[0]] if header else []
+    label_column = draw(st.one_of(st.none(), st.integers(0, n_cols - 1), *([st.sampled_from(names)] if names else [])))
+    return text, dict(header=header, label_column=label_column, delimiter=delimiter)
+
+
+class TestBytePath:
+    @given(plain_files(), st.integers(1, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_at_every_chunk_cut(self, file, chunk_bytes):
+        text, options = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode())
+            expected = oracle_load(path, **options)
+            with mock.patch.object(dataset, "_CHUNK_BYTES", chunk_bytes), byte_path_only():
+                assert loaded(path, **options) == expected
+
+    PLAIN = "".join(f"k{i % 3},v{i % 5},w\n" for i in range(40))  # 8 bytes a row: taken
+
+    @pytest.mark.parametrize(
+        "row, options",
+        [
+            ('k1,"v 1",w\n', {}),
+            ("k1,v1,w\r\n", {}),
+            ("k1,v\0,w\n", {}),
+            ("k1,v\u00e9,w\n", {}),
+            ("k1,ninebytes,w\n", {}),
+            ("k1,v1\n", {}),
+            ("k1\nk2\nk3\n", {}),  # as many fields as one row
+            ("k1,?,w\n", dict(missing_policy="reject", label_column=0)),
+        ],
+        ids=["quote", "CR", "NUL", "non-ASCII", "9-byte field", "ragged row", "ragged rows", "reject"],
+    )
+    def test_declines_in_a_later_chunk(self, tmp_path, row, options):
+        # the byte path has encoded the rows before, and leaves no trace of them
+        path = tmp_path / "data.csv"
+        path.write_bytes((self.PLAIN + row + self.PLAIN).encode())
+        with mock.patch.object(dataset, "_CHUNK_BYTES", 64), \
+                mock.patch.object(dataset, "_tokenize_bytes", wraps=dataset._tokenize_bytes) as byte_path, \
+                mock.patch.object(dataset, "_tokenize_rows", wraps=dataset._tokenize_rows) as row_path:
+            assert outcome(loaded, path, **options) == outcome(oracle_load, path, **options)
+        assert byte_path.call_count == row_path.call_count == 1
+
+    def test_eight_byte_fields_are_taken(self, tmp_path):
+        path = write_csv(tmp_path, self.PLAIN + "k1,eightbyt,w\n")
+        with byte_path_only():
+            assert loaded(path) == oracle_load(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_once_by_csv_reader(self, tmp_path):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(self.PLAIN,))
+        writer.start()
+        with mock.patch.object(dataset, "_tokenize_bytes", side_effect=AssertionError("a pipe read as bytes")):
+            result = loaded(fifo, label_column=0)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert result == oracle_load(write_csv(tmp_path, self.PLAIN), label_column=0)
 
 
 class TestDedupe:
@@ -554,17 +651,33 @@ class TestWidthBoundary:
     @pytest.mark.parametrize("chunk_rows", [2, 3])
     @pytest.mark.parametrize("label_column", [None, 0, 1])
     def test_257th_category_in_a_later_chunk_widens_the_codes(self, tmp_path, chunk_rows, label_column):
+        path = self.wide_file(tmp_path)
+        with mock.patch.object(dataset, "_tokenize_bytes", lambda *args: None), \
+                mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):  # csv.reader's row chunks
+            self.check(path, label_column)
+
+    @pytest.mark.parametrize("chunk_bytes", [16, 1000])
+    @pytest.mark.parametrize("label_column", [None, 0, 1])
+    def test_257th_category_in_a_later_byte_chunk_widens_the_codes(self, tmp_path, chunk_bytes, label_column):
+        path = self.wide_file(tmp_path)
+        with mock.patch.object(dataset, "_CHUNK_BYTES", chunk_bytes), byte_path_only():
+            self.check(path, label_column)
+
+    @staticmethod
+    def wide_file(tmp_path):
         # column 1 meets its 257th category on row 257, chunks after the first
         rows = [[f"k{i % 3}", f"c{i}", "xyz"[i % 2]] for i in range(300)] + [["k0", "c5", "x"]]
-        path = write_csv(tmp_path, "".join(",".join(r) + "\n" for r in rows))
-        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
-            ds = load_csv(path, label_column=label_column)
-            assert loaded(path, label_column=label_column) == oracle_load(path, label_column=label_column)
+        return write_csv(tmp_path, "".join(",".join(r) + "\n" for r in rows))
+
+    @staticmethod
+    def check(path, label_column):
+        ds = load_csv(path, label_column=label_column)
         if label_column == 1:  # the wide column is the label
             assert (ds.values.dtype, ds.labels.dtype) == (np.uint8, np.uint16)
         else:
             assert ds.values.dtype == np.uint16
         assert ds.n_records == 301
+        assert loaded(path, label_column=label_column) == oracle_load(path, label_column=label_column)
 
 
 class TestIngestMemory:

@@ -277,6 +277,51 @@ class TestRunKModes:
         assert (np.bincount(new_assignment, minlength=2) > 0).all()
         assert np.array_equal(new_modes[0], modes[0])
 
+    @given(
+        n=st.integers(1, 30),
+        m=st.integers(1, 4),
+        cats=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        picks=st.lists(st.integers(0, 29), min_size=1, max_size=5),
+        rows=st.sampled_from([1, 3, 7, 2048]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reseed_picks_match_the_whole_block(self, n, m, cats, seed, picks, rows):
+        # modes copied from records, repeats included, so that ties and
+        # records equal to another mode are common
+        ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
+        modes = ds.values[[p % n for p in picks]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kmodes, "_ASSIGN_ROWS", rows)
+            for c in range(len(modes)):
+                expected = farthest_oracle(ds.values, modes, c)
+                if expected < 0:
+                    with pytest.raises(RuntimeError, match="no reseed candidate"):
+                        kmodes._farthest_record(ds.values, modes, c)
+                else:
+                    assert kmodes._farthest_record(ds.values, modes, c) == expected
+
+    def test_reseed_memory_does_not_grow_with_n(self):
+        # beyond the int64 assignment it returns, one block of distances:
+        # the whole (n, k) block and its copy took 13.2 MB here
+        n, k = 200_000, 20
+        ds = random_dataset(n=n, m=22, max_categories=8, seed=3, min_categories=2)
+        modes = ds.values[:k].copy()
+        assignment = assign_points(ds.values, modes)
+        assignment[assignment == 5] = 0  # cluster 5 is empty
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _, _, reseeded = kmodes._reseed_empty_clusters(ds.values, assignment, modes, k)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert reseeded
+        assert peak <= 8 * n + (2 << 20), peak - 8 * n
+
     def test_debug_objective_increase_raises(self, monkeypatch):
         ds = random_dataset(n=120, m=6, max_categories=4, seed=1)
         config = KModesConfig(k=4)
@@ -292,6 +337,16 @@ class TestRunKModes:
         ds = random_dataset(n=200, m=8, max_categories=5, seed=3)
         result = run_kmodes(ds, KModesConfig(k=5, max_iterations=1))
         assert result.iterations == 1
+
+
+def farthest_oracle(values, modes, c) -> int:
+    """The reseed pick from one whole (n, k) distance block: the first record
+    farthest from mode ``c`` among those equal to no other mode, or -1."""
+    dists = hamming(values, modes)
+    d = dists[:, c].astype(np.int64)
+    d[(np.delete(dists, c, axis=1) == 0).any(axis=1)] = -1
+    pick = int(np.argmax(d))
+    return pick if d[pick] >= 0 else -1
 
 
 def direct_objective(ds, result) -> int:
