@@ -354,25 +354,30 @@ def _tokenize_rows(path: Path, missing_token: str, missing_policy: str, header: 
 
 def _line_chunks(fh):
     """A binary file's bytes in pieces of about ``_CHUNK_BYTES`` that end at
-    a newline; a last line without one is given one."""
-    rest = b""
+    a newline; a last line without one is given one. A line longer than a
+    read is gathered from its pieces once, not copied on every read."""
+    pieces: list[bytes] = []  # since the last newline
     while data := fh.read(_CHUNK_BYTES):
-        rest += data
-        cut = rest.rfind(b"\n") + 1
+        cut = data.rfind(b"\n") + 1
         if cut:
-            yield rest[:cut]
-            rest = rest[cut:]
-    if rest:
+            yield b"".join([*pieces, data[:cut]])
+            pieces = []
+            data = data[cut:]
+        pieces.append(data)
+    if rest := b"".join(pieces):
         yield rest + b"\n"
 
 
 def _tokenize_bytes(path: Path, missing_token: str, missing_policy: str, header: bool, delimiter: str):
     """:func:`_tokenize_rows`' result for a file of plain ASCII fields of at
-    most 8 bytes, read as bytes; None (decline) for any file that needs
+    most 8 bytes, read as bytes. None (decline) for a file that needs
     ``csv.reader``'s rules or an error message: a quote, a CR, a NUL or a
     byte >= 0x80, a longer data field, a row whose field count is not the
     first row's (or the header's), no data row, or under ``reject`` the
-    missing token in any column.
+    missing token in any column. None too for a chunk whose columns times
+    distinct tokens exceed both its byte count and 65 536, so that its two
+    int64 tables of (column, token) cells hold at most 16 bytes per byte of
+    text, 1 MiB for a 64 KiB chunk.
 
     Each chunk of whole lines is split at every delimiter and newline, and
     blank lines are dropped. A field's bytes, read through a stride-1 uint64
@@ -435,6 +440,8 @@ def _tokenize_bytes(path: Path, missing_token: str, missing_policy: str, header:
             keys = words.take(starts) & masks.take(sizes)
             ordered = np.sort(keys)
             distinct = ordered[_run_starts(ordered)]
+            if n_cols * distinct.size > max(raw.size, 1 << 16):  # the cell table below would outgrow the chunk
+                return None
             # cell = column * len(distinct) + token, in file order
             cells = (np.searchsorted(distinct, keys).reshape(-1, n_cols) + np.arange(n_cols) * distinct.size).ravel()
             first = np.full(n_cols * distinct.size, cells.size)

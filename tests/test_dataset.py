@@ -351,6 +351,14 @@ class TestBytePath:
             assert outcome(loaded, path, **options) == outcome(oracle_load, path, **options)
         assert byte_path.call_count == row_path.call_count == 1
 
+    def test_declines_a_cell_table_past_the_chunk(self, tmp_path):
+        # 300 columns of distinct tokens: 300 x 600 (column, token) cells
+        # against 3.6 KB of text
+        path = write_csv(tmp_path, "".join(",".join(f"r{r}c{c}" for c in range(300)) + "\n" for r in range(2)))
+        with mock.patch.object(dataset, "_tokenize_rows", wraps=dataset._tokenize_rows) as row_path:
+            assert loaded(path, label_column=0) == oracle_load(path, label_column=0)
+        assert row_path.call_count == 1
+
     def test_eight_byte_fields_are_taken(self, tmp_path):
         path = write_csv(tmp_path, self.PLAIN + "k1,eightbyt,w\n")
         with byte_path_only():
