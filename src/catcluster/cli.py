@@ -8,6 +8,7 @@ wall-clock timings go to stderr and enter the JSON only behind --timings.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -626,5 +627,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Process entry of ``python -m catcluster.cli`` and the ``catcluster``
+    script: :func:`main`, then exit with its return code."""
+    code = main()
+    # The interpreter's last collection at exit walks every tracked object,
+    # most of them built by the numpy import, though none is garbage: on 2
+    # vCPUs a k-modes run on 100 000 rows spent 0.042 s from here to its end.
+    # gc.freeze() moves them to the permanent generation, which that walk
+    # skips (0.011 s); atexit handlers and the flush of stdout and stderr
+    # still run. Only here, never in main: callers of main in a process that
+    # goes on must keep a collectable heap.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -20,6 +20,9 @@ import numpy as np
 
 _CHUNK_ROWS = 4096  # CSV rows held as Python strings at a time by csv.reader
 _CHUNK_BYTES = 1 << 16  # file bytes tokenized at a time by the byte path: 256 KiB broke the ingest memory bound
+_HASH_SLOTS = 1 << 16  # most slots of a chunk's token hash table, so at most 127 distinct tokens
+# odd 64-bit multipliers of the token hash, tried in order
+_HASH_MULTIPLIERS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93)
 
 
 class DatasetError(ValueError):
@@ -383,7 +386,7 @@ def _tokenize_bytes(path: Path, missing_token: str, missing_policy: str, header:
     blank lines are dropped. A field's bytes, read through a stride-1 uint64
     view and masked by the field's length, form one little-endian integer
     key, so tokens compare as integers. The chunk's distinct keys come from
-    one sort and each field's token from a binary search. One
+    one sort and each field's token from :func:`_token_ids`. One
     ``np.minimum.at`` finds where each (column, token) cell first appears;
     only the cells met go through Python, in that order, to extend the
     column tables, and one gather through the resulting lookup table gives
@@ -443,7 +446,7 @@ def _tokenize_bytes(path: Path, missing_token: str, missing_policy: str, header:
             if n_cols * distinct.size > max(raw.size, 1 << 16):  # the cell table below would outgrow the chunk
                 return None
             # cell = column * len(distinct) + token, in file order
-            cells = (np.searchsorted(distinct, keys).reshape(-1, n_cols) + np.arange(n_cols) * distinct.size).ravel()
+            cells = (_token_ids(distinct, keys).reshape(-1, n_cols) + np.arange(n_cols) * distinct.size).ravel()
             first = np.full(n_cols * distinct.size, cells.size)
             np.minimum.at(first, cells, np.arange(cells.size))
             met = np.flatnonzero(first < cells.size)
@@ -461,6 +464,35 @@ def _tokenize_bytes(path: Path, missing_token: str, missing_policy: str, header:
     if missing_policy == "reject" and any(missing_token in column for column in categories):
         return None
     return names, categories, blocks, {}
+
+
+def _token_ids(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each of ``keys`` in ``distinct``, the sorted distinct
+    uint64 keys that hold every one of them: ``np.searchsorted(distinct,
+    keys)``, found by a multiply-shift hash when one is one-to-one on
+    ``distinct``.
+
+    The hash of a key is the top 2·bit_length(d)+1 bits of its product with
+    a multiplier of ``_HASH_MULTIPLIERS`` modulo 2**64 (d = ``distinct.size``;
+    numpy arrays wrap uint64 products without a warning), used while that
+    table has at most ``_HASH_SLOTS`` slots. The first multiplier that sends
+    no two distinct keys to one slot is taken, and each key's position is
+    one gather from the table; without one, or with too many keys, the
+    binary search gives it."""
+    bits = 2 * distinct.size.bit_length() + 1
+    if 1 << bits <= _HASH_SLOTS:
+        shift = np.uint64(64 - bits)
+        table = np.empty(1 << bits, dtype=np.uint8)
+        ids = np.arange(distinct.size, dtype=np.uint8)
+        for multiplier in map(np.uint64, _HASH_MULTIPLIERS):
+            slots = distinct * multiplier
+            slots >>= shift
+            table[slots] = ids
+            if np.array_equal(table[slots], ids):  # two keys in one slot read back one id
+                slots = keys * multiplier
+                slots >>= shift
+                return table.take(slots)
+    return np.searchsorted(distinct, keys)
 
 
 def _line_of(path: Path, delimiter: str, record: int) -> int:

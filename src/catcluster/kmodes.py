@@ -121,7 +121,12 @@ def _reseed_empty_clusters(values, assignment, modes, k) -> tuple[np.ndarray, np
 def run_kmodes(dataset: CategoricalDataset, config: KModesConfig) -> KModesResult:
     """Run the alternating heuristic until the assignment repeats or
     ``max_iterations`` is hit, recording the objective after each iteration
-    and raising if it rises in an iteration without a reseed."""
+    and raising if it rises in an iteration without a reseed.
+
+    An iteration whose updated modes equal the modes that made the current
+    assignment (after its reseeds) reuses that assignment: assigning again
+    would give it back with no empty cluster, so the run converges there
+    without another pass over the records."""
     values, weights = dataset.values, dataset.weights
     sizes = dataset.schema.domain_sizes()
     k = config.k
@@ -135,9 +140,13 @@ def run_kmodes(dataset: CategoricalDataset, config: KModesConfig) -> KModesResul
     reseeded_iters: list[int] = [0] if reseeded else []
     for it in range(1, config.max_iterations + 1):
         # per attribute, a category of maximal weight in each cluster; first maximum = smallest id
-        modes = heaviest(counts, sizes)[0].astype(values.dtype)
-        new_assignment = assign_points(values, modes)
-        new_assignment, modes, reseeded = _reseed_empty_clusters(values, new_assignment, modes, k)
+        new_modes = heaviest(counts, sizes)[0].astype(values.dtype)
+        if np.array_equal(new_modes, modes):  # the modes that made the assignment make it again
+            new_assignment, reseeded = assignment, False
+        else:
+            new_assignment = assign_points(values, new_modes)
+            new_assignment, new_modes, reseeded = _reseed_empty_clusters(values, new_assignment, new_modes, k)
+        modes = new_modes  # after any reseed, the modes that made new_assignment
         if reseeded:
             reseeded_iters.append(it)
         converged = not reseeded and np.array_equal(new_assignment, assignment)

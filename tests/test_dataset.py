@@ -377,6 +377,43 @@ class TestBytePath:
         assert result == oracle_load(write_csv(tmp_path, self.PLAIN), label_column=0)
 
 
+def ascii_keys(count: int) -> np.ndarray:
+    """The sorted keys of ``count`` distinct short ASCII tokens, packed as the byte path packs them."""
+    return np.sort(np.array([int.from_bytes(f"t{i}".encode(), "little") for i in range(count)], dtype=np.uint64))
+
+
+class TestTokenIds:
+    @given(st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 1 << 16)), min_size=1, max_size=200,
+                    unique=True), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_searchsorted(self, distinct, data):
+        distinct = np.array(sorted(distinct), dtype=np.uint64)
+        keys = distinct[data.draw(st.lists(st.integers(0, distinct.size - 1), min_size=1, max_size=300))]
+        assert np.array_equal(dataset._token_ids(distinct, keys), np.searchsorted(distinct, keys))
+
+    @staticmethod
+    def searched(distinct: np.ndarray) -> bool:
+        """Whether _token_ids ran the binary search on every key of
+        ``distinct``, each present twice; its result is checked either way."""
+        keys = np.concatenate([distinct[::-1], distinct])
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            ids = dataset._token_ids(distinct, keys)
+        assert np.array_equal(ids, np.searchsorted(distinct, keys))
+        return search.call_count > 0
+
+    def test_hashes_up_to_127_keys(self):
+        assert not self.searched(ascii_keys(1))
+        assert not self.searched(ascii_keys(127))  # 2**15 slots
+
+    def test_more_than_127_keys_fall_back(self):
+        assert self.searched(ascii_keys(128))  # 2**17 slots
+
+    def test_colliding_multipliers_fall_back(self):
+        # a multiplier of 1 keeps the top bits of keys below 2**24: one slot for all
+        with mock.patch.object(dataset, "_HASH_MULTIPLIERS", (1, 1)):
+            assert self.searched(ascii_keys(10))
+
+
 class TestDedupe:
     def test_merges_weights_in_order(self):
         ds = dataset_from_rows([["a", "b"], ["a", "b"], ["c", "d"]])

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from catcluster import (
     DatasetError,
     KModesConfig,
+    KModesResult,
     assign_points,
     dedupe,
     random_dataset,
     run_kmodes,
 )
 from catcluster import kmodes
-from catcluster.kmodes import init_modes
+from catcluster.kmodes import INIT_METHODS, init_modes
 from catcluster.metric import cluster_counts, hamming, heaviest
 
 from conftest import dataset_from_rows
@@ -357,11 +358,13 @@ def direct_objective(ds, result) -> int:
 
 # a weighted input on which k = 5 from the first distinct records empties a
 # cluster in iteration 1 and reseeds it
-RESEEDING = dataset_from_rows(
-    [[1, 1, 2, 2], [0, 2, 2, 0], [0, 2, 2, 1], [2, 2, 2, 1], [1, 2, 2, 1],
-     [0, 1, 0, 2], [1, 0, 2, 2], [0, 1, 1, 2], [0, 1, 0, 1]],
-    weights=[1, 2, 3, 3, 1, 3, 1, 1, 3],
-)
+RESEEDING_ROWS = [[1, 1, 2, 2], [0, 2, 2, 0], [0, 2, 2, 1], [2, 2, 2, 1], [1, 2, 2, 1],
+                  [0, 1, 0, 2], [1, 0, 2, 2], [0, 1, 1, 2], [0, 1, 0, 1]]
+RESEEDING = dataset_from_rows(RESEEDING_ROWS, weights=[1, 2, 3, 3, 1, 3, 1, 1, 3])
+
+# the same rows under other weights: iteration 1 reseeds, and iteration 2's
+# modes are the reseeded ones
+RESEED_THEN_REPEAT = dataset_from_rows(RESEEDING_ROWS, weights=[1, 4, 2, 2, 2, 4, 2, 4, 2])
 
 
 # converged and capped runs, each with and without a reseed in iteration 1
@@ -398,3 +401,95 @@ class TestObjectiveFromCountTable:
         assert (result.converged, result.reseeded_iterations) == (converged, reseeded)
         assert len(result.objective_history) == result.iterations
         assert len(calls) == (result.iterations if converged else result.iterations + 1)
+
+
+def always_assign(ds, config) -> KModesResult:
+    """The k-modes loop with an assignment pass and a reseed check in every
+    iteration, modes and objectives computed here: the reference for
+    run_kmodes, which skips both when the updated modes are the ones that
+    made the current assignment."""
+    values, weights, sizes, k = ds.values, ds.weights, ds.schema.domain_sizes(), config.k
+    modes = init_modes(ds, config)
+    assignment, modes, reseeded = kmodes._reseed_empty_clusters(values, assign_points(values, modes), modes, k)
+    history, reseeds = [], [0] if reseeded else []
+    for it in range(1, config.max_iterations + 1):
+        modes = grouped_modes(values, weights, sizes, assignment, k)[0].astype(values.dtype)
+        new, modes, reseeded = kmodes._reseed_empty_clusters(values, assign_points(values, modes), modes, k)
+        if reseeded:
+            reseeds.append(it)
+        converged = not reseeded and np.array_equal(new, assignment)
+        assignment = new
+        history.append(int(((values != modes[assignment]).sum(axis=1) * weights).sum()))
+        if converged:
+            break
+    return KModesResult(assignment, modes, history[-1], it, converged, tuple(history), tuple(reseeds))
+
+
+def assert_same_run(result, reference):
+    assert np.array_equal(result.assignment, reference.assignment)
+    assert np.array_equal(result.modes, reference.modes) and result.modes.dtype == reference.modes.dtype
+    fields = ("mode_objective", "iterations", "converged", "objective_history", "reseeded_iterations")
+    assert [getattr(result, f) for f in fields] == [getattr(reference, f) for f in fields]
+
+
+def count_assign_calls(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(kmodes, "assign_points", lambda *args: calls.append(1) or assign_points(*args))
+    return calls
+
+
+class TestRepeatedModes:
+    @given(
+        n=st.integers(1, 30),
+        m=st.integers(1, 5),
+        cats=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 6),
+        init=st.sampled_from(INIT_METHODS),
+        max_iterations=st.sampled_from([1, 2, 3, 100]),
+        merged=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_always_assigning_loop(self, n, m, cats, seed, k, init, max_iterations, merged):
+        ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
+        if merged:  # repeated rows become weights above 1
+            ds = dedupe(ds)
+        config = KModesConfig(k=min(k, len(ds.distinct_records)), init=init, seed=seed,
+                              max_iterations=max_iterations)
+        assert_same_run(run_kmodes(ds, config), always_assign(ds, config))
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 100])
+    @pytest.mark.parametrize("ds", [RESEEDING, RESEED_THEN_REPEAT], ids=["modes-move", "modes-repeat"])
+    def test_reseeding_run_equals_the_always_assigning_loop(self, ds, max_iterations):
+        config = KModesConfig(k=5, max_iterations=max_iterations)
+        result = run_kmodes(ds, config)
+        assert result.reseeded_iterations == (1,)
+        assert_same_run(result, always_assign(ds, config))
+
+    def test_modes_repeat_right_after_a_reseed(self, monkeypatch):
+        # the reseeded modes made the assignment that iteration 2 reuses
+        calls = count_assign_calls(monkeypatch)
+        result = run_kmodes(RESEED_THEN_REPEAT, KModesConfig(k=5))
+        assert (result.iterations, result.converged, result.reseeded_iterations) == (2, True, (1,))
+        assert len(calls) == 3  # the initial one, and iteration 1's before and after its reseed
+
+    def test_repeated_modes_assign_once_per_iteration(self, monkeypatch):
+        # one pass for the initial assignment and one per iteration but the
+        # last, whose modes are the ones that made the assignment
+        ds = random_dataset(n=300, m=7, max_categories=5, seed=21)
+        config = KModesConfig(k=6)
+        reference = always_assign(ds, config)
+        calls = count_assign_calls(monkeypatch)
+        result = run_kmodes(ds, config)
+        assert result.converged and result.iterations >= 2 and not result.reseeded_iterations
+        assert len(calls) == result.iterations
+        assert_same_run(result, reference)
+
+    def test_moved_modes_assign_again(self, monkeypatch, aq_cluster):
+        # k = 1 from the first record: the cluster's mode is another vector,
+        # so the converging iteration assigns once more
+        calls = count_assign_calls(monkeypatch)
+        result = run_kmodes(aq_cluster, KModesConfig(k=1))
+        assert not np.array_equal(result.modes[0], aq_cluster.values[0])
+        assert (result.converged, result.iterations) == (True, 1)
+        assert len(calls) == result.iterations + 1

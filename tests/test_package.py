@@ -1,7 +1,10 @@
-"""The package's import surface and the CLI's BLAS thread policy, each checked
-in a fresh interpreter: what a first import loads and sets cannot be seen from
-a process that has already loaded them."""
+"""The package's import surface, the CLI's BLAS thread policy and its process
+entry, each checked in a fresh interpreter: what a first import loads and sets,
+and what happens at exit, cannot be seen from a process that has already
+loaded them."""
+import gc
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,14 +19,18 @@ SRC = Path(catcluster.__file__).resolve().parents[1]
 POLICY = "OPENBLAS_THREAD_TIMEOUT"
 
 
-def run_child(code: str, **env_overrides: str) -> str:
-    """Run `code` in a new interpreter with this checkout's package and no
-    inherited BLAS policy; return its stdout."""
+def child(*args: str, **env_overrides: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with `args`, this checkout's package and no
+    inherited BLAS policy."""
     env = {key: value for key, value in os.environ.items() if key != POLICY}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     env.update(env_overrides)
-    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_child(code: str, **env_overrides: str) -> str:
+    """Run `code` in a child interpreter (see :func:`child`); return its stdout."""
+    out = child("-c", textwrap.dedent(code), **env_overrides)
     assert out.returncode == 0, out.stderr
     return out.stdout
 
@@ -109,3 +116,47 @@ class TestBlasPolicy:
             print(time.process_time() - start)
         """)
         assert float(out) < 0.02
+
+
+class TestProcessEntry:
+    RUN = ("run", "--label-column", "0", "--algorithm", "kmodes", "--k", "2")
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("".join(f"L{i % 2},{'ab'[i % 2]},{'xyz'[i % 3]},{'pq'[i % 5 // 3]}\n" for i in range(40)))
+        return path
+
+    def test_module_run_writes_the_in_process_report(self, tmp_path, data):
+        from catcluster import cli
+
+        out = child("-m", "catcluster.cli", *self.RUN, "--data", str(data), "--output", str(tmp_path / "child.json"))
+        assert out.returncode == 0, out.stderr
+        assert cli.main([*self.RUN, "--data", str(data), "--output", str(tmp_path / "main.json")]) == 0
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+        assert gc.get_freeze_count() == 0  # main leaves the heap of a process that goes on alone
+
+    def test_missing_data_file_exits_2_with_the_in_process_error(self, tmp_path, capsys):
+        from catcluster import cli
+
+        argv = [*self.RUN, "--data", str(tmp_path / "missing.csv")]
+        out = child("-m", "catcluster.cli", *argv)
+        assert cli.main(argv) == 2
+        expected = capsys.readouterr().err
+        assert (out.returncode, out.stderr) == (2, expected)
+        assert expected.startswith("error:") and "missing.csv" in expected
+
+    def test_entry_freezes_the_heap_and_runs_atexit_handlers(self, tmp_path, data):
+        out = run_child(f"""
+            import atexit, gc, sys
+            from catcluster import cli
+            atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+            sys.argv = ["catcluster", *{self.RUN!r}, "--data", {str(data)!r}, "--output", {str(tmp_path / "r.json")!r}]
+            cli.entry()
+        """)
+        assert out == "frozen at exit: True\n"
+        assert (tmp_path / "r.json").stat().st_size > 0
+
+    def test_console_script_is_the_entry(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        assert re.search(r'^catcluster = "catcluster\.cli:entry"$', pyproject, re.M)
