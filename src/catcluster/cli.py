@@ -18,14 +18,14 @@ from fractions import Fraction
 from pathlib import Path
 
 # OpenBLAS worker threads busy-wait for about 2**28 cycles (0.1 s) after the
-# library loads and after every product before they sleep, so a CLI run spent
-# 1.5-1.8x its wall time in CPU, most of it spinning. 4 is the library's
-# shortest wait (2**4 cycles): products still use every worker, and the idle
-# ones sleep. On 2 vCPUs (OpenBLAS 0.3.31) cpu_s fell 0.28 -> 0.16 s on
-# `verify --suite lemma1` and 0.50 -> 0.32 s on local search over 8124
-# records, with wall time unchanged. OpenBLAS reads the variable once, when
-# numpy loads it, so this precedes every import of numpy; a value the user
-# set is kept. The library (`import catcluster`) leaves the environment alone.
+# library loads and after every product before they sleep. No distance uses
+# BLAS, but numpy loads the library, and its idle workers still spin after
+# that. 4 is the library's shortest wait (2**4 cycles), so they sleep at once.
+# On 2 vCPUs (OpenBLAS 0.3.31) cpu_s of local search over 8124 records read
+# 0.36-0.48 s at 4 against 0.50-0.65 s at 28, the default (5 runs each), with
+# the same wall time. OpenBLAS reads the variable once, when numpy loads it,
+# so this precedes every import of numpy; a value the user set is kept. The
+# library (`import catcluster`) leaves the environment alone.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
@@ -213,14 +213,15 @@ def _solution_common(ds: CategoricalDataset, assignment: np.ndarray, k: int) -> 
     }
 
 
-def _evaluation_section(ds, assignment, k, medoid_objective=None):
-    """(report | None, objectives dict); labels are optional, objectives are not."""
+def _evaluation_section(ds, assignment, k, medoid_objective=None, counts=None):
+    """(report | None, objectives dict); labels are optional, objectives are
+    not. ``counts`` is the partition's count table when the solver kept it."""
     report = None
     if ds.labels is not None:
-        report = evaluate(ds, assignment, medoid_objective=medoid_objective, k=k)
+        report = evaluate(ds, assignment, medoid_objective=medoid_objective, k=k, counts=counts)
         mode_objective = report.mode_objective
     else:
-        mode_objective = objective_under_modes(ds, assignment, k=k)
+        mode_objective = objective_under_modes(ds, assignment, k=k, counts=counts)
     objectives = {
         "mode_objective": int(mode_objective),
         "medoid_objective": None if medoid_objective is None else int(medoid_objective),
@@ -308,7 +309,9 @@ def _run_text(record: dict, report: EvalReport | None) -> str:
 
 def _solve(ds: CategoricalDataset, args):
     """Run ``args.algorithm``; returns (solution section, assignment with the
-    empty clusters dropped, their number k, medoid objective or None)."""
+    empty clusters dropped, their number k, medoid objective or None, and
+    the assignment's count table from k-modes or None: k-modes reseeds every
+    empty cluster, so it drops none)."""
     if args.algorithm == "kmodes":
         config = KModesConfig(
             k=args.k, init=args.init, seed=args.seed, max_iterations=args.max_iterations
@@ -322,7 +325,7 @@ def _solve(ds: CategoricalDataset, args):
             "objective_history": list(result.objective_history),
             "reseeded_iterations": list(result.reseeded_iterations),
         }
-        medoid_objective = None
+        medoid_objective, counts = None, result.counts
     else:
         if args.algorithm == "exhaustive":
             result = exhaustive_search(ds, args.k, workers=args.threads, force=args.force)
@@ -341,12 +344,12 @@ def _solve(ds: CategoricalDataset, args):
             "medoids": [ds.decode(ds.values[i]) for i in result.medoid_indices],
             "guarantee": result.guarantee,
         }
-        medoid_objective = result.medoid_objective
+        medoid_objective, counts = result.medoid_objective, None
     assignment, k, dropped = _compact_assignment(result.assignment, args.k)
     solution.update(_solution_common(ds, assignment, k))
     if dropped:
         solution["empty_clusters_dropped"] = dropped
-    return solution, assignment, k, medoid_objective
+    return solution, assignment, k, medoid_objective, counts
 
 
 def cmd_run(args) -> int:
@@ -355,11 +358,11 @@ def cmd_run(args) -> int:
     t_load = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    solution, assignment, k, medoid_objective = _solve(ds, args)
+    solution, assignment, k, medoid_objective, counts = _solve(ds, args)
     t_solve = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    report, objectives = _evaluation_section(ds, assignment, k, medoid_objective)
+    report, objectives = _evaluation_section(ds, assignment, k, medoid_objective, counts)
     t_eval = time.perf_counter() - t2
 
     stats = dataset_stats(ds)
@@ -441,8 +444,8 @@ def cmd_reproduce(args) -> int:
     parse = build_parser().parse_args
 
     def measure(algorithm: str) -> EvalReport:
-        _, assignment, k, medoid_objective = _solve(ds, parse([*run_argv, "--algorithm", algorithm]))
-        return _evaluation_section(ds, assignment, k, medoid_objective)[0]
+        _, assignment, k, medoid_objective, counts = _solve(ds, parse([*run_argv, "--algorithm", algorithm]))
+        return _evaluation_section(ds, assignment, k, medoid_objective, counts)[0]
 
     km_report, ap_report = measure("kmodes"), measure(ref["approx_algorithm"])
 

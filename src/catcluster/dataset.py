@@ -73,9 +73,9 @@ def unsigned_dtype(top: int):
     """Smallest unsigned integer width that holds every integer in [0, top]:
     the width of category codes (``top`` = largest domain size - 1) and of
     distances (``top`` = m)."""
-    if top <= np.iinfo(np.uint8).max:
+    if top < 1 << 8:
         return np.uint8
-    if top <= np.iinfo(np.uint16).max:
+    if top < 1 << 16:
         return np.uint16
     return np.uint32
 

@@ -103,12 +103,17 @@ def _partition_counts(dataset: CategoricalDataset, assignment, k: int | None):
     return assignment, cluster_counts(dataset.values, dataset.weights, sizes, assignment, k)
 
 
-def objective_under_modes(dataset: CategoricalDataset, assignment, k: int | None = None) -> int:
+def objective_under_modes(
+    dataset: CategoricalDataset, assignment, k: int | None = None, counts: np.ndarray | None = None
+) -> int:
     """Refit a mode on each cluster of the partition and sum the weighted
     distances; minimal over all per-cluster representative vectors. Per
     cluster and attribute that is the total weight minus the heaviest
-    category's weight."""
-    _, counts = _partition_counts(dataset, assignment, k)
+    category's weight. ``counts`` is the partition's count table where the
+    caller already holds it (a k-modes run ends with the one of its
+    assignment); else it is built here."""
+    if counts is None:
+        _, counts = _partition_counts(dataset, assignment, k)
     return int(counts.sum()) - int(heaviest(counts, dataset.schema.domain_sizes())[1].sum())
 
 
@@ -168,15 +173,17 @@ def evaluate(
     assignment,
     medoid_objective: int | None = None,
     k: int | None = None,
+    counts: np.ndarray | None = None,
 ) -> EvalReport:
     """Full quality report for a labeled dataset and a partition. For medoid
-    solutions pass the solver's objective so both readings are reported."""
+    solutions pass the solver's objective so both readings are reported;
+    ``counts`` as in :func:`objective_under_modes`."""
     matrix = confusion(dataset, assignment, k=k)
     r, e = accuracy_error(matrix)
     return EvalReport(
         accuracy=r,
         error=e,
-        mode_objective=objective_under_modes(dataset, assignment, k=k),
+        mode_objective=objective_under_modes(dataset, assignment, k=k, counts=counts),
         medoid_objective=medoid_objective,
         confusion=matrix,
     )

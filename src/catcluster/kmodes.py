@@ -17,7 +17,9 @@ from .dataset import CategoricalDataset, DatasetError
 from .metric import cluster_counts, hamming, heaviest, member_costs
 
 INIT_METHODS = ("first-k-distinct", "random")
-_ASSIGN_ROWS = 2048  # records whose distances to the modes are held at once
+# the kernel's memory for one block of records against the modes; each call
+# sets up the records' codes and the modes' tables, so blocks are large
+_ASSIGN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class KModesResult:
     # objective never rises in an iteration without a reseed
     objective_history: tuple[int, ...]
     reseeded_iterations: tuple[int, ...]
+    # the (k, sum of domain sizes) category-count table of ``assignment``
+    counts: np.ndarray
 
 
 def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
@@ -67,28 +71,39 @@ def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
     return dataset.values[chosen]
 
 
+def _block_rows(values: np.ndarray, modes: np.ndarray) -> int:
+    """Records per block of :func:`assign_points` and :func:`_farthest_record`:
+    ``_ASSIGN_BYTES`` at two bytes per attribute and three per mode, more
+    than the kernel holds per record on domains of at most 256 categories
+    (first its codes, transposed and as digits; then its distances, the
+    table rows added to them and the record's int64 index into a table)."""
+    return max(1, _ASSIGN_BYTES // (2 * values.shape[1] + 3 * modes.shape[0]))
+
+
 def assign_points(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """Nearest-mode index per record, ties broken by lowest cluster index.
 
-    The distances are taken ``_ASSIGN_ROWS`` records at a time, so beyond
-    its int64 output the call holds the same memory whatever the number of
-    records."""
+    The distances are taken one block of :func:`_block_rows` records at a
+    time, so beyond its int64 output the call holds the same memory whatever
+    the number of records."""
     if modes.shape[0] == 0:
         raise ValueError("modes must be non-empty")
     out = np.empty(values.shape[0], dtype=np.int64)
-    for s in range(0, values.shape[0], _ASSIGN_ROWS):
+    rows = _block_rows(values, modes)
+    for s in range(0, values.shape[0], rows):
         # first minimum = lowest cluster index
-        np.argmin(hamming(values[s : s + _ASSIGN_ROWS], modes), axis=1, out=out[s : s + _ASSIGN_ROWS])
+        np.argmin(hamming(values[s : s + rows], modes), axis=1, out=out[s : s + rows])
     return out
 
 
 def _farthest_record(values: np.ndarray, modes: np.ndarray, c: int) -> int:
     """Index of the record farthest from mode ``c`` (ties by lowest record
-    index) among those equal to no other mode, read ``_ASSIGN_ROWS`` records
-    at a time."""
+    index) among those equal to no other mode, read one block of
+    :func:`_block_rows` records at a time."""
     best, pick = -1, -1
-    for s in range(0, values.shape[0], _ASSIGN_ROWS):
-        dists = hamming(values[s : s + _ASSIGN_ROWS], modes)
+    rows = _block_rows(values, modes)
+    for s in range(0, values.shape[0], rows):
+        dists = hamming(values[s : s + rows], modes)
         matched = dists == 0
         matched[:, c] = False
         d = np.where(matched.any(axis=1), -1, dists[:, c].astype(np.int64))
@@ -169,4 +184,5 @@ def run_kmodes(dataset: CategoricalDataset, config: KModesConfig) -> KModesResul
         converged=converged,
         objective_history=tuple(history),
         reseeded_iterations=tuple(reseeded_iters),
+        counts=counts,
     )

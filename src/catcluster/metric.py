@@ -5,27 +5,32 @@ for equal vectors, symmetric, triangle inequality), which
 ``check_metric_properties`` certifies empirically on seeded random triples,
 reading the distances from the kernel below.
 
-Every distance and cluster cost in the package comes from one kernel. With X
-the one-hot encoding of the codes, d(x, y) = m - <X_x, X_y>, so a block of
-distances is one matrix product (:func:`hamming`). The column sums of w * X
-within each cluster, the weighted category counts, form one (k, sum of domain
-sizes) table (:func:`cluster_counts`); every cluster's mode and mode cost
-(:func:`heaviest`) and every record's cost as its cluster's representative
-(:func:`member_costs`) are read from it, without any pairwise block.
+Every distance in the package comes from one kernel, :func:`hamming`. It
+packs consecutive attributes into groups of at most 256 joint categories and
+gives each record one code per group; for a block of the other side's
+records, each group gets a lookup table of how many of its attributes each
+joint category disagrees on. A block of distances is then a sum of table
+rows, one per group, in unsigned integers that never exceed m: exact, with
+no float and no matrix product. The weighted category counts within each
+cluster form one (k, sum of domain sizes) table (:func:`cluster_counts`);
+every cluster's mode and mode cost (:func:`heaviest`) and every record's cost
+as its cluster's representative (:func:`member_costs`) are read from it,
+without any pairwise block.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import CategoricalDataset, unsigned_dtype
 
-_BLOCK_BYTES = 1 << 22  # one one-hot block; an a-side block with its scatter index and product
-# each side is encoded again for every block of the other: fewer rows than
-# this and the encoding, not the product, takes the time on wide domains
-_MIN_BLOCK_ROWS = 256
-_AUDIT_PAIRS = 128  # pairs whose distances the metric audit reads from one block
+_BLOCK_BYTES = 1 << 22  # the lookup tables of one block of b rows, with the mismatch rows they sum
+_ROW_BYTES = 1 << 18  # one block of distance rows, and again the table rows added to it: within a core's L2
+_GROUP_CODES = 256  # most joint categories of one group of attributes: the rows of its table
+_AUDIT_PAIRS = 256  # pairs whose distances the metric audit reads from one block
 _COUNT_ROWS = 4096  # records one scatter of the count table takes: bounds its temporaries
 
 
@@ -35,41 +40,100 @@ def matrix_dtype(m: int):
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """First one-hot column of each attribute."""
+    """First column of each attribute in a row of the count table."""
     return np.cumsum(sizes) - sizes
 
 
-def _onehot(codes: np.ndarray, offsets: np.ndarray, width: int, dtype) -> np.ndarray:
-    out = np.zeros((codes.shape[0], width), dtype=dtype)
-    out[np.arange(codes.shape[0])[:, None], codes + offsets] = 1
-    return out
+def _groups(sizes: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Consecutive attributes packed into groups whose domain sizes multiply
+    to at most ``_GROUP_CODES``, an attribute above that alone in its group:
+    each group's (first, end) attribute, and each attribute's place value in
+    its group's mixed-radix code, the product of the sizes before it there.
+    A one-category attribute joins a group as if it had two, so that every
+    place value is below its group's code count and fits the codes' width."""
+    starts, places, product = [], [], _GROUP_CODES + 1
+    for r, size in enumerate(sizes):
+        if product * max(size, 2) > _GROUP_CODES:
+            starts.append(r)
+            product = 1
+        places.append(product)
+        product *= size
+    return list(zip(starts, starts[1:] + [len(sizes)])), places
+
+
+def _tables(block: np.ndarray, sizes: list[int], groups, dtype) -> list[np.ndarray]:
+    """Each group's lookup table for one block of b rows, in ``dtype``: row c
+    holds, per b record, the number of the group's attributes on which joint
+    category c differs from it.
+
+    A table sums one mismatch row per attribute of its group. The mismatch
+    rows come from one comparison: the row of (attribute r, category v <
+    sizes[r]) marks the records whose category at r is not v, so a category
+    that only b has differs from every one of a's."""
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    attribute_of = np.repeat(np.arange(len(sizes)), sizes)
+    category_of = (np.arange(offsets[-1]) - np.array(offsets)[attribute_of]).astype(unsigned_dtype(max(sizes) - 1))
+    mismatch = np.empty((offsets[-1], block.shape[0]), dtype=dtype)
+    np.not_equal(block.T[attribute_of], category_of[:, None], out=mismatch)
+    tables = []
+    for s, e in groups:
+        # the group's last attribute varies slowest in its code: it indexes the leading axis
+        table = mismatch[offsets[e - 1] : offsets[e]]
+        for r in range(e - 2, s - 1, -1):
+            table = (table[:, None] + mismatch[offsets[r] : offsets[r + 1]]).reshape(-1, block.shape[0])
+        tables.append(table)
+    return tables
 
 
 def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances d(a_i, b_j) between two code matrices, shape (len(a), len(b)),
     in the smallest unsigned width that holds m.
 
-    Computed as m - onehot(a) @ onehot(b).T, each side encoded per block of
-    rows and never whole. The product is float32 while m < 2**24: every
-    product and partial sum is then an integer below 2**24, so the result is
-    exact whatever the BLAS blocking or thread count.
+    Consecutive attributes form groups of at most ``_GROUP_CODES`` joint
+    categories (:func:`_groups`, over the domain sizes of ``a``), and every a
+    record gets one mixed-radix joint code per group. Each block of b rows
+    gets one lookup table per group (:func:`_tables`), and a block of
+    distance rows is the sum over the groups of the table rows its codes
+    pick. These are integer adds whose total never exceeds m, so the result
+    is exact by construction: no float, no product.
     """
     m = a.shape[1]
-    out = np.empty((a.shape[0], b.shape[0]), dtype=matrix_dtype(m))
+    dtype = np.dtype(matrix_dtype(m))
+    out = np.empty((a.shape[0], b.shape[0]), dtype=dtype)
     if out.size == 0:
         return out
-    sizes = np.maximum(a.max(axis=0), b.max(axis=0)).astype(np.int64) + 1
-    offsets, width = _offsets(sizes), int(sizes.sum())
-    ftype = np.dtype(np.float32 if m < 1 << 24 else np.float64)
-    b_rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (width * ftype.itemsize))
+    columns = np.ascontiguousarray(a.T)  # one row per attribute
+    sizes = [top + 1 for top in columns.max(axis=1).tolist()]
+    groups, places = _groups(sizes)
+    joint = [math.prod(sizes[s:e]) for s, e in groups]  # rows of each group's table
+    # each a record's joint code per group, (groups, len(a)), in the narrowest width
+    code = unsigned_dtype(max(joint) - 1)
+    digits = np.multiply(columns, np.array(places)[:, None], dtype=code, casting="unsafe")
+    codes = np.empty((len(groups), a.shape[0]), dtype=code)
+    for g, (s, e) in enumerate(groups):
+        np.add.reduce(digits[s:e], axis=0, out=codes[g])
+    del columns, digits  # the lookups need only the codes: less held per record
+
+    # the tables of one b block and the mismatch rows they sum
+    b_rows = max(1, _BLOCK_BYTES // ((sum(joint) + sum(sizes)) * dtype.itemsize))
     for bs in range(0, b.shape[0], b_rows):
-        xb = _onehot(b[bs : bs + b_rows], offsets, width, ftype)
-        # an a-side row costs its one-hot row, its int64 scatter index and its row of the product
-        a_rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // ((width + xb.shape[0]) * ftype.itemsize + m * 8))
+        tables = _tables(b[bs : bs + b_rows], sizes, groups, dtype)
+        nb = tables[0].shape[1]
+        a_rows = max(1, _ROW_BYTES // (nb * dtype.itemsize))
+        part = np.empty((min(a_rows, a.shape[0]), nb), dtype=dtype)
+        # with b in one block, a block of out's rows is contiguous and sums in place
+        total = None if nb == b.shape[0] else np.empty_like(part)
         for s in range(0, a.shape[0], a_rows):
-            # one expression: neither the one-hot block nor its product outlives this step
-            np.subtract(m, _onehot(a[s : s + a_rows], offsets, width, ftype) @ xb.T,
-                        out=out[s : s + a_rows, bs : bs + b_rows], casting="unsafe")
+            picks = codes[:, s : s + a_rows]
+            rows, picked = picks.shape[1], part[: picks.shape[1]]
+            acc = out[s : s + rows] if total is None else total[:rows]
+            # every code is in range: "clip" only spares take its buffered bounds check
+            np.take(tables[0], picks[0], axis=0, out=acc, mode="clip")
+            for table, pick in zip(tables[1:], picks[1:]):
+                np.take(table, pick, axis=0, out=picked, mode="clip")
+                acc += picked
+            if total is not None:
+                out[s : s + rows, bs : bs + nb] = acc
     return out
 
 
@@ -77,8 +141,8 @@ def cluster_counts(
     values: np.ndarray, weights: np.ndarray, sizes: np.ndarray, assignment: np.ndarray, k: int
 ) -> np.ndarray:
     """(k, sum of sizes) int64 table: the total weight of every (cluster,
-    attribute, category) triple, each row in one-hot column order. Exact for
-    any total weight that fits in int64.
+    attribute, category) triple, each row attribute by attribute and within
+    one by category id. Exact for any total weight that fits in int64.
 
     Built by ``np.add.at`` over blocks of ``_COUNT_ROWS`` records, so its
     code and weight temporaries never span all n * m entries.

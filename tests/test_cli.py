@@ -1,3 +1,4 @@
+import importlib
 import json
 import urllib.error
 from fractions import Fraction
@@ -6,7 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from catcluster import cli, dataset, medoids, metric
+from catcluster import cli, dataset, kmodes, medoids, metric
 
 from conftest import dataset_from_rows
 
@@ -156,6 +157,24 @@ class TestRun:
                                    "--algorithm", "kmodes", "--k", "2", *dedupe])
         assert len(calls) == 1
         assert record["dataset"]["distinct_values"] == 5
+
+    @pytest.mark.parametrize("fixture", ["votes_csv", "unlabeled_csv"])
+    def test_kmodes_evaluation_builds_no_count_table(self, capsys, request, monkeypatch, fixture):
+        # the evaluation reads the table of the run's last assignment: a run
+        # builds one table per assignment it counts and none after it
+        calls = []
+        for module in (kmodes, importlib.import_module("catcluster.evaluate")):
+            real = module.cluster_counts
+            monkeypatch.setattr(module, "cluster_counts",
+                                lambda *args, real=real, name=module.__name__: calls.append(name) or real(*args))
+        label = ["--label-column", "0"] if fixture == "votes_csv" else []
+        record = run_json(capsys, ["run", "--data", str(request.getfixturevalue(fixture)), *label,
+                                   "--algorithm", "kmodes", "--k", "3"])
+        solution = record["solution"]
+        assert solution["converged"] and not solution["reseeded_iterations"]
+        # the initial assignment's table, then one per iteration that changed the assignment
+        assert calls == ["catcluster.kmodes"] * solution["iterations"]
+        assert solution["objective_history"][-1] == record["objectives"]["mode_objective"]
 
     def test_debug_records_objective_history(self, capsys, toy_csv):
         record = run_json(

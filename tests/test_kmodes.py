@@ -175,12 +175,13 @@ class TestInitAndAssign:
         modes = ds.values[[0, 7, 9, 20]]
         whole = np.argmin(hamming(ds.values, modes), axis=1)
         for rows in (1, 3, 49, 50, 64):  # blocks that do and do not divide the records
-            monkeypatch.setattr(kmodes, "_ASSIGN_ROWS", rows)
+            monkeypatch.setattr(kmodes, "_block_rows", lambda values, modes: rows)
             assert np.array_equal(assign_points(ds.values, modes), whole)
 
     def test_assign_memory_does_not_grow_with_n(self):
-        # beyond its int64 output, one block of distances and one-hot rows:
-        # measured 1.4 MB here, where one (n, k) distance block alone is 4 MB
+        # beyond its int64 output, one block of the kernel's codes and
+        # distances: measured 0.7 MB here, where one (n, k) distance block
+        # alone is 4 MB
         n, k = 200_000, 20
         ds = random_dataset(n=n, m=22, max_categories=8, seed=3, min_categories=2)
         modes = ds.values[:k].copy()
@@ -293,7 +294,7 @@ class TestRunKModes:
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
         modes = ds.values[[p % n for p in picks]]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kmodes, "_ASSIGN_ROWS", rows)
+            patch.setattr(kmodes, "_block_rows", lambda values, modes: rows)
             for c in range(len(modes)):
                 expected = farthest_oracle(ds.values, modes, c)
                 if expected < 0:
@@ -422,7 +423,8 @@ def always_assign(ds, config) -> KModesResult:
         history.append(int(((values != modes[assignment]).sum(axis=1) * weights).sum()))
         if converged:
             break
-    return KModesResult(assignment, modes, history[-1], it, converged, tuple(history), tuple(reseeds))
+    return KModesResult(assignment, modes, history[-1], it, converged, tuple(history), tuple(reseeds),
+                        cluster_counts(values, weights, sizes, assignment, k))
 
 
 def assert_same_run(result, reference):
@@ -430,6 +432,7 @@ def assert_same_run(result, reference):
     assert np.array_equal(result.modes, reference.modes) and result.modes.dtype == reference.modes.dtype
     fields = ("mode_objective", "iterations", "converged", "objective_history", "reseeded_iterations")
     assert [getattr(result, f) for f in fields] == [getattr(reference, f) for f in fields]
+    assert np.array_equal(result.counts, reference.counts)  # the table of the final assignment
 
 
 def count_assign_calls(monkeypatch) -> list:

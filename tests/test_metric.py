@@ -95,10 +95,10 @@ class TestHammingKernel:
         cats=st.integers(1, 5),
         wide=st.booleans(),
         block_bytes=st.sampled_from([1, 64, 4096, 1 << 22]),
-        min_rows=st.sampled_from([1, 7, 256]),
+        row_bytes=st.sampled_from([1, 7, 64, 1 << 18]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_blocks_match_broadcast_count(self, data, na, nb, m, cats, wide, block_bytes, min_rows):
+    def test_blocks_match_broadcast_count(self, data, na, nb, m, cats, wide, block_bytes, row_bytes):
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         a = rng.integers(0, cats, size=(na, m)).astype(np.int32)
@@ -106,10 +106,52 @@ class TestHammingKernel:
         if wide:  # attribute 0 takes up to 1000 categories
             a[:, 0] = rng.integers(0, 1000, size=na)
             b[:, 0] = rng.integers(0, 1000, size=nb)
-        with mock.patch.multiple(metric, _BLOCK_BYTES=block_bytes, _MIN_BLOCK_ROWS=min_rows):
+        with mock.patch.multiple(metric, _BLOCK_BYTES=block_bytes, _ROW_BYTES=row_bytes):
             d = hamming(a, b)
         assert d.dtype == matrix_dtype(m)
         assert np.array_equal(d, broadcast_count(a, b))
+
+    @pytest.mark.parametrize(
+        "sizes, groups, width",
+        [
+            ((4, 8, 8), [(0, 3)], np.uint8),  # 256 joint categories: one group, one-byte codes
+            ((4, 8, 8, 2), [(0, 3), (3, 4)], np.uint8),  # 512: the last attribute starts a group
+            ((257, 2, 3), [(0, 1), (1, 3)], np.uint16),  # over 256 categories: a group of its own
+            ((2, 300, 3, 1, 1), [(0, 1), (1, 2), (2, 5)], np.uint16),
+            ((2, 128, 1, 1, 2), [(0, 2), (2, 5)], np.uint8),  # one category counts as two
+        ],
+    )
+    def test_groups_and_their_code_width(self, sizes, groups, width):
+        assert metric._groups(list(sizes))[0] == groups
+        rng = np.random.default_rng(sum(sizes))
+        a = np.stack([rng.integers(0, size, 400) for size in sizes], axis=1)
+        a[0] = np.array(sizes) - 1  # every category present: the domain sizes are these
+        a = a.astype(np.uint16)
+        b = np.stack([rng.integers(0, size, 60) for size in sizes], axis=1).astype(np.uint16)
+        table_rows = []
+        real = metric._tables
+
+        def spy(block, sizes, groups, dtype):
+            tables = real(block, sizes, groups, dtype)
+            table_rows.append([len(t) for t in tables])
+            return tables
+
+        with mock.patch.object(metric, "_tables", spy):
+            assert np.array_equal(hamming(a, b), broadcast_count(a, b))
+        assert table_rows == [[int(np.prod(sizes[s:e])) for s, e in groups]]  # one row per joint category
+        places = metric._groups(list(sizes))[1]
+        joint = max(int(np.prod(sizes[s:e])) for s, e in groups)
+        assert metric.unsigned_dtype(joint - 1) == width and max(places) < joint
+
+    def test_b_side_categories_a_lacks(self):
+        # a holds categories 0-1 and 0-2; b also 2-9 and 3-5, in a wider dtype
+        rng = np.random.default_rng(4)
+        a = np.stack([rng.integers(0, 2, 50), rng.integers(0, 3, 50)], axis=1).astype(np.uint8)
+        b = np.stack([rng.integers(0, 10, 80), rng.integers(0, 6, 80)], axis=1).astype(np.uint16)
+        b[:3] = [[9, 5], [1, 4], [0, 2]]
+        d = hamming(a, b)
+        assert np.array_equal(d, broadcast_count(a, b))
+        assert (d[:, 0] == 2).all() and (d[:, 1] >= 1).all()
 
     def test_single_record_and_empty_sides(self):
         one = np.array([[2, 0, 1]], dtype=np.int32)
@@ -245,14 +287,23 @@ class TestFullByteDomain:
 
 
 class TestHammingBlocks:
-    def spy_rows(self, a, b):
-        """hamming(a, b) and the row count of every one-hot block it encodes."""
-        rows, real = [], metric._onehot
-        def spy(codes, *args):
-            rows.append(codes.shape[0])
-            return real(codes, *args)
-        with mock.patch.object(metric, "_onehot", spy):
-            return hamming(a, b), rows
+    def spy_blocks(self, a, b):
+        """hamming(a, b), the bytes of each table build (tables and the
+        mismatch rows they sum) and the shape of each block of distance rows."""
+        builds, blocks = [], []
+        real_tables, real_take = metric._tables, np.take
+
+        def tables(block, sizes, groups, dtype):
+            out = real_tables(block, sizes, groups, dtype)
+            builds.append(sum(t.nbytes for t in out) + sum(sizes) * block.shape[0] * np.dtype(dtype).itemsize)
+            return out
+
+        def take(table, pick, axis=None, out=None, mode="raise"):
+            blocks.append(out.shape)
+            return real_take(table, pick, axis=axis, out=out, mode=mode)
+
+        with mock.patch.object(metric, "_tables", tables), mock.patch.object(metric.np, "take", take):
+            return hamming(a, b), builds, blocks
 
     def test_a_blocks_against_few_rows_stay_within_the_budget(self):
         rng = np.random.default_rng(2)
@@ -260,14 +311,26 @@ class TestHammingBlocks:
         a = (rng.integers(0, 1 << 20, size=(30_000, sizes.size)) % sizes).astype(np.uint8)
         a[0] = sizes - 1
         b = a[:20]
-        d, rows = self.spy_rows(a, b)
+        d, builds, blocks = self.spy_blocks(a, b)
         assert np.array_equal(d, broadcast_count(a, b))
-        # one b block, then a-side blocks: one-hot rows, their int64 scatter index and their product
-        per_row = (sizes.sum() + b.shape[0]) * 4 + sizes.size * 8
-        assert rows[0] == 20 and len(rows) > 2 and max(rows[1:]) * per_row <= metric._BLOCK_BYTES
+        # one table build; blocks of 13 107 rows of 20 one-byte distances, a take per group each
+        groups = len(metric._groups(sizes.tolist())[0])
+        assert len(builds) == 1 and builds[0] <= metric._BLOCK_BYTES
+        rows = metric._ROW_BYTES // 20
+        assert blocks == [(rows, 20)] * 2 * groups + [(30_000 - 2 * rows, 20)] * groups
 
-    def test_square_build_keeps_its_block_shape(self):
-        # a matrix over thousands of records: all of b in one block, a in blocks of the 256-row floor
-        ds = random_dataset(n=4200, m=22, max_categories=8, seed=4)
-        _, rows = self.spy_rows(ds.values, ds.values)
-        assert rows[0] == 4200 and rows[1:] == [256] * 16 + [4200 - 16 * 256]
+    def test_square_build_splits_b_by_its_tables(self):
+        # a matrix over thousands of records: the tables for all of b would pass
+        # the budget, so b comes in the largest blocks whose tables fit, and a
+        # in blocks of distance rows within _ROW_BYTES
+        ds = random_dataset(n=8124, m=22, max_categories=8, seed=4)
+        d, builds, blocks = self.spy_blocks(ds.values, ds.values)
+        assert np.array_equal(d[::97], broadcast_count(ds.values[::97], ds.values))
+        sizes = (ds.values.max(axis=0).astype(int) + 1).tolist()
+        groups = metric._groups(sizes)[0]
+        per_record = sum(int(np.prod(sizes[s:e])) for s, e in groups) + sum(sizes)  # one byte each
+        b_rows = metric._BLOCK_BYTES // per_record
+        assert len(builds) == -(-8124 // b_rows) > 1
+        assert builds == [b_rows * per_record] * (len(builds) - 1) + [(8124 % b_rows) * per_record]
+        assert blocks[0] == (metric._ROW_BYTES // b_rows, b_rows)
+        assert all(rows * columns <= metric._ROW_BYTES for rows, columns in blocks)
