@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import CategoricalDataset, random_dataset
-from .metric import AuditReport, cluster_counts, hamming, heaviest, matrix_dtype, member_costs
+from .dataset import CategoricalDataset, random_dataset, unsigned_dtype
+from .metric import AuditReport, cluster_counts, hamming, heaviest, member_costs
 
 # distance terms n * C(n, k) the scan may sum without force=True: 15 to 50 s
 # on one thread at the 1e9 to 3.3e9 terms/s measured on 2 vCPUs
@@ -102,7 +102,7 @@ class _Columns(NamedTuple):
 
 def _columns(dataset: CategoricalDataset) -> _Columns:
     """The summation axis of ``dataset``'s sweeps (see :class:`_Columns`)."""
-    dtype = _GROUP_SUM[np.dtype(matrix_dtype(dataset.m))]
+    dtype = _GROUP_SUM[np.dtype(unsigned_dtype(dataset.m))]
     cap = np.iinfo(dtype).max // dataset.m
     order = np.argsort(dataset.weights, kind="stable")
     weights = dataset.weights[order]
@@ -132,7 +132,7 @@ def _distance_rows(values: np.ndarray, order: np.ndarray):
     """
     n, m = values.shape
     columns = values[order]
-    if n * n * np.dtype(matrix_dtype(m)).itemsize <= MATRIX_BUDGET:
+    if n * n * np.dtype(unsigned_dtype(m)).itemsize <= MATRIX_BUDGET:
         return hamming(values, columns).__getitem__
     return lambda index: hamming(values[index], columns)
 
@@ -155,9 +155,10 @@ def cost_of_medoid_set(dataset: CategoricalDataset, indices) -> tuple[int, np.nd
         raise ValueError(f"duplicate medoid indices in {idx}")
     if any(i < 0 or i >= dataset.n_records for i in idx):
         raise ValueError(f"medoid index out of range in {idx}")
-    rows = hamming(dataset.values[idx], dataset.values)
-    assignment = np.argmin(rows, axis=0)  # first minimum = lowest position
-    objective = int(dataset.weights @ rows.min(axis=0))
+    # the medoids as b: the kernel's tables cover k records, not all n
+    columns = hamming(dataset.values, dataset.values[idx])
+    assignment = np.argmin(columns, axis=1)  # first minimum = lowest position
+    objective = int(dataset.weights @ columns.min(axis=1))
     return objective, assignment
 
 
@@ -203,7 +204,7 @@ def _best_extension(rows, columns, bases, after, excluded):
     return int(costs[r, t]), r, start + t
 
 
-def _scan(rows, columns, base, excluded, size, heads=None):
+def _scan(rows, columns, base, excluded, size, share=(0, 1)):
     """Lowest (cost, subset) over the ascending ``size``-subsets of the records
     not ``excluded``, added to the medoids behind ``base`` (each record's
     distance to its nearest kept medoid, see :func:`_kept_base`); None when
@@ -215,55 +216,38 @@ def _scan(rows, columns, base, excluded, size, heads=None):
     (:func:`_best_extension`); blocks are sized so that their minima take at
     most ``_SCAN_BYTES``. Only a strictly lower cost replaces the incumbent,
     so ties keep the lexicographically smallest subset; nothing is pruned.
-    Size 1 is the one-row case: ``base`` itself is the block. ``heads``
-    limits the subset's first member to a [lo, hi) range of pool positions,
-    the pool being the records not excluded, ascending.
+    Size 1 is the one-row case: ``base`` itself is the block.
+
+    ``share`` = (w, parts) scores only the (prefix, block) units whose
+    ordinal in that order is w modulo parts, and at size 1 the one row only
+    for w = 0: the parts shares of a scan cover each unit exactly once.
     """
+    w, parts = share
     if size == 1:
-        found = _best_extension(rows, columns, base[None, :], np.array([-1]), excluded)
+        found = None if w else _best_extension(rows, columns, base[None, :], np.array([-1]), excluded)
         return None if found is None else (found[0], (found[2],))
     pool = np.flatnonzero(~excluded)
     n, row_bytes = len(base), base.nbytes
-    lo, hi = heads or (0, len(pool))
-    prefixes = [()] if size == 2 else (
-        (i, *rest)
-        for i in range(lo, hi)
-        for rest in itertools.combinations(range(i + 1, len(pool)), size - 3)
-    )
-    best = None
-    for positions in prefixes:  # pool positions of the (size - 2)-prefix
-        prefix = [int(x) for x in pool[list(positions)]]
-        qbase = np.minimum(base, rows(prefix).min(axis=0)) if prefix else base
-        a, b = (positions[-1] + 1, len(pool)) if positions else (lo, hi)
-        b = min(b, len(pool) - 1)  # the last pool member has no completion
-        while a < b:
+    end = len(pool) - 1  # the last pool member has no completion
+    best, units = None, itertools.count()
+    for positions in itertools.combinations(range(len(pool)), size - 2):  # pool positions of the prefix
+        a, qbase = positions[-1] + 1 if positions else 0, None
+        while a < end:
             # as many next members as keep their minima with all of their
             # completions within _SCAN_BYTES, and at least one
             width = n - 1 - int(pool[a])
-            js = pool[a : min(b, a + max(1, _SCAN_BYTES // (width * row_bytes)))]
+            js = pool[a : min(end, a + max(1, _SCAN_BYTES // (width * row_bytes)))]
+            a += len(js)
+            if next(units) % parts != w:
+                continue
+            if qbase is None:  # the first block of this prefix that the share owns
+                prefix = [int(x) for x in pool[list(positions)]]
+                qbase = np.minimum(base, _kept_base(rows, prefix))
             bases = np.minimum(qbase, rows(js))
             found = _best_extension(rows, columns, bases, js, excluded)
             if found is not None and (best is None or found[0] < best[0]):
                 best = (found[0], (*prefix, int(js[found[1]]), found[2]))
-            a += len(js)
     return best
-
-
-def _balanced_first_ranges(n: int, k: int, parts: int) -> list[tuple[int, int]]:
-    """Split first-index values into contiguous ranges of roughly equal subset counts."""
-    firsts = list(range(0, n - k + 1))
-    loads = [math.comb(n - f - 1, k - 1) for f in firsts]
-    total = sum(loads)
-    target = total / parts
-    ranges = []
-    lo, acc = 0, 0
-    for f, load in zip(firsts, loads):
-        acc += load
-        if acc >= target and len(ranges) < parts - 1:
-            ranges.append((lo, f + 1))
-            lo, acc = f + 1, 0
-    ranges.append((lo, n - k + 1))
-    return [r for r in ranges if r[0] < r[1]]
 
 
 def exhaustive_search(
@@ -279,8 +263,10 @@ def exhaustive_search(
     over the (k-2)-prefixes only, and one array pass scores a block of next
     members with all of their completions (see :func:`_scan`). Instances of
     more than ``EXHAUSTIVE_GATE`` terms are refused unless ``force`` is set.
-    ``workers`` threads, at most one per CPU, scan contiguous ranges of first
-    indices; the output is independent of their number.
+    ``workers`` threads, at most one per CPU, take turns at the scan's
+    blocks of next members (the shares of :func:`_scan`); each finds its own
+    lowest (cost, tuple), and the lowest of those wins, so the output is
+    independent of their number.
     """
     n = dataset.n_records
     if not 1 <= k <= n:
@@ -296,13 +282,12 @@ def exhaustive_search(
     columns = _columns(dataset)
     rows = _distance_rows(dataset.values, columns.order)
     base, excluded = _kept_base(rows, ()), np.zeros(n, dtype=bool)
-    # k = 1 has no prefix to split: its scan is one pass over all completions
-    parts = min(workers, os.cpu_count() or 1) if k > 1 else 1
-    ranges = _balanced_first_ranges(n, k, parts)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as ex:  # numpy releases the GIL
-        results = list(ex.map(lambda heads: _scan(rows, columns, base, excluded, k, heads), ranges))
+    parts = min(workers, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=parts) as ex:  # numpy releases the GIL
+        found = ex.map(lambda w: _scan(rows, columns, base, excluded, k, (w, parts)), range(parts))
+        results = [r for r in found if r is not None]  # a share may own no block
 
-    best_cost, best_subset = min(results)  # by (cost, tuple): the earliest range wins ties
+    best_cost, best_subset = min(results)  # by (cost, tuple): the smallest optimal tuple wins ties
     objective, assignment = cost_of_medoid_set(dataset, best_subset)
     if objective != best_cost:
         raise RuntimeError(f"scan cost {best_cost} != recomputed objective {objective}")

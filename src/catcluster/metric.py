@@ -34,11 +34,6 @@ _AUDIT_PAIRS = 256  # pairs whose distances the metric audit reads from one bloc
 _COUNT_ROWS = 4096  # records one scatter of the count table takes: bounds its temporaries
 
 
-def matrix_dtype(m: int):
-    """Smallest unsigned integer width that holds a distance in [0, m]."""
-    return unsigned_dtype(m)
-
-
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     """First column of each attribute in a row of the count table."""
     return np.cumsum(sizes) - sizes
@@ -98,7 +93,7 @@ def hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is exact by construction: no float, no product.
     """
     m = a.shape[1]
-    dtype = np.dtype(matrix_dtype(m))
+    dtype = np.dtype(unsigned_dtype(m))
     out = np.empty((a.shape[0], b.shape[0]), dtype=dtype)
     if out.size == 0:
         return out

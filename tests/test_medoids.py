@@ -134,6 +134,7 @@ class TestExhaustiveSearch:
                 exhaustive_search(four_point, k, workers=workers)
 
     def test_worker_and_matrix_parity(self, monkeypatch):
+        monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)  # 3 workers: 3 shares on any machine
         ds = random_dataset(n=55, m=5, max_categories=3, seed=21)
         base = exhaustive_search(ds, 3)
         for workers, budget in ((3, medoids.MATRIX_BUDGET), (1, 0), (2, 0)):
@@ -169,8 +170,10 @@ class TestExhaustiveSearch:
         assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
 
     @pytest.mark.parametrize("n,k", [(5, 4), (9, 3), (24, 2), (30, 1)])
-    def test_worker_counts_agree(self, n, k):
-        # n=5, k=4 has two possible first indices, fewer than 3 or 7 workers
+    def test_worker_counts_agree(self, n, k, monkeypatch):
+        # n=5, k=4 has fewer blocks of next members than 7 workers, and k=1
+        # one row, which share 0 scores
+        monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)  # 2, 3 and 7 shares on any machine
         ds = random_dataset(n=n, m=3, max_categories=2, seed=n)
         naive = exhaustive_search_naive(ds, k)
         for workers in (1, 2, 3, 7):
@@ -180,8 +183,9 @@ class TestExhaustiveSearch:
                 naive.medoid_indices,
             ), workers
 
-    def test_ties_across_worker_ranges(self):
-        # every subset costs 0: each range finds its own optimum, the first range's wins
+    def test_ties_across_worker_ranges(self, monkeypatch):
+        # every subset costs 0: each share finds its own optimum, the smallest tuple wins
+        monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)
         ds = dataset_from_rows([["a", "b"]] * 12)
         sol = exhaustive_search(ds, 3, workers=3)
         assert sol.medoid_indices == (0, 1, 2)
@@ -213,11 +217,51 @@ class TestExhaustiveSearch:
         if weighted or repeated:
             ds = dataset_from_rows(names, weights=weights[:n] if weighted else None)
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
-        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget):
+        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget), \
+                mock.patch.object(medoids.os, "cpu_count", lambda: 64):  # workers shares on any machine
             scan = exhaustive_search(ds, k, workers=workers)
         naive = exhaustive_search_naive(ds, k)
         assert scan.medoid_objective == naive.medoid_objective
         assert scan.medoid_indices == naive.medoid_indices
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scan_bytes", [1, 1 << 18])
+    def test_shares_partition_the_units(self, size, scan_bytes, monkeypatch):
+        # the shares of a scan score disjoint (prefix, first next member)
+        # units that together are the units of the whole scan; scan_bytes 1
+        # makes every next member a unit of its own
+        ds = random_dataset(n=10, m=3, max_categories=3, seed=2)
+        columns = medoids._columns(ds)
+        rows = medoids._distance_rows(ds.values, columns.order)
+        base, excluded = medoids._kept_base(rows, ()), np.zeros(10, dtype=bool)
+        excluded[4] = True  # a record outside the pool
+        prefix, keys = [()], []
+        kept_base, best_extension = medoids._kept_base, medoids._best_extension
+
+        def recording_kept_base(rows, kept):  # the scan asks for a prefix's base before its units
+            prefix[0] = tuple(kept)
+            return kept_base(rows, kept)
+
+        def recording_best_extension(rows, columns, bases, after, excluded):
+            keys.append((prefix[0], int(after[0])))
+            return best_extension(rows, columns, bases, after, excluded)
+
+        monkeypatch.setattr(medoids, "_kept_base", recording_kept_base)
+        monkeypatch.setattr(medoids, "_best_extension", recording_best_extension)
+        monkeypatch.setattr(medoids, "_SCAN_BYTES", scan_bytes)
+
+        def scored(share):
+            prefix[0], keys[:] = (), []
+            medoids._scan(rows, columns, base, excluded, size, share)
+            assert len(set(keys)) == len(keys)
+            return set(keys)
+
+        whole = scored((0, 1))
+        assert whole
+        for parts in (2, 3):
+            shares = [scored((w, parts)) for w in range(parts)]
+            assert all(not a & b for a, b in itertools.combinations(shares, 2))
+            assert set().union(*shares) == whole
 
     def test_scan_disagreement_raises(self, monkeypatch):
         ds = random_dataset(n=12, m=3, max_categories=3, seed=4)

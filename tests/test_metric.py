@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catcluster import KModesConfig, check_metric_properties, dedupe, medoids, metric, random_dataset, run_kmodes
+from catcluster.dataset import unsigned_dtype
 from catcluster.metric import (
     cluster_counts,
     hamming,
     heaviest,
-    matrix_dtype,
     member_costs,
 )
 
@@ -57,10 +57,10 @@ class TestPairwiseMatrix:
         assert np.array_equal(d, broadcast_count(ds.values, ds.values))
 
     def test_dtype_scales_with_m(self):
-        assert matrix_dtype(22) == np.uint8
-        assert matrix_dtype(255) == np.uint8
-        assert matrix_dtype(256) == np.uint16
-        assert matrix_dtype(70000) == np.uint32
+        assert unsigned_dtype(22) == np.uint8
+        assert unsigned_dtype(255) == np.uint8
+        assert unsigned_dtype(256) == np.uint16
+        assert unsigned_dtype(70000) == np.uint32
 
     def test_budget_refusal(self, monkeypatch):
         # the solvers hold the 100 x 100 uint8 matrix at exactly its 10 000
@@ -108,7 +108,7 @@ class TestHammingKernel:
             b[:, 0] = rng.integers(0, 1000, size=nb)
         with mock.patch.multiple(metric, _BLOCK_BYTES=block_bytes, _ROW_BYTES=row_bytes):
             d = hamming(a, b)
-        assert d.dtype == matrix_dtype(m)
+        assert d.dtype == unsigned_dtype(m)
         assert np.array_equal(d, broadcast_count(a, b))
 
     @pytest.mark.parametrize(
