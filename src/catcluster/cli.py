@@ -196,16 +196,15 @@ def _assignment_digest(assignment: np.ndarray) -> str:
 
 
 def _compact_assignment(assignment: np.ndarray, k: int):
-    """Drop empty clusters, remapping ids to 0..k_eff-1; returns the dropped ids."""
+    """Drop the empty ones of k clusters and renumber the rest in order; returns that and the dropped ids."""
     present = np.bincount(assignment, minlength=k) > 0
     if present.all():
-        return assignment, k, []
-    compact = (np.cumsum(present) - 1)[assignment]
-    return compact, int(present.sum()), np.flatnonzero(~present).tolist()
+        return assignment, []
+    return (np.cumsum(present) - 1)[assignment], np.flatnonzero(~present).tolist()
 
 
-def _solution_common(ds: CategoricalDataset, assignment: np.ndarray, k: int) -> dict:
-    weights = np.zeros(k, dtype=np.int64)
+def _solution_common(ds: CategoricalDataset, assignment: np.ndarray) -> dict:
+    weights = np.zeros(int(assignment.max()) + 1, dtype=np.int64)
     np.add.at(weights, assignment, ds.weights)  # exact, where float64 sums past 2**53 are not
     return {
         "cluster_weights": [int(w) for w in weights],
@@ -213,15 +212,15 @@ def _solution_common(ds: CategoricalDataset, assignment: np.ndarray, k: int) -> 
     }
 
 
-def _evaluation_section(ds, assignment, k, medoid_objective=None, counts=None):
+def _evaluation_section(ds, assignment, medoid_objective=None, counts=None):
     """(report | None, objectives dict); labels are optional, objectives are
     not. ``counts`` is the partition's count table when the solver kept it."""
     report = None
     if ds.labels is not None:
-        report = evaluate(ds, assignment, medoid_objective=medoid_objective, k=k, counts=counts)
+        report = evaluate(ds, assignment, medoid_objective=medoid_objective, counts=counts)
         mode_objective = report.mode_objective
     else:
-        mode_objective = objective_under_modes(ds, assignment, k=k, counts=counts)
+        mode_objective = objective_under_modes(ds, assignment, counts=counts)
     objectives = {
         "mode_objective": int(mode_objective),
         "medoid_objective": None if medoid_objective is None else int(medoid_objective),
@@ -309,9 +308,9 @@ def _run_text(record: dict, report: EvalReport | None) -> str:
 
 def _solve(ds: CategoricalDataset, args):
     """Run ``args.algorithm``; returns (solution section, assignment with the
-    empty clusters dropped, their number k, medoid objective or None, and
-    the assignment's count table from k-modes or None: k-modes reseeds every
-    empty cluster, so it drops none)."""
+    empty clusters dropped, medoid objective or None, and the assignment's
+    count table from k-modes or None: k-modes reseeds every empty cluster,
+    so it drops none)."""
     if args.algorithm == "kmodes":
         config = KModesConfig(
             k=args.k, init=args.init, seed=args.seed, max_iterations=args.max_iterations
@@ -345,11 +344,11 @@ def _solve(ds: CategoricalDataset, args):
             "guarantee": result.guarantee,
         }
         medoid_objective, counts = result.medoid_objective, None
-    assignment, k, dropped = _compact_assignment(result.assignment, args.k)
-    solution.update(_solution_common(ds, assignment, k))
+    assignment, dropped = _compact_assignment(result.assignment, args.k)
+    solution.update(_solution_common(ds, assignment))
     if dropped:
         solution["empty_clusters_dropped"] = dropped
-    return solution, assignment, k, medoid_objective, counts
+    return solution, assignment, medoid_objective, counts
 
 
 def cmd_run(args) -> int:
@@ -358,11 +357,11 @@ def cmd_run(args) -> int:
     t_load = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    solution, assignment, k, medoid_objective, counts = _solve(ds, args)
+    solution, assignment, medoid_objective, counts = _solve(ds, args)
     t_solve = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    report, objectives = _evaluation_section(ds, assignment, k, medoid_objective, counts)
+    report, objectives = _evaluation_section(ds, assignment, medoid_objective, counts)
     t_eval = time.perf_counter() - t2
 
     stats = dataset_stats(ds)
@@ -444,8 +443,8 @@ def cmd_reproduce(args) -> int:
     parse = build_parser().parse_args
 
     def measure(algorithm: str) -> EvalReport:
-        _, assignment, k, medoid_objective, counts = _solve(ds, parse([*run_argv, "--algorithm", algorithm]))
-        return _evaluation_section(ds, assignment, k, medoid_objective, counts)[0]
+        _, assignment, medoid_objective, counts = _solve(ds, parse([*run_argv, "--algorithm", algorithm]))
+        return _evaluation_section(ds, assignment, medoid_objective, counts)[0]
 
     km_report, ap_report = measure("kmodes"), measure(ref["approx_algorithm"])
 

@@ -258,7 +258,8 @@ def load_csv(
     Category ids are assigned in first-appearance order per column, which
     keeps downstream "first k distinct records" initialization reproducible.
     Under the default ``treat-as-category`` policy a missing token is interned
-    like any other category; ``reject`` raises on the first occurrence.
+    like any other category; ``reject`` raises on its first occurrence in a
+    feature column.
     Blank lines are skipped; error messages name the physical file line. A
     header row, when present, fixes the number of fields of every row.
 
@@ -269,19 +270,19 @@ def load_csv(
     its start by ``csv.reader``, ``_CHUNK_ROWS`` rows at a time
     (:func:`_tokenize_rows`); so is any source that is not a regular file,
     such as a pipe, which cannot be read twice. Only the ``csv.reader`` path
-    raises on what it reads, so every error message and line number comes
-    from it. Each chunk is encoded into a block of codes in the narrowest
-    unsigned width of the largest table so far; the feature columns are
-    copied from those narrow blocks into the dataset's own width, one block
-    at a time.
+    raises on what it reads. Neither knows the missing-token policy: under
+    ``reject`` the code blocks of the feature columns are scanned here, in
+    file order, for the token's id, and the first hit's line is counted by
+    ``csv.reader`` (:func:`_line_of`). Each chunk is encoded into a block of
+    codes in the narrowest unsigned width of the largest table so far; the
+    feature columns are copied from those narrow blocks into the dataset's
+    own width, one block at a time.
     """
     if missing_policy not in ("treat-as-category", "reject"):
         raise DatasetError(f"unknown missing_policy {missing_policy!r}")
     path = Path(path)
-    tokens = _tokenize_bytes(path, missing_token, missing_policy, header, delimiter) if path.is_file() else None
-    names, tables, blocks, first_missing = tokens or _tokenize_rows(
-        path, missing_token, missing_policy, header, delimiter
-    )
+    tokens = _tokenize_bytes(path, header, delimiter) if path.is_file() else None
+    names, tables, blocks = tokens or _tokenize_rows(path, header, delimiter)
     n_cols, n_rows = len(tables), sum(map(len, blocks))
 
     label_idx = None if label_column is None else _resolve_label_column(label_column, names, n_cols)
@@ -289,13 +290,17 @@ def load_csv(
     if not feature_cols:
         raise DatasetError(f"{path}: no feature columns left after removing the label column")
     names = names or [f"col{c}" for c in range(n_cols)]
-    missing = [(row, c) for c, row in first_missing.items() if c != label_idx]
-    if missing:
-        row, c = min(missing)  # first occurrence in file order
-        raise DatasetError(
-            f"{path}: missing value {missing_token!r} at row {_line_of(path, delimiter, int(header) + row)}, "
-            f"column {names[c]!r} (policy=reject)"
-        )
+    missing = [c for c in feature_cols if missing_token in tables[c]] if missing_policy == "reject" else []
+    if missing:  # raise on the first data row, then column, that holds the token
+        token_ids = [list(tables[c]).index(missing_token) for c in missing]
+        for start, block in zip(itertools.accumulate(map(len, blocks), initial=0), blocks):
+            hits = np.argwhere(block[:, missing] == token_ids)  # in row-major order
+            if hits.size:
+                row, c = start + int(hits[0, 0]), missing[hits[0, 1]]
+                line = _line_of(path, delimiter, int(header) + row)
+                raise DatasetError(
+                    f"{path}: missing value {missing_token!r} at row {line}, column {names[c]!r} (policy=reject)"
+                )
 
     attributes = tuple(AttributeDomain(name=names[c], categories=tuple(tables[c])) for c in feature_cols)
     values = np.empty((n_rows, len(feature_cols)), dtype=unsigned_dtype(max(a.size for a in attributes) - 1))
@@ -316,12 +321,11 @@ def load_csv(
     )
 
 
-def _tokenize_rows(path: Path, missing_token: str, missing_policy: str, header: bool, delimiter: str):
+def _tokenize_rows(path: Path, header: bool, delimiter: str):
     """The file read by ``csv.reader``, ``_CHUNK_ROWS`` rows at a time: the
     header names (None without a header), each column's tokens in
-    first-appearance order, one narrow (chunk rows, columns) code block per
-    chunk, and under ``reject`` the first data row of each column that holds
-    the missing token. Raises on an empty input and on a ragged row."""
+    first-appearance order, and one narrow (chunk rows, columns) code block
+    per chunk. Raises on an empty input and on a ragged row."""
     with open(path, newline="") as fh:
         rows = filter(None, csv.reader(fh, delimiter=delimiter))  # a blank line reads as []
         names = [c.strip() for c in next(rows, ())] if header else None  # [] only if the file is empty
@@ -331,7 +335,6 @@ def _tokenize_rows(path: Path, missing_token: str, missing_policy: str, header: 
 
         n_cols = len(first) if names is None else len(names)  # a header fixes the width
         tables: list[dict[str, int]] = [{} for _ in range(n_cols)]
-        first_missing: dict[int, int] = {}  # column -> first data row holding the missing token
         blocks: list[np.ndarray] = []  # one narrow (chunk rows, n_cols) id block per chunk
         n_rows = 0
         rows = itertools.chain([first], rows)
@@ -348,11 +351,9 @@ def _tokenize_rows(path: Path, missing_token: str, missing_policy: str, header: 
                 unseen = [tok for tok in dict.fromkeys(col) if tok not in table]
                 table.update(zip(unseen, itertools.count(len(table))))
                 block[:, c] = operator.itemgetter(*col)(table)  # a 1-row chunk gives a scalar
-                if missing_policy == "reject" and c not in first_missing and missing_token in table:
-                    first_missing[c] = n_rows + col.index(missing_token)
             blocks.append(block.astype(unsigned_dtype(max(map(len, tables)) - 1)))
             n_rows += len(chunk)
-    return names, tables, blocks, first_missing
+    return names, tables, blocks
 
 
 def _line_chunks(fh):
@@ -371,16 +372,15 @@ def _line_chunks(fh):
         yield rest + b"\n"
 
 
-def _tokenize_bytes(path: Path, missing_token: str, missing_policy: str, header: bool, delimiter: str):
+def _tokenize_bytes(path: Path, header: bool, delimiter: str):
     """:func:`_tokenize_rows`' result for a file of plain ASCII fields of at
     most 8 bytes, read as bytes. None (decline) for a file that needs
     ``csv.reader``'s rules or an error message: a quote, a CR, a NUL or a
     byte >= 0x80, a longer data field, a row whose field count is not the
-    first row's (or the header's), no data row, or under ``reject`` the
-    missing token in any column. None too for a chunk whose columns times
-    distinct tokens exceed both its byte count and 65 536, so that its two
-    int64 tables of (column, token) cells hold at most 16 bytes per byte of
-    text, 1 MiB for a 64 KiB chunk.
+    first row's (or the header's), or no data row. None too for a chunk
+    whose columns times distinct tokens exceed both its byte count and
+    65 536, so that its two int64 tables of (column, token) cells hold at
+    most 16 bytes per byte of text, 1 MiB for a 64 KiB chunk.
 
     Each chunk of whole lines is split at every delimiter and newline, and
     blank lines are dropped. A field's bytes, read through a stride-1 uint64
@@ -461,9 +461,7 @@ def _tokenize_bytes(path: Path, missing_token: str, missing_policy: str, header:
     if not blocks:
         return None
     categories = [[key.to_bytes(8, "little").rstrip(b"\0").decode("ascii") for key in table] for table in tables]
-    if missing_policy == "reject" and any(missing_token in column for column in categories):
-        return None
-    return names, categories, blocks, {}
+    return names, categories, blocks
 
 
 def _token_ids(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:

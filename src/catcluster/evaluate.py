@@ -1,7 +1,7 @@
 """Clustering quality measurement: confusion matrix against true labels,
 accuracy/error in exact rational arithmetic, and the two objective readings
 (mode-based and member-restricted) for any partition, both read from one
-grouped category-count table.
+grouped category-count table. A partition's clusters are 0 to its largest id.
 """
 from __future__ import annotations
 
@@ -59,8 +59,9 @@ class ConfusionMatrix:
         return "\n".join(lines)
 
 
-def confusion(dataset: CategoricalDataset, assignment, k: int | None = None) -> ConfusionMatrix:
-    """counts[i][j] = total weight of records in cluster i carrying class j."""
+def confusion(dataset: CategoricalDataset, assignment) -> ConfusionMatrix:
+    """counts[i][j] = total weight of records in cluster i carrying class j,
+    for i from 0 to the largest id of ``assignment``."""
     if dataset.labels is None:
         raise ValueError("confusion matrix needs a labeled dataset")
     assignment = np.asarray(assignment, dtype=np.int64)
@@ -68,10 +69,8 @@ def confusion(dataset: CategoricalDataset, assignment, k: int | None = None) -> 
         raise ValueError(
             f"assignment shape {assignment.shape} does not cover {dataset.n_records} records"
         )
-    if k is None:
-        k = int(assignment.max()) + 1
     label_names = tuple(dataset.schema.label_domain.categories)
-    counts = np.zeros((k, len(label_names)), dtype=np.int64)
+    counts = np.zeros((int(assignment.max()) + 1, len(label_names)), dtype=np.int64)
     np.add.at(counts, (assignment, dataset.labels), dataset.weights)
     if int(counts.sum()) != dataset.total_weight:
         raise RuntimeError(f"confusion counts sum to {counts.sum()}, total weight is {dataset.total_weight}")
@@ -88,24 +87,19 @@ def accuracy_error(matrix: ConfusionMatrix) -> tuple[Fraction, Fraction]:
     return r, 1 - r
 
 
-def _partition_counts(dataset: CategoricalDataset, assignment, k: int | None):
+def _partition_counts(dataset: CategoricalDataset, assignment):
     """The partition as int64 cluster ids and its (k, sum of sizes) count
-    table; raises ValueError when one of the k clusters is empty."""
+    table, k one above the largest id; raises ValueError when a cluster
+    below it is empty."""
     assignment = np.asarray(assignment, dtype=np.int64)
-    if k is None:
-        k = int(assignment.max()) + 1
-    members = np.bincount(assignment, minlength=k)
-    if len(members) > k:
-        raise ValueError(f"assignment names cluster {len(members) - 1}, but k is {k}")
+    members = np.bincount(assignment)
     if (members == 0).any():
         raise ValueError(f"cluster {int(np.argmin(members))} is empty")
     sizes = dataset.schema.domain_sizes()
-    return assignment, cluster_counts(dataset.values, dataset.weights, sizes, assignment, k)
+    return assignment, cluster_counts(dataset.values, dataset.weights, sizes, assignment, len(members))
 
 
-def objective_under_modes(
-    dataset: CategoricalDataset, assignment, k: int | None = None, counts: np.ndarray | None = None
-) -> int:
+def objective_under_modes(dataset: CategoricalDataset, assignment, counts: np.ndarray | None = None) -> int:
     """Refit a mode on each cluster of the partition and sum the weighted
     distances; minimal over all per-cluster representative vectors. Per
     cluster and attribute that is the total weight minus the heaviest
@@ -113,14 +107,14 @@ def objective_under_modes(
     caller already holds it (a k-modes run ends with the one of its
     assignment); else it is built here."""
     if counts is None:
-        _, counts = _partition_counts(dataset, assignment, k)
+        _, counts = _partition_counts(dataset, assignment)
     return int(counts.sum()) - int(heaviest(counts, dataset.schema.domain_sizes())[1].sum())
 
 
-def objective_under_medoids(dataset: CategoricalDataset, assignment, k: int | None = None) -> int:
+def objective_under_medoids(dataset: CategoricalDataset, assignment) -> int:
     """Member-restricted objective of a partition: each cluster's best member
     representative, summed."""
-    assignment, counts = _partition_counts(dataset, assignment, k)
+    assignment, counts = _partition_counts(dataset, assignment)
     costs = member_costs(counts, dataset.schema.domain_sizes(), dataset.values, assignment)
     best = np.full(counts.shape[0], np.iinfo(np.int64).max)
     np.minimum.at(best, assignment, costs)
@@ -172,18 +166,17 @@ def evaluate(
     dataset: CategoricalDataset,
     assignment,
     medoid_objective: int | None = None,
-    k: int | None = None,
     counts: np.ndarray | None = None,
 ) -> EvalReport:
     """Full quality report for a labeled dataset and a partition. For medoid
     solutions pass the solver's objective so both readings are reported;
     ``counts`` as in :func:`objective_under_modes`."""
-    matrix = confusion(dataset, assignment, k=k)
+    matrix = confusion(dataset, assignment)
     r, e = accuracy_error(matrix)
     return EvalReport(
         accuracy=r,
         error=e,
-        mode_objective=objective_under_modes(dataset, assignment, k=k, counts=counts),
+        mode_objective=objective_under_modes(dataset, assignment, counts=counts),
         medoid_objective=medoid_objective,
         confusion=matrix,
     )

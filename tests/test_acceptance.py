@@ -99,7 +99,7 @@ def test_02_votes_exhaustive_objective_and_determinism():
 def test_03_votes_kmodes_error_and_objective(votes_kmodes):
     result, dt = votes_kmodes
     ds = _load_cached("votes", True)
-    report = evaluate(ds, result.assignment, k=2)
+    report = evaluate(ds, result.assignment)
     error = float(report.error)
     obj = result.mode_objective
     ok = (
@@ -119,7 +119,7 @@ def test_03_votes_kmodes_error_and_objective(votes_kmodes):
 def test_04_mushroom_kmodes_error_and_objective(mushroom_kmodes):
     result, dt = mushroom_kmodes
     ds = _load_cached("mushroom", True)
-    report = evaluate(ds, result.assignment, k=2)
+    report = evaluate(ds, result.assignment)
     error = float(report.error)
     obj = result.mode_objective
     ok = (

@@ -176,7 +176,7 @@ class TestRun:
         assert calls == ["catcluster.kmodes"] * solution["iterations"]
         assert solution["objective_history"][-1] == record["objectives"]["mode_objective"]
 
-    def test_debug_records_objective_history(self, capsys, toy_csv):
+    def test_records_objective_history(self, capsys, toy_csv):
         record = run_json(
             capsys,
             ["run", "--data", str(toy_csv), "--label-column", "0",
@@ -494,15 +494,15 @@ class TestSolutionCommon:
     def test_cluster_weights_are_exact_past_float_precision(self):
         # float64 sums 2**53 + 1 to 2**53
         ds = dataset_from_rows([["x"], ["y"], ["x"]], weights=[2**53, 1, 5])
-        common = cli._solution_common(ds, np.array([0, 0, 2]), 3)
+        common = cli._solution_common(ds, np.array([0, 0, 2]))
         assert common["cluster_weights"] == [9007199254740993, 0, 5]
 
     def test_compaction_drops_empty_clusters(self):
         assignment = np.array([3, 0, 3, 5, 0])
-        compact, k, dropped = cli._compact_assignment(assignment, 6)
-        assert (compact.tolist(), k, dropped) == ([1, 0, 1, 2, 0], 3, [1, 2, 4])
+        compact, dropped = cli._compact_assignment(assignment, 6)
+        assert (compact.tolist(), dropped) == ([1, 0, 1, 2, 0], [1, 2, 4])
         full = np.array([1, 0, 1])
-        assert cli._compact_assignment(full, 2) == (full, 2, [])
+        assert cli._compact_assignment(full, 2) == (full, [])
 
 
 class TestMisc:

@@ -337,9 +337,8 @@ class TestBytePath:
             ("k1,ninebytes,w\n", {}),
             ("k1,v1\n", {}),
             ("k1\nk2\nk3\n", {}),  # as many fields as one row
-            ("k1,?,w\n", dict(missing_policy="reject", label_column=0)),
         ],
-        ids=["quote", "CR", "NUL", "non-ASCII", "9-byte field", "ragged row", "ragged rows", "reject"],
+        ids=["quote", "CR", "NUL", "non-ASCII", "9-byte field", "ragged row", "ragged rows"],
     )
     def test_declines_in_a_later_chunk(self, tmp_path, row, options):
         # the byte path has encoded the rows before, and leaves no trace of them
@@ -350,6 +349,26 @@ class TestBytePath:
                 mock.patch.object(dataset, "_tokenize_rows", wraps=dataset._tokenize_rows) as row_path:
             assert outcome(loaded, path, **options) == outcome(oracle_load, path, **options)
         assert byte_path.call_count == row_path.call_count == 1
+
+    def test_reject_in_a_later_chunk_is_raised_after_the_byte_path(self, tmp_path):
+        # load_csv scans the byte path's codes; the line comes from csv.reader all the same
+        path = tmp_path / "data.csv"
+        path.write_bytes((self.PLAIN + "\n" + self.PLAIN + "k1,?,w\n" + self.PLAIN).encode())
+        options = dict(missing_policy="reject", label_column=0)
+        with mock.patch.object(dataset, "_CHUNK_BYTES", 64), byte_path_only():
+            message = loaded(path, **options)
+        assert message == oracle_load(path, **options)
+        assert message.endswith("missing value '?' at row 82, column 'col1' (policy=reject)")
+
+    def test_reject_takes_the_token_in_the_label_column(self, tmp_path):
+        # the policy covers feature columns only, so the byte path need not decline
+        path = write_csv(tmp_path, "?,v1,w\n" + self.PLAIN + "?,v2,w\n")
+        options = dict(missing_policy="reject", label_column=0)
+        with mock.patch.object(dataset, "_tokenize_bytes", lambda *args: None):  # the csv.reader path
+            by_rows = loaded(path, **options)
+        assert by_rows[4] == ("?", "k0", "k1", "k2")  # the label's categories
+        with byte_path_only():
+            assert loaded(path, **options) == by_rows
 
     def test_declines_a_cell_table_past_the_chunk(self, tmp_path):
         # 300 columns of distinct tokens: 300 x 600 (column, token) cells

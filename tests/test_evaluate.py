@@ -145,12 +145,11 @@ class TestObjectives:
         assert cost_of_medoid_set(four_point, [0, 2])[0] == 2
 
     def test_empty_cluster_errors(self, four_point):
-        with pytest.raises(ValueError, match="empty"):
-            objective_under_modes(four_point, [0, 0, 0, 0], k=2)
-        with pytest.raises(ValueError, match="empty"):
-            objective_under_medoids(four_point, assignment=[0, 0, 0, 0], k=2)
-        with pytest.raises(ValueError, match="k is 2"):
-            objective_under_modes(four_point, [0, 1, 2, 2], k=2)
+        # the clusters are 0 to the largest id, so an unused id below it is an empty cluster
+        with pytest.raises(ValueError, match="cluster 1 is empty"):
+            objective_under_modes(four_point, [0, 0, 2, 2])
+        with pytest.raises(ValueError, match="cluster 1 is empty"):
+            objective_under_medoids(four_point, assignment=[0, 0, 2, 2])
 
     @given(
         n=st.integers(2, 20),
@@ -165,9 +164,8 @@ class TestObjectives:
         assignment = rng.integers(0, k, size=n)
         present = np.unique(assignment)
         assignment = np.searchsorted(present, assignment)  # compact, no empties
-        k = present.size
-        modes = objective_under_modes(ds, assignment, k=k)
-        medoids = objective_under_medoids(ds, assignment=assignment, k=k)
+        modes = objective_under_modes(ds, assignment)
+        medoids = objective_under_medoids(ds, assignment=assignment)
         assert modes <= medoids <= 2 * modes
 
 

@@ -236,7 +236,7 @@ class TestRunKModes:
         k=st.integers(1, 4),
     )
     @settings(max_examples=80, deadline=None)
-    def test_monotone_objective_in_debug(self, n, m, cats, seed, k):
+    def test_objective_never_rises_outside_reseeds(self, n, m, cats, seed, k):
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
         distinct = len({row.tobytes() for row in ds.values})
         if k > distinct:
@@ -324,7 +324,7 @@ class TestRunKModes:
         assert reseeded
         assert peak <= 8 * n + (2 << 20), peak - 8 * n
 
-    def test_debug_objective_increase_raises(self, monkeypatch):
+    def test_objective_increase_raises(self, monkeypatch):
         ds = random_dataset(n=120, m=6, max_categories=4, seed=1)
         config = KModesConfig(k=4)
         result = run_kmodes(ds, config)
