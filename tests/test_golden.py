@@ -50,6 +50,29 @@ def _uniform(rng: random.Random, n: int, m: int, labels: tuple[str, ...] = ()) -
     return [[*([rng.choice(labels)] if labels else []), *(rng.choice("abc") for _ in range(m))] for _ in range(n)]
 
 
+# the domain sizes of the 22 mushroom attributes
+_MUSHROOM_SIZES = (6, 4, 8, 2, 8, 2, 2, 2, 8, 2, 5, 4, 4, 8, 8, 2, 4, 3, 5, 8, 6, 7)
+
+
+def _mushroom(rng: random.Random, n: int) -> list[list[str]]:
+    """Mushroom-shaped rows: an e/p label and 22 attributes copied from that
+    label's hidden mode, each redrawn uniformly with probability 0.3."""
+    modes = {label: [rng.randrange(size) for size in _MUSHROOM_SIZES] for label in "ep"}
+    rows = []
+    for _ in range(n):
+        label = rng.choice("ep")
+        rows.append([label, *("abcdefgh"[rng.randrange(size) if rng.random() < 0.3 else v]
+                              for v, size in zip(modes[label], _MUSHROOM_SIZES))])
+    return rows
+
+
+def _skewed(rng: random.Random, n: int) -> list[list[str]]:
+    """Rows of 9 features from "abcd" with geometrically falling odds, so that
+    many rows repeat and --dedupe merges them into a spread of weights."""
+    return [[rng.choice(("L0", "L1")), *("abcd"[min(int(rng.expovariate(1.3)), 3)] for _ in range(9))]
+            for _ in range(n)]
+
+
 def _lines(rows) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
@@ -60,6 +83,8 @@ def write_inputs(directory: Path) -> None:
         "votes.csv": _lines(_votes(random.Random(1), 435)),
         "small.csv": _lines(_uniform(random.Random(2), 60, 6, ("L0", "L1", "L2"))),
         "plain.csv": _lines(_uniform(random.Random(3), 80, 5)),
+        "mushroom.csv": _lines(_mushroom(random.Random(7), 1500)),
+        "skewed.csv": _lines(_skewed(random.Random(8), 1700)),
     }
     distinct = [["L0", "a", "x", "p"], ["L1", "b", "y", "q"], ["L0", "a", "y", "q"]]
     repeated = distinct * 4
@@ -85,6 +110,18 @@ CASES = [
     ("exhaustive.tsv", [*RUN, "--data", "small.csv", "--algorithm", "exhaustive", "--k", "2", "--format", "tsv"], 0),
     ("local-search.json", [*RUN, "--data", "small.csv", "--algorithm", "local-search", "--k", "3", "--p", "2",
                            "--restarts", "2", "--seed", "1"], 0),
+    # 1500 records, and the 985 that skewed.csv merges to (weights 1 and 2 in
+    # groups, 115 records in the tail), span several 512-column blocks of the
+    # medoid solvers' distance store. A p = 2 step scans every pair of
+    # additions per removal set, so those runs stop after one step
+    ("mushroom-p1.json", [*RUN, "--data", "mushroom.csv", "--algorithm", "local-search", "--k", "3", "--p", "1",
+                          "--restarts", "2"], 0),
+    ("mushroom-p2.json", [*RUN, "--data", "mushroom.csv", "--algorithm", "local-search", "--k", "2", "--p", "2",
+                          "--max-steps", "1"], 0),
+    ("skewed-exhaustive.json", [*RUN, "--data", "skewed.csv", "--dedupe", "--algorithm", "exhaustive",
+                                "--k", "2"], 0),
+    ("skewed-p2.json", [*RUN, "--data", "skewed.csv", "--dedupe", "--algorithm", "local-search", "--k", "4",
+                        "--p", "2", "--max-steps", "1"], 0),
     ("unlabelled.json", ["run", "--data", "plain.csv", "--algorithm", "local-search", "--k", "3"], 0),
     ("empty-clusters.json", [*RUN, "--data", "repeated.csv", "--algorithm", "exhaustive", "--k", "4"], 0),
     ("empty-clusters.txt", [*RUN, "--data", "repeated.csv", "--algorithm", "exhaustive", "--k", "4",
