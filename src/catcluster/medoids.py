@@ -4,11 +4,13 @@ to dataset members.
 Two routes: deterministic exhaustive enumeration of all k-subsets (optimal for
 the member-restricted objective, hence a 2-approximation to the unrestricted
 mode objective), and seeded swap-based local search for instances where
-enumeration is not affordable. Both need only distance rows d(j, .), and
-each call picks their source once, from the input size: the n x n matrix
-while it fits ``MATRIX_BUDGET``, rows computed on the fly past it, with
-identical results. Every sum of weighted distances runs through one exact
-sweep (:func:`_sweep`) over columns grouped by record weight.
+enumeration is not affordable. Both read their distances from one store
+(:class:`_Store`), which holds each distance once, the metric being
+symmetric, in column blocks of a summation order that groups the records by
+weight. It is built once while it fits ``MATRIX_BUDGET`` and computed again
+on every read past it, with identical results. Every sum of weighted
+distances is one exact sweep over it (:func:`_sweep`). Candidates come back
+by position in that order; ties are broken by record index all the same.
 
 The audits empirically certify the two bounds the approximation argument
 rests on (:func:`audit_lemma1`, :func:`audit_lemma2`) and the scan against
@@ -20,6 +22,7 @@ with plain counts, apart from the kernel and the sweep.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -35,14 +38,16 @@ from .metric import AuditReport, cluster_counts, hamming, heaviest, member_costs
 # distance terms n * C(n, k) the scan may sum without force=True: 15 to 50 s
 # on one thread at the 1e9 to 3.3e9 terms/s measured on 2 vCPUs
 EXHAUSTIVE_GATE = 5 * 10**10
-MATRIX_BUDGET = 1 << 30  # bytes: the largest n x n distance matrix a solver holds
-_CHUNK = 512  # distance rows read per call: on the fly, every read encodes all n records again
-_SCAN_BYTES = 1 << 18  # one block of minima: sets the peak memory of every sweep
+MATRIX_BUDGET = 1 << 30  # bytes: the largest distance store a solver keeps (see _Store)
+_BLOCK = 512  # columns per block of the distance store, which holds about n * _BLOCK / 2 more than n^2 / 2
+_TILE_BYTES = 1 << 22  # rows of a block computed at once when the store is not kept
+_SCAN_BYTES = 1 << 18  # one piece of minima: sets the peak memory of every sweep
 # exact width of a group sum of at most max // m distances, one above the distances' width
 _GROUP_SUM = {np.dtype(np.uint8): np.uint16, np.dtype(np.uint16): np.uint32, np.dtype(np.uint32): np.int64}
-# fewest records of one weight value summed as a group: np.add.reduceat pays
-# about 0.2 ns per term and 20 ns per group and row, einsum 0.5 ns per int32
-# term (numpy 2.4.6, 2 vCPUs)
+# fewest records of one weight value summed as a group: along a block's
+# columns np.add.reduceat pays about 0.2 ns per term and 20 ns per group and
+# row, along its rows a reduce per group about 4 us per piece of minima,
+# einsum 0.5 ns per int32 term (numpy 2.4.6, 2 vCPUs)
 _GROUP_MIN = 64
 _NO_COST = np.iinfo(np.int64).max  # marks a (prefix, completion) pair that is not a subset
 # Lemma 2 audit instances: k medoids, at most N records, M attributes, CATEGORIES per attribute;
@@ -83,7 +88,9 @@ class MedoidSolution:
 
 
 class _Columns(NamedTuple):
-    """The summation axis of every sweep. The records whose weight value at
+    """The summation order of every sweep, which both axes of the distance
+    store follow (:class:`_Store`), so the rows that are candidates and the
+    columns that are summed share it. The records whose weight value at
     least ``_GROUP_MIN`` records share come first, sorted by weight, stably,
     and cut into groups of one weight value and at most ``max(dtype) // m``
     records, ``dtype`` being one unsigned width above the distances' (uint16
@@ -93,15 +100,15 @@ class _Columns(NamedTuple):
     int32 while m times their total weight fits, else in int64: a group of a
     few records costs more than it saves."""
 
-    order: np.ndarray  # the record behind each column
-    starts: np.ndarray  # first column of each group
+    order: np.ndarray  # the record at each position
+    starts: np.ndarray  # first position of each group
     weights: np.ndarray  # each group's weight, int64
     dtype: type  # width in which one group's distances sum
-    tail: np.ndarray  # weights of the last columns, summed one by one
+    tail: np.ndarray  # weights of the last positions, summed one by one
 
 
 def _columns(dataset: CategoricalDataset) -> _Columns:
-    """The summation axis of ``dataset``'s sweeps (see :class:`_Columns`)."""
+    """The summation order of ``dataset``'s sweeps (see :class:`_Columns`)."""
     dtype = _GROUP_SUM[np.dtype(unsigned_dtype(dataset.m))]
     cap = np.iinfo(dtype).max // dataset.m
     order = np.argsort(dataset.weights, kind="stable")
@@ -119,29 +126,105 @@ def _columns(dataset: CategoricalDataset) -> _Columns:
     return _Columns(order, starts, head[starts], dtype, tail)
 
 
-def _distance_rows(values: np.ndarray, order: np.ndarray):
-    """``rows(index)``: the distance rows d(j, .) of the records selected by
-    ``index`` (a list or a slice), shape (count, n). Rows are records in file
-    order; columns are the records in ``order``, the summation order of
-    :func:`_columns`.
+class _Span(NamedTuple):
+    """How :func:`_weigh` sums a span [lo, hi) of the summation axis: group by
+    group up to its last group position, then its tail positions one by one."""
 
-    While the n x n matrix takes at most ``MATRIX_BUDGET`` bytes it is built
-    once and the rows are read from it (a contiguous slice is a view, not a
-    copy); past that, each call computes its rows with :func:`hamming`. Both
-    give the same integers, so the choice changes time and memory only.
-    """
-    n, m = values.shape
-    columns = values[order]
-    if n * n * np.dtype(unsigned_dtype(m)).itemsize <= MATRIX_BUDGET:
-        return hamming(values, columns).__getitem__
-    return lambda index: hamming(values[index], columns)
+    bounds: list  # from lo: where each group's part of the span begins, then where the last ends
+    weights: np.ndarray  # those groups' weights, int64
+    tail: np.ndarray  # the weights of the span's tail positions
 
 
-def _kept_base(rows, kept) -> np.ndarray:
-    """Scan base of the medoids ``kept``: each record's distance to the
-    nearest. With none kept it is the dtype's maximum, at least m, so every
-    minimum the scan takes with it yields the other side."""
-    block = rows(list(kept))
+def _span(columns: _Columns, lo: int, hi: int) -> _Span:
+    """The span [lo, hi) of ``columns`` (see :class:`_Span`)."""
+    split = len(columns.order) - len(columns.tail)  # first tail position
+    cut = min(max(lo, split), hi)  # the span's first tail position
+    tail = columns.tail[cut - split : hi - split] if cut < hi else columns.tail[:0]
+    if cut == lo:
+        return _Span([0], columns.weights[:0], tail)
+    first = bisect.bisect_right(columns.starts, lo) - 1  # the group of position lo
+    end = bisect.bisect_left(columns.starts, cut, first)
+    return _Span([0, *(columns.starts[first + 1 : end] - lo).tolist(), cut - lo], columns.weights[first:end], tail)
+
+
+class _Store(NamedTuple):
+    """Every distance d(q, p) once, on both axes in the summation order of
+    :class:`_Columns` (position t is record ``columns.order[t]``).
+
+    A staircase of column blocks: the block at s covers the positions
+    [s, e), ``width`` of them or the rest, and holds d(q, p) for every
+    q >= s and every p in it, shape (n - s, e - s); its top rows are the
+    square of its own records. A pair is held by the block of its lower
+    position, twice when both lie in one square. While the blocks take at
+    most ``MATRIX_BUDGET`` bytes they are built once and kept; past that,
+    ``blocks`` is None and every read computes its tiles with :func:`hamming`
+    again. Both give the same integers, so the choice changes time and memory
+    only."""
+
+    columns: _Columns
+    values: np.ndarray  # the records in summation order
+    position: np.ndarray  # each record's position
+    width: int  # columns per block, _BLOCK when it was built
+    spans: list  # each block's columns as a _Span
+    blocks: list | None  # the kept blocks, in position order
+
+
+def _store(dataset: CategoricalDataset) -> _Store:
+    """The distance store of ``dataset`` (see :class:`_Store`)."""
+    columns = _columns(dataset)
+    values = dataset.values[columns.order]
+    n = len(values)
+    position = np.empty(n, dtype=np.intp)
+    position[columns.order] = np.arange(n)
+    width = _BLOCK
+    tops = range(0, n, width)
+    spans = [_span(columns, s, min(s + width, n)) for s in tops]
+    size = sum((n - s) * min(width, n - s) for s in tops) * np.dtype(unsigned_dtype(dataset.m)).itemsize
+    # the block's records as hamming's b side: its tables span them, not all n - s rows
+    blocks = [hamming(values[s:], values[s : s + width]) for s in tops] if size <= MATRIX_BUDGET else None
+    return _Store(columns, values, position, width, spans, blocks)
+
+
+def _tiles(store: _Store, s: int, lo: int):
+    """(q, tile) pairs: the rows of the block at s from row lo on, as the
+    kept block's view, or computed in tiles of at most ``_TILE_BYTES``, q
+    being each tile's first row."""
+    values = store.values
+    if store.blocks is not None:
+        yield lo, store.blocks[s // store.width][lo - s :]
+        return
+    itemsize = np.dtype(unsigned_dtype(values.shape[1])).itemsize  # of a distance
+    step = max(1, _TILE_BYTES // (min(store.width, len(values) - s) * itemsize))
+    for q in range(lo, len(values), step):
+        yield q, hamming(values[q : q + step], values[s : s + store.width])
+
+
+def _rows(store: _Store, index) -> np.ndarray:
+    """Distance rows d(j, .) of the positions ``index``, shape (len(index), n),
+    columns in position order."""
+    index = np.asarray(index, dtype=np.intp)
+    values, blocks, width = store.values, store.blocks, store.width
+    if blocks is None:
+        return hamming(values, values[index]).T  # the rows as b: tables over len(index) records
+    if len(blocks) == 1:  # one square, symmetric
+        return blocks[0][index]
+    own = index // width  # the block of each position
+    if len(index) and own.min() != own.max():  # one call per block of them
+        out = np.empty((len(index), len(values)), dtype=blocks[0].dtype)
+        for b in set(own.tolist()):  # np.unique's first call imports 1 MB of code
+            out[own == b] = _rows(store, index[own == b])
+        return out
+    # positions in block b: their rows in the blocks up to b, then their columns below b's square
+    b = int(own[0]) if len(index) else 0
+    parts = [blocks[a][index - a * width] for a in range(b + 1)]
+    return np.concatenate([*parts, blocks[b][blocks[b].shape[1] :, index - b * width].T], axis=1)
+
+
+def _kept_base(store: _Store, kept) -> np.ndarray:
+    """Scan base of the medoids at the positions ``kept``: each position's
+    distance to the nearest. With none kept it is the dtype's maximum, at
+    least m, so every minimum the scan takes with it yields the other side."""
+    block = _rows(store, kept)
     return block.min(axis=0, initial=np.iinfo(block.dtype).max)
 
 
@@ -162,70 +245,100 @@ def cost_of_medoid_set(dataset: CategoricalDataset, indices) -> tuple[int, np.nd
     return objective, assignment
 
 
-def _sweep(rows, columns, bases, start):
-    """sum_i w_i * min(bases[r, i], d(c, i)) for every row r of ``bases`` and
-    every record c >= start: shape (len(bases), n - start), int64, exact.
+def _weigh(out: np.ndarray, block: np.ndarray, span: _Span, dtype, axis: int) -> None:
+    """Add sum_i w_i * block[..., i, ...] along ``axis`` (1 or 2), whose
+    positions are those of ``span``, to the int64 ``out``: exact. Each
+    weight group's part sums in ``dtype`` (:class:`_Columns`) by one
+    ``np.add.reduce``, and the group sums times the group weights in int64;
+    the tail positions add their terms by one ``einsum`` in the width of the
+    tail weights. Along the last axis, several groups sum by one
+    ``np.add.reduceat``: a reduce call per group costs more there, and
+    ``reduceat`` along the middle axis about 8 times as much."""
+    along, bounds = (slice(None),) * axis, span.bounds
+    if axis == 2 and len(span.weights) > 1:
+        out += np.add.reduceat(block[..., : bounds[-1]], bounds[:-1], axis=2, dtype=dtype) @ span.weights
+    else:
+        for weight, a, b in zip(span.weights, bounds, bounds[1:]):
+            sums = np.add.reduce(block[along + (slice(a, b),)], axis=axis, dtype=dtype)
+            out += sums if weight == 1 else sums * weight
+    if len(span.tail):
+        terms = "bqp,p->bq" if axis == 2 else "bqp,q->bp"
+        out += np.einsum(terms, block[along + (slice(bounds[-1], None),)], span.tail)
 
-    Each pass over the distance rows is one sweep. Rows are read ``_CHUNK``
-    at a time, and their minima with all of ``bases`` taken in blocks of at
-    most ``_SCAN_BYTES``. A block is summed per weight group of ``columns``
-    by one ``np.add.reduceat`` in the group width, and the group sums times
-    the group weights in int64; the tail columns add their terms by one
-    ``einsum`` in the width of the tail weights.
+
+def _sweep(store: _Store, bases: np.ndarray, start: int) -> np.ndarray:
+    """sum_i w_i * min(bases[r, i], d(c, i)) for every row r of ``bases`` and
+    every position c >= start: shape (len(bases), n - start), int64, exact.
+
+    One pass over the store reads each block once, from row start or its
+    square on, and takes the minima of its tiles with all of ``bases`` in
+    pieces of at most ``_SCAN_BYTES``. Each piece gives one or two sums (see
+    :func:`_weigh`): over the block's columns, with their weights, for the
+    candidates among its rows, square included; and, below the square, over
+    its rows, with theirs, for the candidates among the block's columns. The
+    square is symmetric, so its rows' sums serve its columns too.
     """
-    n = len(columns.order)
-    split = n - len(columns.tail)  # first tail column
-    step = max(1, _SCAN_BYTES // bases.nbytes)  # rows per block of minima
-    costs = np.empty((len(bases), n - start), dtype=np.int64)
-    for s in range(start, n, _CHUNK):
-        chunk = rows(slice(s, s + _CHUNK))
-        for t in range(0, len(chunk), step):
-            block = np.minimum(bases[:, None, :], chunk[None, t : t + step, :])
-            sums = np.add.reduceat(block[..., :split], columns.starts, axis=2, dtype=columns.dtype)
-            cost = sums @ columns.weights
-            if split < n:
-                cost += np.einsum("bcn,n->bc", block[..., split:], columns.tail)
-            at = s - start + t
-            costs[:, at : at + block.shape[1]] = cost
+    n, columns = len(store.values), store.columns
+    costs = np.zeros((len(bases), n - start), dtype=np.int64)
+    for s, span in zip(range(0, n, store.width), store.spans):
+        e = min(s + store.width, n)
+        first = max(s, start)  # the block's first candidate, as a row and as a column
+        step = max(1, _SCAN_BYTES // (bases.nbytes // n * (e - s)))  # rows per piece of minima
+        for q, tile in _tiles(store, s, first):
+            for t in range(0, len(tile), step):
+                lo, rows = q + t, tile[t : t + step]
+                hi = lo + len(rows)
+                piece = np.minimum(bases[:, None, s:e], rows[None])
+                _weigh(costs[:, lo - start : hi - start], piece, span, columns.dtype, 2)
+                below = max(lo, e)  # the piece's first row under the square
+                if first < e and below < hi:
+                    piece = np.minimum(bases[:, below:hi, None], rows[None, below - lo :, first - s :])
+                    _weigh(costs[:, first - start : e - start], piece, _span(columns, below, hi), columns.dtype, 1)
     return costs
 
 
-def _best_extension(rows, columns, bases, after, excluded):
-    """First row-major minimum of sum_i w_i * min(bases[r, i], d(c, i)) over the
-    rows r of ``bases`` and the records c > after[r] (``after`` ascending) that
-    are not ``excluded``: (cost, r, c), or None when no pair qualifies."""
+def _extensions(store, bases, after, excluded):
+    """sum_i w_i * min(bases[r, i], d(c, i)) for the rows r of ``bases`` and
+    the positions c >= after[0] + 1 (``after`` ascending), ``_NO_COST``
+    where c <= after[r] or c is ``excluded``: the table and its lowest cost."""
     start = int(after[0]) + 1
-    costs = _sweep(rows, columns, bases, start)
-    invalid = (np.arange(start, len(excluded)) <= after[:, None]) | excluded[start:]
-    costs[invalid] = _NO_COST
-    r, t = divmod(int(np.argmin(costs)), costs.shape[1])  # first minimum, row-major
-    if invalid[r, t]:
-        return None
-    return int(costs[r, t]), r, start + t
+    costs = _sweep(store, bases, start)
+    costs[(np.arange(start, len(excluded)) <= after[:, None]) | excluded[start:]] = _NO_COST
+    return costs, int(costs.min())
 
 
-def _scan(rows, columns, base, excluded, size, share=(0, 1)):
-    """Lowest (cost, subset) over the ascending ``size``-subsets of the records
-    not ``excluded``, added to the medoids behind ``base`` (each record's
+def _smallest(records: np.ndarray) -> tuple[int, ...]:
+    """The smallest subset, sorted, of the rows of ``records``, each a subset
+    of record indices in any order."""
+    subsets = np.sort(records, axis=1)
+    return tuple(subsets[np.lexsort(subsets.T[::-1])[0] if len(subsets) > 1 else 0].tolist())
+
+
+def _scan(store, base, excluded, size, share=(0, 1)):
+    """Lowest (cost, subset) over the ``size``-subsets of the positions not
+    ``excluded``, added to the medoids behind ``base`` (each position's
     distance to its nearest kept medoid, see :func:`_kept_base`); None when
-    no subset exists.
+    no subset exists. A subset is given by its record indices, sorted, and
+    among subsets of one cost the smallest wins, whatever their positions.
 
-    Python loops only over the (size - 2)-prefixes, in lexicographic order.
-    For each, a block of next members j is taken at once, and all their
-    completions c > j are scored by one array pass per block
-    (:func:`_best_extension`); blocks are sized so that their minima take at
-    most ``_SCAN_BYTES``. Only a strictly lower cost replaces the incumbent,
-    so ties keep the lexicographically smallest subset; nothing is pruned.
-    Size 1 is the one-row case: ``base`` itself is the block.
+    Python loops only over the (size - 2)-prefixes of positions, in
+    lexicographic order. For each, a block of next members j is taken at
+    once, and all their completions c > j are scored by one sweep per block
+    (:func:`_extensions`); blocks are sized so that their minima take at
+    most ``_SCAN_BYTES``. Nothing is pruned. Size 1 is the one-row case:
+    ``base`` itself is the block.
 
     ``share`` = (w, parts) scores only the (prefix, block) units whose
     ordinal in that order is w modulo parts, and at size 1 the one row only
     for w = 0: the parts shares of a scan cover each unit exactly once.
     """
     w, parts = share
+    order = store.columns.order
     if size == 1:
-        found = None if w else _best_extension(rows, columns, base[None, :], np.array([-1]), excluded)
-        return None if found is None else (found[0], (found[2],))
+        if w:
+            return None
+        costs, low = _extensions(store, base[None, :], np.array([-1]), excluded)
+        return None if low == _NO_COST else (low, _smallest(order[np.flatnonzero(costs[0] == low)][:, None]))
     pool = np.flatnonzero(~excluded)
     n, row_bytes = len(base), base.nbytes
     end = len(pool) - 1  # the last pool member has no completion
@@ -241,12 +354,17 @@ def _scan(rows, columns, base, excluded, size, share=(0, 1)):
             if next(units) % parts != w:
                 continue
             if qbase is None:  # the first block of this prefix that the share owns
-                prefix = [int(x) for x in pool[list(positions)]]
-                qbase = np.minimum(base, _kept_base(rows, prefix))
-            bases = np.minimum(qbase, rows(js))
-            found = _best_extension(rows, columns, bases, js, excluded)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = (found[0], (*prefix, int(js[found[1]]), found[2]))
+                prefix = pool[list(positions)]
+                qbase = np.minimum(base, _kept_base(store, prefix))
+            costs, low = _extensions(store, np.minimum(qbase, _rows(store, js)), js, excluded)
+            if low == _NO_COST or (best is not None and low > best[0]):
+                continue
+            r, c = np.divmod(np.flatnonzero(costs == low), costs.shape[1])  # every pair at the lowest cost
+            records = np.empty((len(r), size), dtype=np.intp)
+            records[:, :-2], records[:, -2], records[:, -1] = order[prefix], order[js[r]], order[js[0] + 1 + c]
+            found = (low, _smallest(records))
+            if best is None or found < best:
+                best = found
     return best
 
 
@@ -279,12 +397,11 @@ def exhaustive_search(
             f"{EXHAUSTIVE_GATE:.3g} distance terms, n * C(n, k); "
             "pass force=True (CLI: --force) to run anyway"
         )
-    columns = _columns(dataset)
-    rows = _distance_rows(dataset.values, columns.order)
-    base, excluded = _kept_base(rows, ()), np.zeros(n, dtype=bool)
+    store = _store(dataset)
+    base, excluded = _kept_base(store, ()), np.zeros(n, dtype=bool)
     parts = min(workers, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=parts) as ex:  # numpy releases the GIL
-        found = ex.map(lambda w: _scan(rows, columns, base, excluded, k, (w, parts)), range(parts))
+        found = ex.map(lambda w: _scan(store, base, excluded, k, (w, parts)), range(parts))
         results = [r for r in found if r is not None]  # a share may own no block
 
     best_cost, best_subset = min(results)  # by (cost, tuple): the smallest optimal tuple wins ties
@@ -340,8 +457,7 @@ def local_search(
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
-    columns = _columns(dataset)
-    rows = _distance_rows(dataset.values, columns.order)
+    store = _store(dataset)
     rng = np.random.default_rng(config.seed)
     starts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(config.restarts)]
 
@@ -352,7 +468,7 @@ def local_search(
         stable = False  # set once no strictly improving exchange of up to p medoids is left
         last = {}  # the last step's single-swap cost rows, by kept medoid set
         for _ in range(config.max_steps):
-            swap = _best_swap(rows, columns, medoids, config.p, last)
+            swap = _best_swap(store, medoids, config.p, last)
             if swap is None or swap[0] >= cost:
                 stable = True
                 break
@@ -378,51 +494,53 @@ def local_search(
     )
 
 
-def _single_swap_costs(rows, columns, medoids, last):
+def _single_swap_costs(store, medoids, last):
     """(k, n) int64 table of sum_i w_i * min(d(c, i), base_r(i)) for every
-    removal position r and record c, base_r being the distance to the nearest
+    removal position r and position c, base_r being the distance to the nearest
     medoid kept without position r (see :func:`_kept_base`).
 
     ``last`` maps kept medoid sets to their rows from the previous step and
     is refilled with this step's. After an accepted swap r -> c, removing c
     keeps exactly the set the previous step kept for removal r, so a step
     after the first has k - 1 fresh rows instead of k. The fresh rows come
-    from one sweep, which reads or computes each distance row once.
+    from one sweep, which reads or computes each block of the store once.
     """
     kept_sets = [(*medoids[:r], *medoids[r + 1 :]) for r in range(len(medoids))]
-    fresh = [kept for kept in kept_sets if kept not in last]
+    fresh = [r for r, kept in enumerate(kept_sets) if kept not in last]
     if fresh:
-        bases = np.stack([_kept_base(rows, kept) for kept in fresh])
-        last.update(zip(fresh, _sweep(rows, columns, bases, 0)))
+        rows = _rows(store, store.position[medoids])  # each medoid's row read once, for every base
+        top = np.iinfo(rows.dtype).max  # the base when no medoid is kept, as in _kept_base
+        bases = np.stack([np.delete(rows, r, axis=0).min(axis=0, initial=top) for r in fresh])
+        last.update(zip([kept_sets[r] for r in fresh], _sweep(store, bases, 0)))
     table = {kept: last[kept] for kept in kept_sets}
     last.clear()
     last.update(table)
     return np.stack(list(table.values()))
 
 
-def _best_swap(rows, columns, medoids, p, last):
+def _best_swap(store, medoids, p, last):
     """Best (cost, removal positions, added indices) over swap sizes 1..p;
     None when every record is a medoid. Deterministic:
     sizes ascending, removal positions and additions in lexicographic order,
     strict improvement to move the incumbent.
 
-    Size 1 is the first row-major minimum of :func:`_single_swap_costs` over
-    the non-medoid columns, which reuses and refreshes ``last``; larger sizes
-    run :func:`_scan` once per removal set.
+    Size 1 is the first row-major minimum of :func:`_single_swap_costs`, its
+    columns put back in record order, over the non-medoids; it reuses and
+    refreshes ``last``. Larger sizes run :func:`_scan` once per removal set.
     """
-    k, n = len(medoids), len(columns.order)
+    k, n = len(medoids), len(store.values)
     if k == n:
         return None
-    costs = _single_swap_costs(rows, columns, medoids, last)
+    costs = np.take(_single_swap_costs(store, medoids, last), store.position, axis=1)
     costs[:, medoids] = _NO_COST
     r, c = divmod(int(np.argmin(costs)), n)  # first minimum, row-major
     best = (int(costs[r, c]), (r,), (c,))
     in_medoids = np.zeros(n, dtype=bool)
-    in_medoids[medoids] = True
+    in_medoids[store.position[medoids]] = True
     for s in range(2, min(p, k, n - k) + 1):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
-            found = _scan(rows, columns, _kept_base(rows, kept), in_medoids, s)
+            found = _scan(store, _kept_base(store, store.position[kept]), in_medoids, s)
             if found is not None and found[0] < best[0]:
                 best = (found[0], removals, found[1])
     return best

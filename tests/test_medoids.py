@@ -63,16 +63,19 @@ class TestCostOfMedoidSet:
         with pytest.raises(ValueError, match="range"):
             cost_of_medoid_set(four_point, [0, 9])
 
-    def test_matrix_backed_equals_on_the_fly(self, four_point, monkeypatch):
-        # the solvers' rows, from the matrix and computed per call, give the
-        # objective cost_of_medoid_set recomputes from its own rows
-        order = medoids._columns(four_point).order
-        held = medoids._distance_rows(four_point.values, order)
+    @pytest.mark.parametrize("block", [1, 3, 512])
+    def test_matrix_backed_equals_on_the_fly(self, four_point, monkeypatch, block):
+        # the solvers' rows, from the kept store and computed per call, give
+        # the objective cost_of_medoid_set recomputes from its own rows
+        monkeypatch.setattr(medoids, "_BLOCK", block)
+        held = medoids._store(four_point)
         monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
-        on_the_fly = medoids._distance_rows(four_point.values, order)
+        on_the_fly = medoids._store(four_point)
+        assert held.blocks is not None and on_the_fly.blocks is None
+        order = held.columns.order
         for pair in FOUR_POINT_PAIR_COSTS:
-            for rows in (held, on_the_fly):
-                got = int(four_point.weights[order] @ rows(list(pair)).min(axis=0))
+            for store in (held, on_the_fly):
+                got = int(four_point.weights[order] @ medoids._rows(store, store.position[list(pair)]).min(axis=0))
                 assert got == cost_of_medoid_set(four_point, pair)[0]
 
     def test_weighted_objective(self):
@@ -81,6 +84,22 @@ class TestCostOfMedoidSet:
         assert obj == 1
         obj, _ = cost_of_medoid_set(ds, [1])
         assert obj == 3
+
+
+def best_exchange(ds, current, p):
+    """Every exchange of up to p medoids of ``current``, costed one by one:
+    sizes ascending, removal positions then additions in lexicographic
+    order, strict improvement to move the incumbent."""
+    others = [i for i in range(ds.n_records) if i not in current]
+    want = None
+    for size in range(1, min(p, len(current), len(others)) + 1):
+        for removals in itertools.combinations(range(len(current)), size):
+            kept = [c for pos, c in enumerate(current) if pos not in removals]
+            for additions in itertools.combinations(others, size):
+                cost = cost_of_medoid_set(ds, kept + list(additions))[0]
+                if want is None or cost < want[0]:
+                    want = (cost, removals, additions)
+    return want
 
 
 class TestExhaustiveSearch:
@@ -133,12 +152,14 @@ class TestExhaustiveSearch:
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 exhaustive_search(four_point, k, workers=workers)
 
-    def test_worker_and_matrix_parity(self, monkeypatch):
+    @pytest.mark.parametrize("block", [3, 7, 512])
+    def test_worker_and_matrix_parity(self, monkeypatch, block):
         monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)  # 3 workers: 3 shares on any machine
         ds = random_dataset(n=55, m=5, max_categories=3, seed=21)
         base = exhaustive_search(ds, 3)
+        monkeypatch.setattr(medoids, "_BLOCK", block)
         for workers, budget in ((3, medoids.MATRIX_BUDGET), (1, 0), (2, 0)):
-            monkeypatch.setattr(medoids, "MATRIX_BUDGET", budget)  # 0: rows on the fly
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", budget)  # 0: tiles computed per sweep
             other = exhaustive_search(ds, 3, workers=workers)
             assert other.medoid_objective == base.medoid_objective
             assert other.medoid_indices == base.medoid_indices
@@ -203,12 +224,14 @@ class TestExhaustiveSearch:
         on_the_fly=st.booleans(),
         workers=st.integers(1, 3),
         scan_bytes=st.sampled_from([1, 1 << 30]),
+        block=st.sampled_from([1, 3, 7, 512]),
     )
     @settings(max_examples=150, deadline=None)
     def test_scan_equals_naive(
-        self, n, m, cats, seed, k, weights, weighted, repeated, on_the_fly, workers, scan_bytes
+        self, n, m, cats, seed, k, weights, weighted, repeated, on_the_fly, workers, scan_bytes, block
     ):
-        # scan_bytes 1 scores one next member per block, 1 GiB all of a prefix's at once
+        # scan_bytes 1 scores one next member per block, 1 GiB all of a
+        # prefix's at once; stores of 1 to 512 columns a block
         k = min(k, n)
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
         names = [[f"v{v}" for v in row] for row in ds.values]
@@ -217,7 +240,7 @@ class TestExhaustiveSearch:
         if weighted or repeated:
             ds = dataset_from_rows(names, weights=weights[:n] if weighted else None)
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
-        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget), \
+        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block), \
                 mock.patch.object(medoids.os, "cpu_count", lambda: 64):  # workers shares on any machine
             scan = exhaustive_search(ds, k, workers=workers)
         naive = exhaustive_search_naive(ds, k)
@@ -231,28 +254,27 @@ class TestExhaustiveSearch:
         # units that together are the units of the whole scan; scan_bytes 1
         # makes every next member a unit of its own
         ds = random_dataset(n=10, m=3, max_categories=3, seed=2)
-        columns = medoids._columns(ds)
-        rows = medoids._distance_rows(ds.values, columns.order)
-        base, excluded = medoids._kept_base(rows, ()), np.zeros(10, dtype=bool)
-        excluded[4] = True  # a record outside the pool
+        store = medoids._store(ds)
+        base, excluded = medoids._kept_base(store, ()), np.zeros(10, dtype=bool)
+        excluded[4] = True  # a position outside the pool
         prefix, keys = [()], []
-        kept_base, best_extension = medoids._kept_base, medoids._best_extension
+        kept_base, extensions = medoids._kept_base, medoids._extensions
 
-        def recording_kept_base(rows, kept):  # the scan asks for a prefix's base before its units
+        def recording_kept_base(store, kept):  # the scan asks for a prefix's base before its units
             prefix[0] = tuple(kept)
-            return kept_base(rows, kept)
+            return kept_base(store, kept)
 
-        def recording_best_extension(rows, columns, bases, after, excluded):
+        def recording_extensions(store, bases, after, excluded):
             keys.append((prefix[0], int(after[0])))
-            return best_extension(rows, columns, bases, after, excluded)
+            return extensions(store, bases, after, excluded)
 
         monkeypatch.setattr(medoids, "_kept_base", recording_kept_base)
-        monkeypatch.setattr(medoids, "_best_extension", recording_best_extension)
+        monkeypatch.setattr(medoids, "_extensions", recording_extensions)
         monkeypatch.setattr(medoids, "_SCAN_BYTES", scan_bytes)
 
         def scored(share):
             prefix[0], keys[:] = (), []
-            medoids._scan(rows, columns, base, excluded, size, share)
+            medoids._scan(store, base, excluded, size, share)
             assert len(set(keys)) == len(keys)
             return set(keys)
 
@@ -322,12 +344,14 @@ class TestLocalSearch:
         assert a.medoid_indices == b.medoid_indices
         assert a.medoid_objective == b.medoid_objective
 
-    def test_matrix_parity(self, monkeypatch):
+    @pytest.mark.parametrize("block", [7, 512])
+    def test_matrix_parity(self, monkeypatch, block):
         ds = random_dataset(n=60, m=4, max_categories=3, seed=8)
         for p in (1, 2):
             a = local_search(ds, 3, LocalSearchConfig(p=p, seed=1))
             with monkeypatch.context() as patch:
-                patch.setattr(medoids, "MATRIX_BUDGET", 0)  # rows on the fly
+                patch.setattr(medoids, "MATRIX_BUDGET", 0)  # tiles computed per sweep
+                patch.setattr(medoids, "_BLOCK", block)
                 b = local_search(ds, 3, LocalSearchConfig(p=p, seed=1))
             assert (a.medoid_indices, a.medoid_objective, a.guarantee) == (
                 b.medoid_indices, b.medoid_objective, b.guarantee)
@@ -372,10 +396,11 @@ class TestLocalSearch:
         scan_bytes=st.sampled_from([1, 1 << 30]),
         pick=st.integers(0, 10_000),
         p=st.integers(2, 3),
+        block=st.sampled_from([1, 3, 7, 512]),
     )
     @settings(max_examples=100, deadline=None)
     def test_wide_swap_equals_brute_force(
-        self, n, k, seed, weights, repeated, on_the_fly, scan_bytes, pick, p
+        self, n, k, seed, weights, repeated, on_the_fly, scan_bytes, pick, p, block
     ):
         k = min(k, n - 1)
         ds = random_dataset(n=n, m=3, max_categories=3, seed=seed)
@@ -384,23 +409,10 @@ class TestLocalSearch:
             names = [names[i % ((n + 1) // 2)] for i in range(n)]
         ds = dataset_from_rows(names, weights=weights[:n])
         current = sorted(np.random.default_rng(pick).choice(n, size=k, replace=False).tolist())
-        # every exchange of up to p medoids: sizes ascending, removal positions
-        # then additions in lexicographic order, strict improvement to move
-        others = [i for i in range(n) if i not in current]
-        want = None
-        for size in range(1, min(p, k, len(others)) + 1):
-            for removals in itertools.combinations(range(k), size):
-                kept = [c for pos, c in enumerate(current) if pos not in removals]
-                for additions in itertools.combinations(others, size):
-                    cost = cost_of_medoid_set(ds, kept + list(additions))[0]
-                    if want is None or cost < want[0]:
-                        want = (cost, removals, additions)
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
-        columns = medoids._columns(ds)
-        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget):
-            rows = medoids._distance_rows(ds.values, columns.order)
-            got = medoids._best_swap(rows, columns, current, p, {})
-        assert got == want
+        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block):
+            got = medoids._best_swap(medoids._store(ds), current, p, {})
+        assert got == best_exchange(ds, current, p)
 
     def test_p2_swaps_escape_a_p1_optimum(self):
         # p=2 must do at least as well as p=1 on the same start
@@ -426,6 +438,59 @@ class TestLocalSearch:
             ls = local_search(ds, 2, LocalSearchConfig(p=1, seed=0, restarts=3))
             ex = exhaustive_search(ds, 2)
             assert ls.medoid_objective == ex.medoid_objective, seed
+
+
+class TestDistanceStore:
+    """The half store: blocks of columns in the summation order, whose
+    candidates come back by position while ties go by record index."""
+
+    @staticmethod
+    def tied(weighted: bool):
+        # 24 records in 4 distinct rows, so that equal rows make equal-cost
+        # subsets; the summation order puts the records against the file:
+        # distinct weights falling along it (all in the tail), or
+        # --dedupe-like ones, 1 for the last 20 records (a weight group, as
+        # _GROUP_MIN is 3 here) and 20 down to 5 for the first 4 (the tail)
+        rows = [[f"a{i % 4 % 2}", f"b{i % 4 // 2}", "c"] for i in range(24)]
+        weights = [20, 15, 10, 5] + [1] * 20 if weighted else list(range(24, 0, -1))
+        return dataset_from_rows(rows, weights=weights)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("block", [1, 3, 7, 512])
+    @pytest.mark.parametrize("on_the_fly", [False, True])
+    def test_ties_go_to_record_order(self, monkeypatch, weighted, block, on_the_fly):
+        monkeypatch.setattr(medoids, "_GROUP_MIN", 3)
+        monkeypatch.setattr(medoids, "_BLOCK", block)
+        monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)  # 2 and 3 shares on any machine
+        if on_the_fly:
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
+        ds = self.tied(weighted)
+        store = medoids._store(ds)
+        assert (store.blocks is None) == on_the_fly
+        assert len(store.columns.tail) == (4 if weighted else 24) and store.columns.order[0] != 0
+        for k in (1, 2, 3):
+            naive = exhaustive_search_naive(ds, k)
+            for workers in (1, 2, 3):
+                got = exhaustive_search(ds, k, workers=workers)
+                assert (got.medoid_objective, got.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
+        for current in ([0, 5], [1, 2, 3], [3, 10, 17, 22]):
+            assert medoids._best_swap(store, current, 1, {}) == TestSingleSwapTable.swap_oracle(ds, current)
+            assert medoids._best_swap(store, current, 2, {}) == best_exchange(ds, current, 2)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 512])
+    def test_rows_are_symmetric_reads(self, monkeypatch, block):
+        # a row gathered from the blocks equals the row computed directly, in
+        # the summation order, for positions in every block
+        ds = random_dataset(n=30, m=5, max_categories=4, seed=6)
+        ds = dataset_from_rows([[str(v) for v in row] for row in ds.values], weights=[i % 3 + 1 for i in range(30)])
+        monkeypatch.setattr(medoids, "_GROUP_MIN", 2)
+        monkeypatch.setattr(medoids, "_BLOCK", block)
+        store = medoids._store(ds)
+        values = ds.values[store.columns.order]
+        want = (values[:, None, :] != values[None, :, :]).sum(axis=2)
+        index = [29, 0, 13, 7, 7]
+        assert np.array_equal(medoids._rows(store, index), want[index])
+        assert np.array_equal(medoids._kept_base(store, index), want[index].min(axis=0))
 
 
 class TestSingleSwapTable:
@@ -459,10 +524,11 @@ class TestSingleSwapTable:
         repeated=st.booleans(),
         on_the_fly=st.booleans(),
         pick=st.integers(0, 10_000),
+        block=st.sampled_from([1, 3, 7, 512]),
     )
     @settings(max_examples=150, deadline=None)
     def test_steps_equal_per_removal_scan(
-        self, n, m, k, seed, weights, big, repeated, on_the_fly, pick
+        self, n, m, k, seed, weights, big, repeated, on_the_fly, pick, block
     ):
         # small weights, and weights up to 2**40
         k = min(k, n)
@@ -472,14 +538,14 @@ class TestSingleSwapTable:
             names = [names[i % ((n + 1) // 2)] for i in range(n)]
         w = weights[:n] if big else [x % 50 + 1 for x in weights[:n]]
         ds = dataset_from_rows(names, weights=w)
-        columns = medoids._columns(ds)
-        with mock.patch.object(medoids, "MATRIX_BUDGET", 0 if on_the_fly else medoids.MATRIX_BUDGET):
-            rows = medoids._distance_rows(ds.values, columns.order)
+        budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
+        with mock.patch.multiple(medoids, MATRIX_BUDGET=budget, _BLOCK=block):
+            store = medoids._store(ds)
         current = sorted(np.random.default_rng(pick).choice(n, size=k, replace=False).tolist())
         cost = cost_of_medoid_set(ds, current)[0]
         last = {}
         for _ in range(4):  # later steps read the row carried over
-            got = medoids._best_swap(rows, columns, current, 1, last)
+            got = medoids._best_swap(store, current, 1, last)
             assert got == self.swap_oracle(ds, current)
             if got is None or got[0] >= cost:
                 break
@@ -493,9 +559,9 @@ class TestSingleSwapTable:
         sweeps, per_step = [], []
         sweep, best_swap = medoids._sweep, medoids._best_swap
 
-        def counting_sweep(rows, weights, bases, start):
+        def counting_sweep(store, bases, start):
             sweeps.append(len(bases))
-            return sweep(rows, weights, bases, start)
+            return sweep(store, bases, start)
 
         def counting_step(*args):
             before = sum(sweeps)
@@ -505,7 +571,7 @@ class TestSingleSwapTable:
 
         monkeypatch.setattr(medoids, "_sweep", counting_sweep)
         monkeypatch.setattr(medoids, "_best_swap", counting_step)
-        for budget in (medoids.MATRIX_BUDGET, 0):  # matrix rows, then rows on the fly
+        for budget in (medoids.MATRIX_BUDGET, 0):  # the kept store, then tiles computed per sweep
             monkeypatch.setattr(medoids, "MATRIX_BUDGET", budget)
             per_step.clear()
             local_search(ds, k, LocalSearchConfig(p=1, seed=0))
@@ -524,11 +590,12 @@ class TestSingleSwapTable:
             monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
         for others in (full, full + 1):
             ds = dataset_from_rows([["a"] * m] + [["b"] * m] * others, weights=[2] + [1] * others)
-            columns = medoids._columns(ds)
+            store = medoids._store(ds)
+            columns = store.columns
             assert columns.order[-1] == 0 and columns.tail.tolist() == [2]
             assert len(columns.starts) == (2 if others * m > 65535 and m < 256 else 1)
-            rows = medoids._distance_rows(ds.values, columns.order)
-            got = medoids._sweep(rows, columns, medoids._kept_base(rows, ())[None, :], 0)
+            got = medoids._sweep(store, medoids._kept_base(store, ())[None, :], 0)
+            got = got[:, store.position]  # back to file order
             assert got[0, 0] == others * m == cost_of_medoid_set(ds, [0])[0]
             assert got[0, 1:].tolist() == [2 * m] * others
 
@@ -545,18 +612,18 @@ class TestSingleSwapTable:
         assert ds.total_weight > 2**53
         if on_the_fly:
             monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
-        columns = medoids._columns(ds)
+        store = medoids._store(ds)
+        columns = store.columns
         assert (len(columns.starts), len(columns.tail)) == ((7, 0) if spread == 7 else (0, 8200))
-        rows = medoids._distance_rows(ds.values, columns.order)
         dist = (values[:, None, :] != values[None, :, :]).sum(axis=2)
         pattern_weight = [sum(w[i::6]) for i in range(6)]  # exact Python ints
-        start = 8200 - 12
+        start = 8200 - 12  # the candidates at the last 12 positions
         for kept in ((), (1,), (0, 2)):
-            base = medoids._kept_base(rows, kept)
-            got = medoids._sweep(rows, columns, base[None, :], start)[0]
+            base = medoids._kept_base(store, store.position[list(kept)])
+            got = medoids._sweep(store, base[None, :], start)[0]
             near = [min([dist[q % 6, p] for q in kept], default=ds.m) for p in range(6)]
             want = [sum(pw * min(near[p], dist[c % 6, p]) for p, pw in enumerate(pattern_weight))
-                    for c in range(start, 8200)]
+                    for c in columns.order[start:].tolist()]
             assert got.tolist() == want
             assert max(want) > 2**53
         best = min(sum(pw * dist[c, p] for p, pw in enumerate(pattern_weight)) for c in range(6))
@@ -577,8 +644,9 @@ class TestSingleSwapTable:
             monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
         dist = (ds.values[:, None, :] != ds.values[None, :, :]).sum(axis=2)
         bases = np.stack([np.full(4, ds.m), dist[2], dist[[0, 1]].min(axis=0)])
-        rows = medoids._distance_rows(ds.values, columns.order)
-        got = medoids._sweep(rows, columns, bases[:, columns.order].astype(np.uint8), 0)
+        store = medoids._store(ds)
+        got = medoids._sweep(store, bases[:, columns.order].astype(np.uint8), 0)
+        got = got[:, store.position]  # back to file order
         want = [[sum(int(w) * min(int(b), int(d)) for w, b, d in zip(ds.weights, base, dist[c]))
                  for c in range(4)] for base in bases]
         assert got.tolist() == want
@@ -588,39 +656,43 @@ class TestSingleSwapTable:
         assert ex.medoid_objective == ls.medoid_objective == min(want[0]) == 7
 
     @given(
-        n=st.integers(1, 40),
+        n=st.integers(1, 60),
         m=st.integers(1, 4),
         seed=st.integers(0, 10_000),
-        weights=st.lists(st.sampled_from([1, 2, 3, 2**40]), min_size=40, max_size=40),
+        weights=st.lists(st.sampled_from([1, 2, 3, 2**40]), min_size=60, max_size=60),
         group_min=st.sampled_from([1, 2, 5, medoids._GROUP_MIN]),
         on_the_fly=st.booleans(),
         scan_bytes=st.sampled_from([1, 1 << 30]),
-        kept=st.lists(st.integers(0, 39), max_size=3),
-        start=st.integers(0, 39),
+        block=st.sampled_from([1, 3, 7, 512]),
+        tile_bytes=st.sampled_from([1, 5, 1 << 22]),
+        kept=st.lists(st.integers(0, 59), max_size=3),
+        start=st.integers(0, 59),
     )
     @settings(max_examples=150, deadline=None)
     def test_sweep_equals_direct_sum(
-        self, n, m, seed, weights, group_min, on_the_fly, scan_bytes, kept, start
+        self, n, m, seed, weights, group_min, on_the_fly, scan_bytes, block, tile_bytes, kept, start
     ):
-        # groups of as few as one record, and the tail, against sums in
-        # Python integers
+        # groups of as few as one record, and the tail, over blocks of 1 to
+        # 512 columns, kept or computed again in tiles of 1 row and up,
+        # against sums in Python integers
         ds = random_dataset(n=n, m=m, max_categories=3, seed=seed)
         ds = dataset_from_rows([[f"v{v}" for v in row] for row in ds.values], weights=weights[:n])
-        kept, start = sorted({q % n for q in kept}), start % n
+        kept, start = sorted({q % n for q in kept}), start % n  # positions
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
         with mock.patch.multiple(
-            medoids, _GROUP_MIN=group_min, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget
+            medoids, _GROUP_MIN=group_min, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block,
+            _TILE_BYTES=tile_bytes,
         ):
-            columns = medoids._columns(ds)
-            rows = medoids._distance_rows(ds.values, columns.order)
-            bases = np.stack([medoids._kept_base(rows, kept), medoids._kept_base(rows, kept[:1])])
-            got = medoids._sweep(rows, columns, bases, start)
-        assert sorted(columns.order.tolist()) == list(range(n))
-        assert group_min > 1 or len(columns.tail) == 0
+            store = medoids._store(ds)
+            bases = np.stack([medoids._kept_base(store, kept), medoids._kept_base(store, kept[:1])])
+            got = medoids._sweep(store, bases, start)
+        order = store.columns.order.tolist()
+        assert sorted(order) == list(range(n))
+        assert group_min > 1 or len(store.columns.tail) == 0
         values, w = ds.values.tolist(), [int(x) for x in ds.weights]
         dist = [[sum(a != b for a, b in zip(u, v)) for v in values] for u in values]
-        want = [[sum(wi * min([m] + [dist[q][i] for q in (*near, c)]) for i, wi in enumerate(w))
-                 for c in range(start, n)] for near in (kept, kept[:1])]
+        want = [[sum(wi * min([m] + [dist[order[q]][i] for q in near] + [dist[c][i]]) for i, wi in enumerate(w))
+                 for c in order[start:]] for near in (kept, kept[:1])]
         assert got.tolist() == want
 
 

@@ -62,10 +62,17 @@ class TestPairwiseMatrix:
         assert unsigned_dtype(256) == np.uint16
         assert unsigned_dtype(70000) == np.uint32
 
-    def test_budget_refusal(self, monkeypatch):
-        # the solvers hold the 100 x 100 uint8 matrix at exactly its 10 000
-        # bytes of budget, and compute rows per call one byte below that
+    @pytest.mark.parametrize(
+        "block, size, built",
+        [(512, 10_000, [(100, 100)]), (30, 6400, [(100, 30), (70, 30), (40, 30), (10, 10)])],
+    )
+    def test_budget_refusal(self, monkeypatch, block, size, built):
+        # the solvers keep the distance store at exactly its bytes of budget:
+        # the 100 x 100 uint8 square as one block, or the blocks of 30
+        # columns, 100 x 30 down to 10 x 10; one byte below that, they
+        # compute the rows a read asks for, and build nothing
         ds = random_dataset(n=100, m=4, max_categories=3, seed=0)
+        ds = dataset_from_rows([[str(v) for v in row] for row in ds.values], weights=range(100, 0, -1))
         calls = []
 
         def counting_hamming(a, b):
@@ -73,15 +80,18 @@ class TestPairwiseMatrix:
             return hamming(a, b)
 
         monkeypatch.setattr(medoids, "hamming", counting_hamming)
-        order = np.arange(100)[::-1]  # columns in summation order, rows in file order
-        want = broadcast_count(ds.values[10:20], ds.values[order])
-        for budget, built, per_read in ((10_000, [(100, 100)], []), (9_999, [], [(10, 100)])):
+        monkeypatch.setattr(medoids, "_BLOCK", block)
+        order = medoids._columns(ds).order
+        assert order.tolist() == list(range(99, -1, -1))  # weights ascend against the file
+        values = ds.values[order]
+        want = broadcast_count(values[10:20], values)  # rows and columns in summation order
+        for budget, kept, per_read in ((size, built, []), (size - 1, [], [(100, 10)])):
             monkeypatch.setattr(medoids, "MATRIX_BUDGET", budget)
             calls.clear()
-            rows = medoids._distance_rows(ds.values, order)
-            assert calls == built
+            store = medoids._store(ds)
+            assert calls == kept
             calls.clear()
-            assert np.array_equal(rows(slice(10, 20)), want)
+            assert np.array_equal(medoids._rows(store, range(10, 20)), want)
             assert calls == per_read
 
 
