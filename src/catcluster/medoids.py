@@ -26,7 +26,7 @@ import bisect
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -382,9 +382,9 @@ def exhaustive_search(
     members with all of their completions (see :func:`_scan`). Instances of
     more than ``EXHAUSTIVE_GATE`` terms are refused unless ``force`` is set.
     ``workers`` threads, at most one per CPU, take turns at the scan's
-    blocks of next members (the shares of :func:`_scan`); each finds its own
-    lowest (cost, tuple), and the lowest of those wins, so the output is
-    independent of their number.
+    blocks of next members (the shares of :func:`_scan`); the calling thread
+    is one of them. Each finds its own lowest (cost, tuple), and the lowest
+    of those wins, so the output is independent of their number.
     """
     n = dataset.n_records
     if not 1 <= k <= n:
@@ -400,11 +400,24 @@ def exhaustive_search(
     store = _store(dataset)
     base, excluded = _kept_base(store, ()), np.zeros(n, dtype=bool)
     parts = min(workers, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=parts) as ex:  # numpy releases the GIL
-        found = ex.map(lambda w: _scan(store, base, excluded, k, (w, parts)), range(parts))
-        results = [r for r in found if r is not None]  # a share may own no block
+    found, errors = [], []
 
-    best_cost, best_subset = min(results)  # by (cost, tuple): the smallest optimal tuple wins ties
+    def share(w):
+        try:
+            found.append(_scan(store, base, excluded, k, (w, parts)))
+        except BaseException as exc:  # raised again in the calling thread, once every share is done
+            errors.append(exc)
+
+    threads = [threading.Thread(target=share, args=(w,)) for w in range(1, parts)]  # numpy releases the GIL
+    for t in threads:
+        t.start()
+    share(0)  # the calling thread takes share 0: one worker starts no thread
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    # by (cost, tuple): the smallest optimal tuple wins ties; a share may own no block
+    best_cost, best_subset = min(r for r in found if r is not None)
     objective, assignment = cost_of_medoid_set(dataset, best_subset)
     if objective != best_cost:
         raise RuntimeError(f"scan cost {best_cost} != recomputed objective {objective}")

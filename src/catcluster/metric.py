@@ -31,7 +31,7 @@ _BLOCK_BYTES = 1 << 22  # the lookup tables of one block of b rows, with the mis
 _ROW_BYTES = 1 << 18  # one block of distance rows, and again the table rows added to it: within a core's L2
 _GROUP_CODES = 256  # most joint categories of one group of attributes: the rows of its table
 _AUDIT_PAIRS = 256  # pairs whose distances the metric audit reads from one block
-_COUNT_ROWS = 4096  # records one scatter of the count table takes: bounds its temporaries
+_COUNT_ROWS = 4096  # records per scatter into the count table or read from it: bounds their temporaries
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -171,11 +171,16 @@ def member_costs(
 
     With W the cluster's total weight, a row of the count table sums to
     m * W, so the cost is m * W - sum_r count_r[v_cr]: O(n * m) from the
-    table, with no pairwise block.
+    table, with no pairwise block. Read over blocks of ``_COUNT_ROWS``
+    records, so its temporaries never span all n * m entries.
     """
-    width = counts.shape[1]
-    cells = np.asarray(assignment, dtype=np.int64)[:, None] * width + (values + _offsets(sizes))
-    return counts.sum(axis=1)[assignment] - counts.ravel()[cells].sum(axis=1)
+    width, offsets, flat = counts.shape[1], _offsets(sizes), counts.ravel()
+    assignment = np.asarray(assignment, dtype=np.int64)
+    costs = counts.sum(axis=1)[assignment]
+    for s in range(0, values.shape[0], _COUNT_ROWS):
+        block = slice(s, s + _COUNT_ROWS)
+        costs[block] -= flat[assignment[block, None] * width + (values[block] + offsets)].sum(axis=1)
+    return costs
 
 
 @dataclass(frozen=True)

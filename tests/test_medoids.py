@@ -1,4 +1,5 @@
 import itertools
+import threading
 from unittest import mock
 
 import numpy as np
@@ -165,30 +166,56 @@ class TestExhaustiveSearch:
             assert other.medoid_indices == base.medoid_indices
             assert other.assignment.tolist() == base.assignment.tolist()
 
+    @staticmethod
+    def record_threads(monkeypatch):
+        """Threads the scan starts, and the (thread, share) of every share it scores."""
+        started, shares, scan = [], [], medoids._scan
+
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def recording_scan(store, base, excluded, size, share=(0, 1)):
+            shares.append((threading.current_thread(), share))
+            return scan(store, base, excluded, size, share)
+
+        monkeypatch.setattr(medoids.threading, "Thread", RecordingThread)
+        monkeypatch.setattr(medoids, "_scan", recording_scan)
+        return started, shares
+
     def test_threads_capped_at_cpu_count(self, monkeypatch):
-        # a stand-in pool records its size and runs the ranges in this thread
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         monkeypatch.setattr(medoids.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(medoids, "ThreadPoolExecutor", RecordingPool)
+        started, shares = self.record_threads(monkeypatch)
         ds = random_dataset(n=40, m=3, max_categories=2, seed=3)  # 39 first indices at k = 2
         sol = exhaustive_search(ds, 2, workers=4096)
         naive = exhaustive_search_naive(ds, 2)
-        assert pools == [2]
+        assert len(started) + 1 == 2  # the calling thread takes one of the 2 shares
+        assert sorted(share for _, share in shares) == [(0, 2), (1, 2)]
+        assert {thread for thread, _ in shares} == {threading.current_thread(), *started}
         assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)
+        started, shares = self.record_threads(monkeypatch)
+        ds = random_dataset(n=30, m=3, max_categories=2, seed=4)
+        sol = exhaustive_search(ds, 3, workers=1)
+        assert started == []
+        assert shares == [(threading.current_thread(), (0, 1))]
+        assert sol.medoid_indices == exhaustive_search_naive(ds, 3).medoid_indices
+
+    def test_a_failed_share_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(medoids.os, "cpu_count", lambda: 2)
+        scan = medoids._scan
+
+        def failing_scan(store, base, excluded, size, share=(0, 1)):
+            if share[0] == 1:
+                raise MemoryError("share 1")
+            return scan(store, base, excluded, size, share)
+
+        monkeypatch.setattr(medoids, "_scan", failing_scan)
+        with pytest.raises(MemoryError, match="share 1"):
+            exhaustive_search(random_dataset(n=20, m=3, max_categories=2, seed=5), 2, workers=2)
 
     @pytest.mark.parametrize("n,k", [(5, 4), (9, 3), (24, 2), (30, 1)])
     def test_worker_counts_agree(self, n, k, monkeypatch):

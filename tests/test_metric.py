@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcluster import KModesConfig, check_metric_properties, dedupe, medoids, metric, random_dataset, run_kmodes
+from catcluster import (
+    KModesConfig,
+    check_metric_properties,
+    dedupe,
+    medoids,
+    metric,
+    objective_under_medoids,
+    random_dataset,
+    run_kmodes,
+)
 from catcluster.dataset import unsigned_dtype
 from catcluster.metric import (
     cluster_counts,
@@ -190,6 +199,23 @@ class TestHammingKernel:
         sizes = np.full(m, cats)
         counts = cluster_counts(values, np.array(w, dtype=np.int64), sizes, assignment, k)
         assert member_costs(counts, sizes, values, assignment).tolist() == want
+
+    @pytest.mark.parametrize("rows", [3, 7])
+    def test_member_costs_span_row_blocks(self, monkeypatch, rows):
+        n, m, k = 52, 4, 3  # 52 records: a partial last block of 3 and of 7
+        assert n % rows
+        rng = np.random.default_rng(rows)
+        weights = rng.integers(1, 2**40, size=n)
+        ds = dataset_from_rows(rng.integers(0, 4, size=(n, m)).tolist(), weights=weights)
+        assignment = rng.permutation(np.arange(n) % k)
+        default = objective_under_medoids(ds, assignment)
+        monkeypatch.setattr(metric, "_COUNT_ROWS", rows)
+        values, sizes = ds.values, ds.schema.domain_sizes()
+        counts = cluster_counts(values, ds.weights, sizes, assignment, k)
+        costs = member_costs(counts, sizes, values, assignment)
+        same = assignment[:, None] == assignment[None, :]
+        assert costs.tolist() == (broadcast_count(values, values) * same * weights[:, None]).sum(0).tolist()
+        assert sum(int(costs[assignment == c].min()) for c in range(k)) == default
 
     def test_count_table_spans_row_blocks(self):
         n, m, k = 2 * metric._COUNT_ROWS + 123, 5, 3

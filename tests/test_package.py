@@ -93,6 +93,42 @@ class TestLazyPackage:
         assert catcluster.medoids.local_search is catcluster.local_search
 
 
+class TestResidentFloor:
+    """What a CLI process loads before it reads its input: the report's digest
+    comes from CPython's built-in SHA-256, not OpenSSL, and the scan's threads
+    need no executor."""
+
+    def test_cli_import_loads_no_openssl_and_no_executor(self):
+        out = run_child("""
+            import sys
+            import catcluster.cli
+            print(*sorted({"_hashlib", "hashlib", "concurrent.futures"} & set(sys.modules)))
+        """)
+        assert out.split() == []
+
+    @pytest.mark.parametrize("n", [0, 1, 200_000])
+    def test_digest_is_hashlib_sha256(self, n):
+        import hashlib
+
+        from catcluster import cli
+
+        assignment = np.random.default_rng(n).integers(0, 7, size=n)
+        want = hashlib.sha256(assignment.astype(np.int64).tobytes()).hexdigest()
+        assert cli._assignment_digest(assignment) == want
+
+    def test_digest_falls_back_to_hashlib(self):
+        # None in sys.modules makes an import of that name fail
+        out = run_child("""
+            import hashlib, sys
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
+            from catcluster import cli
+            import numpy as np
+            print(cli.sha256 is hashlib.sha256, cli._assignment_digest(np.arange(5)) == hashlib.sha256(
+                np.arange(5, dtype=np.int64).tobytes()).hexdigest())
+        """)
+        assert out.split() == ["True", "True"]
+
+
 class TestBlasPolicy:
     def test_cli_sets_shortest_wait(self):
         assert run_child(f"import os, catcluster.cli; print(os.environ['{POLICY}'])").strip() == "4"
