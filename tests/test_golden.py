@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import difflib
 import io
+import math
 import os
 import random
 import sys
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catcluster import cli
+from catcluster import cli, load_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +74,13 @@ def _skewed(rng: random.Random, n: int) -> list[list[str]]:
             for _ in range(n)]
 
 
+def _wide(rng: random.Random, n: int) -> list[list[str]]:
+    """Rows of 12 features drawn from 100 categories each, led by one of 3
+    labels: the domain sizes multiply past 2**64, so one uint64 key cannot
+    hold a row."""
+    return [[rng.choice(("L0", "L1", "L2")), *(f"c{rng.randrange(100)}" for _ in range(12))] for _ in range(n)]
+
+
 def _lines(rows) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
@@ -97,6 +105,14 @@ def write_inputs(directory: Path) -> None:
     rows = _uniform(random.Random(6), 40, 4, ("L0", "L1"))
     rows[29][3] = rows[31][2] = "?"
     files["reject-feature.csv"] = _lines(rows[:20]) + "\n" + _lines(rows[20:30]) + "\n\n" + _lines(rows[30:])
+    # 240 rows; 100 of them again, and 40 again under the next label
+    rows = _wide(random.Random(9), 240)
+    relabelled = [[f"L{(int(row[0][1]) + 1) % 3}", *row[1:]] for row in rows[:40]]
+    files["wide.csv"] = _lines(rows + rows[:100] + relabelled)
+    # a header row, and the label named there as the last column
+    rows = _votes(random.Random(10), 120)
+    files["votes-header.csv"] = _lines([[*(f"v{j}" for j in range(1, 17)), "party"],
+                                        *([*row[1:], row[0]] for row in rows)])
     for name, text in files.items():
         (directory / name).write_text(text)
 
@@ -122,6 +138,11 @@ CASES = [
                                 "--k", "2"], 0),
     ("skewed-p2.json", [*RUN, "--data", "skewed.csv", "--dedupe", "--algorithm", "local-search", "--k", "4",
                         "--p", "2", "--max-steps", "1"], 0),
+    # weighted records of the wide file, grouped by value and label
+    ("wide-kmodes.json", [*RUN, "--data", "wide.csv", "--dedupe", "--algorithm", "kmodes", "--k", "3"], 0),
+    ("wide-exhaustive.json", [*RUN, "--data", "wide.csv", "--dedupe", "--algorithm", "exhaustive", "--k", "2"], 0),
+    ("header.json", ["run", "--data", "votes-header.csv", "--header", "--label-column", "party",
+                     "--algorithm", "kmodes", "--k", "2", "--dedupe"], 0),
     ("unlabelled.json", ["run", "--data", "plain.csv", "--algorithm", "local-search", "--k", "3"], 0),
     ("empty-clusters.json", [*RUN, "--data", "repeated.csv", "--algorithm", "exhaustive", "--k", "4"], 0),
     ("empty-clusters.txt", [*RUN, "--data", "repeated.csv", "--algorithm", "exhaustive", "--k", "4",
@@ -163,6 +184,12 @@ def test_report_matches_golden(inputs, monkeypatch, name, argv, code):
         written = (GOLDEN / "numpy.txt").read_text().strip()
         pytest.fail(f"{name} differs from its golden copy (written with numpy {written}, "
                     f"running {np.__version__}):\n{''.join(diff)}")
+
+
+def test_wide_domains_multiply_past_one_key(inputs):
+    schema = load_csv(inputs / "wide.csv", label_column=0).schema
+    sizes = [a.size for a in schema.attributes]
+    assert math.prod(sizes) > 2**64 and len(sizes) == 12 and schema.label_domain.size == 3
 
 
 if __name__ == "__main__":
