@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 import time
@@ -553,14 +554,31 @@ def _add_ingestion_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--missing-policy", choices=["treat-as-category", "reject"], default="treat-as-category")
 
 
-def _worker_count(text: str) -> int:
-    """`--threads`: an int of at least 1, refused at the parser whatever the algorithm."""
+def _count(noun: str):
+    """The parser type of a count option: an int of at least 1, refused at
+    the parser whatever the algorithm or suite, as ``noun`` in the message."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{noun} must be >= 1, got {value}")
+        return value
+
+    return count
+
+
+def _threshold(text: str) -> float:
+    """`--min-relative-improvement`: a finite float of at least 0, refused at
+    the parser whatever the algorithm."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"min_relative_improvement must be finite and >= 0, got {value}")
     return value
 
 
@@ -590,15 +608,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--k", type=int, required=True)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--init", choices=["first-k-distinct", "random"], default="first-k-distinct")
-    p_run.add_argument("--max-iterations", type=int, default=100)
-    p_run.add_argument("--p", type=int, default=1, help="local-search swap width")
-    p_run.add_argument("--restarts", type=int, default=1)
-    p_run.add_argument("--min-relative-improvement", type=float, default=1e-9)
-    p_run.add_argument("--max-steps", type=int, default=1000)
+    p_run.add_argument("--max-iterations", type=_count("max_iterations"), default=100)
+    p_run.add_argument("--p", type=_count("swap width p"), default=1, help="local-search swap width")
+    p_run.add_argument("--restarts", type=_count("restarts"), default=1)
+    p_run.add_argument("--min-relative-improvement", type=_threshold, default=1e-9)
+    p_run.add_argument("--max-steps", type=_count("max_steps"), default=1000)
     p_run.add_argument("--force", action="store_true",
                        help=f"run exhaustive enumeration past its work gate of "
                        f"{EXHAUSTIVE_GATE:.0e} distance terms, n * C(n, k)")
-    p_run.add_argument("--threads", type=_worker_count, default=1)
+    p_run.add_argument("--threads", type=_count("workers"), default=1)
     p_run.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
     _add_output_options(p_run)
     p_run.set_defaults(func=cmd_run, name=None)
@@ -607,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--table", dest="name", choices=list(REFERENCE_RESULTS), required=True)
     p_rep.add_argument("--data", default=None, help="explicit dataset file (otherwise the cache is searched)")
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--threads", type=_worker_count, default=1)
+    p_rep.add_argument("--threads", type=_count("workers"), default=1)
     _add_output_options(p_rep, default_format="text")
     p_rep.set_defaults(func=cmd_reproduce, dedupe=True, missing_token="?", missing_policy="treat-as-category")
 
@@ -616,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--name", choices=list(NAMED_DATASETS), default=None)
     p_ver.add_argument("--data", default=None)
     _add_ingestion_options(p_ver)
-    p_ver.add_argument("--trials", type=int, default=None)
+    p_ver.add_argument("--trials", type=_count("trials"), default=None)
     p_ver.add_argument("--seed", type=int, default=0)
     _add_output_options(p_ver, default_format="text")
     p_ver.set_defaults(func=cmd_verify, dedupe=True)

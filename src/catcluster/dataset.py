@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -153,16 +152,13 @@ class CategoricalDataset:
         return _readonly(_group_rows(self.values, self.schema.domain_sizes())[0])
 
 
-def _void_rows(codes: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D code block as one opaque byte string, compared as bytes."""
-    codes = np.ascontiguousarray(codes)
-    return codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Index of the first entry of each run of equal entries in ``keys``."""
-    new = np.ones(keys.shape[0], dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]  # the operator, not the ufunc, compares opaque rows
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of entries equal in every one of
+    ``keys``, 1-D arrays of one length."""
+    new = np.ones(keys[0].shape[0], dtype=bool)
+    new[1:] = keys[0][1:] != keys[0][:-1]
+    for key in keys[1:]:
+        new[1:] |= key[1:] != key[:-1]
     return np.flatnonzero(new)
 
 
@@ -174,48 +170,44 @@ def _group_rows(
     label_size: int = 1,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Group equal rows of ``values``, with ``labels`` as a last column when
-    given, by one stable sort. Codes must lie below ``sizes`` (one per
-    column) and labels below ``label_size``.
+    given, by stable sorts of packed keys. Codes must lie below ``sizes``
+    (one per column) and labels below ``label_size``.
 
     Returns, with the groups in first-appearance order: the first row of
     each group; each group's summed ``weights`` (None without weights); and
     the groups that hold the first occurrence of a value vector, ascending,
     which are the ``distinct_records`` of the grouped records.
 
-    Each row is packed into one uint64 mixed-radix key, the label its last
-    digit, when the product of the sizes is at most 2**64; otherwise its
-    bytes are compared, the label's bytes last. Either way the rows of one
-    value vector lie next to each other in the sorted order, whatever their
-    labels, so the same pass gives the distinct value vectors.
+    Each row is packed into uint64 mixed-radix keys, a new key starting
+    only where the product of its sizes would pass 2**64, and the label is
+    the last digit of the last key. Sorted by each key in turn, the last
+    first, the rows of one value vector lie next to each other whatever
+    their labels, so the same pass gives the distinct value vectors.
     """
     columns, radix = list(values.T), list(map(int, sizes))
     if labels is not None:
         columns.append(labels)
         radix.append(int(label_size))
-    packed = math.prod(radix) <= 1 << 64
-    if packed:
-        keys = np.zeros(values.shape[0], dtype=np.uint64)
-        for column, size in zip(columns, radix):
-            keys *= np.uint64(size)
-            keys += column
-    elif labels is None:
-        keys = _void_rows(values)
-    else:
-        n, width = labels.shape[0], labels.dtype.itemsize
-        keys = _void_rows(np.concatenate([np.ascontiguousarray(values).view(np.uint8),
-                                          np.ascontiguousarray(labels).view(np.uint8).reshape(n, width)], axis=1))
+    keys, product = [np.zeros(values.shape[0], dtype=np.uint64)], 1
+    for column, size in zip(columns, radix):
+        if product * size > 1 << 64:
+            keys.append(np.zeros(values.shape[0], dtype=np.uint64))
+            product = 1
+        keys[-1] *= np.uint64(size)
+        keys[-1] += column
+        product *= size
     # the arrays below are released as soon as they are used up: past the
     # keys and the permutation, the pass holds a few int64 entries per group
-    perm = np.argsort(keys, kind="stable")  # a group's first member is its first row
-    keys = keys[perm]
-    starts = _run_starts(keys)
+    perm = np.argsort(keys[-1], kind="stable")  # a group's first member is its first row
+    for i in reversed(range(len(keys) - 1)):
+        perm = perm[np.argsort(keys[i][perm], kind="stable")]
+    for i in range(len(keys)):  # one key at a time, so at most one more n-long key is held
+        keys[i] = keys[i][perm]
+    starts = _run_starts(*keys)
     if labels is not None:  # the groups of one value vector are adjacent in key order
-        if packed:
-            keys = keys[starts]
-            keys //= np.uint64(label_size)  # drop the label digit
-        else:
-            keys = _void_rows(values[perm[starts]])
-        runs = _run_starts(keys)
+        keys = [key[starts] for key in keys]
+        keys[-1] //= np.uint64(label_size)  # drop the label digit
+        runs = _run_starts(*keys)
     del keys
     sums = None if weights is None else np.add.reduceat(weights[perm], starts)
     first = perm[starts]  # groups in key order

@@ -473,6 +473,7 @@ def local_search(
     store = _store(dataset)
     rng = np.random.default_rng(config.seed)
     starts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(config.restarts)]
+    num, den = config.min_relative_improvement.as_integer_ratio()  # the threshold compared exactly
 
     best_overall: tuple[int, tuple[int, ...], bool] | None = None
     for start in starts:
@@ -486,7 +487,7 @@ def local_search(
                 stable = True
                 break
             new_cost, removals, additions = swap
-            if cost - new_cost < config.min_relative_improvement * cost:
+            if (cost - new_cost) * den < num * cost:
                 break
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
             medoids = sorted(kept + list(additions))

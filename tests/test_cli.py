@@ -253,6 +253,28 @@ class TestRunErrors:
         assert f"argument --threads: workers must be >= 1, got {threads}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("option", ["--p", "--restarts", "--max-steps", "--max-iterations"])
+    @pytest.mark.parametrize("algorithm", ["kmodes", "exhaustive", "local-search"])
+    def test_counts_below_one_refused_at_the_parser(self, capsys, toy_csv, algorithm, option, value):
+        # whether or not the algorithm reads the option
+        code = cli.main(["run", "--data", str(toy_csv), "--label-column", "0",
+                         "--algorithm", algorithm, "--k", "2", option, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"argument {option}: " in captured.err and f" must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.0001"])
+    @pytest.mark.parametrize("algorithm", ["kmodes", "exhaustive", "local-search"])
+    def test_threshold_refused_at_the_parser(self, capsys, toy_csv, algorithm, value):
+        code = cli.main(["run", "--data", str(toy_csv), "--label-column", "0",
+                         "--algorithm", algorithm, "--k", "2", "--min-relative-improvement", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "argument --min-relative-improvement: min_relative_improvement must be finite and >= 0" in captured.err
+        assert captured.out == ""
+
     def test_exhaustive_gate_names_force(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("\n".join(f"v{i % 5},w{i % 7}" for i in range(2001)) + "\n")
@@ -316,13 +338,15 @@ class TestVerify:
         assert "policy=reject" in capsys.readouterr().err
         assert cli.main([*argv, "--missing-policy", "reject", "--missing-token", "NA"]) == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
     @pytest.mark.parametrize("suite", ["metric", "lemma1", "lemma2", "oracle"])
-    def test_no_trials_is_an_error(self, capsys, toy_csv, suite):
+    def test_no_trials_is_an_error(self, capsys, toy_csv, suite, trials):
         data = ["--data", str(toy_csv), "--label-column", "0"] if suite in ("metric", "lemma1") else []
-        code = cli.main(["verify", "--suite", suite, *data, "--trials", "0"])
+        code = cli.main(["verify", "--suite", suite, *data, "--trials", trials])
         assert code == 2
         captured = capsys.readouterr()
         assert "trials must be >= 1" in captured.err and captured.out == ""
+        assert f"argument --trials: trials must be >= 1, got {trials}" in captured.err  # refused at the parser
 
     @pytest.mark.parametrize("suite", ["lemma2", "oracle"])
     @pytest.mark.parametrize("flag", ["--data", "--name"])

@@ -520,7 +520,7 @@ class TestDedupe:
     def test_codes_wider_than_the_sort_width_stay_distinct(self, top):
         # codes equal modulo 2**8 or 2**16 must not merge, in the narrowest
         # width that holds ``top``, whether each row is packed into one key
-        # (radix top + 1) or compared as bytes (sizes whose product is past 2**64)
+        # (radix top + 1) or into two (sizes whose product is past 2**64)
         keys = np.array([[0, 1], [256, 1], [0, 1], [65536, 1], [top, 1], [256, 1]], dtype=np.int64)
         keys = keys[(keys <= top).all(axis=1)].astype(unsigned_dtype(top))
         rows = [tuple(r) for r in keys.tolist()]
@@ -544,18 +544,18 @@ def group_oracle(values, labels, weights):
     return [f for f, _ in groups.values()], [w for _, w in groups.values()], list(first_group.values())
 
 
-def grouped(values, sizes, weights, labels, label_size, packed):
-    """``_group_rows``' results as lists, checking which key path it took."""
-    with mock.patch.object(dataset, "_void_rows", wraps=dataset._void_rows) as void_rows:
+def grouped(values, sizes, weights, labels, label_size, n_keys):
+    """``_group_rows``' results as lists, checking how many keys each row was packed into."""
+    with mock.patch.object(dataset, "_run_starts", wraps=dataset._run_starts) as run_starts:
         first, sums, distinct = _group_rows(values, np.array(sizes), weights, labels, label_size)
-    assert void_rows.called is not packed
+    assert [len(call.args) for call in run_starts.call_args_list] == [n_keys] * (1 + (labels is not None))
     return first.tolist(), sums.tolist(), distinct.tolist()
 
 
 class TestGroupRows:
     @given(
         rows=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(1, 2**58)),
+            st.tuples(*[st.integers(0, 3)] * 4, st.integers(0, 2), st.integers(1, 2**58)),
             min_size=1,
             max_size=40,
         ),
@@ -563,26 +563,27 @@ class TestGroupRows:
         label_dtype=st.sampled_from([np.uint8, np.uint16]),
     )
     @settings(max_examples=120)
-    def test_packed_and_void_keys_agree(self, rows, labelled, label_dtype):
-        values = np.array([r[:2] for r in rows], dtype=np.uint8)
-        labels = np.array([r[2] for r in rows], dtype=label_dtype) if labelled else None
-        weights = np.array([r[3] for r in rows], dtype=np.int64)
-        # the same rows, packed into keys below 4 * 4 * 3, and as bytes under
-        # sizes whose product is past 2**64
-        packed = grouped(values, [4, 4], weights, labels, 3, packed=True)
-        void = grouped(values, [2**40, 2**40], weights, labels, 3, packed=False)
-        assert packed == void == group_oracle(values, labels, weights)
+    def test_one_to_four_keys_agree(self, rows, labelled, label_dtype):
+        values = np.array([r[:4] for r in rows], dtype=np.uint8)
+        labels = np.array([r[4] for r in rows], dtype=label_dtype) if labelled else None
+        weights = np.array([r[5] for r in rows], dtype=np.int64)
+        # the same rows packed into one key below 4**4 * 3, and into two,
+        # three and four keys under sizes of 2**40, no two of which fit in
+        # one key; the label joins the last key each time
+        want = group_oracle(values, labels, weights)
+        for sizes, n_keys in ([4] * 4, 1), ([2**40] * 2 + [4] * 2, 2), ([2**40] * 3 + [4], 3), ([2**40] * 4, 4):
+            assert grouped(values, sizes, weights, labels, 3, n_keys) == want
 
     @pytest.mark.parametrize(
-        "sizes, label_size, packed",
+        "sizes, label_size, n_keys",
         [
-            ([16] * 16, 0, True),  # product exactly 2**64: the all-maxima row's key is 2**64 - 1
-            ([17] + [16] * 15, 0, False),  # one more category: past 2**64, compared as bytes
-            ([16] * 16, 300, False),  # a uint16 label wider than the uint8 codes, as bytes
-            ([16] * 2, 300, True),  # the same label as the last digit of a packed key
+            ([16] * 16, 0, 1),  # product exactly 2**64: the all-maxima row's key is 2**64 - 1
+            ([17] + [16] * 15, 0, 2),  # one more category: past 2**64, the last column in a second key
+            ([16] * 16, 300, 2),  # a uint16 label wider than the uint8 codes, alone in a second key
+            ([16] * 2, 300, 1),  # the same label as the last digit of the one key
         ],
     )
-    def test_key_width_edge(self, sizes, label_size, packed):
+    def test_key_width_edge(self, sizes, label_size, n_keys):
         top = np.array(sizes) - 1
         near = top.copy()
         near[0] = 0
@@ -590,7 +591,7 @@ class TestGroupRows:
         labels = np.array([label_size - 1, 0, 1, 0, label_size - 1, 1]) if label_size else None
         ds = coded(sizes, values, labels, label_size)
         weights = ds.weights
-        assert grouped(ds.values, sizes, weights, ds.labels, max(label_size, 1), packed) == group_oracle(
+        assert grouped(ds.values, sizes, weights, ds.labels, max(label_size, 1), n_keys) == group_oracle(
             ds.values, ds.labels, weights
         )
         dd = dedupe(ds)

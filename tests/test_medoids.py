@@ -355,6 +355,16 @@ class TestLocalSearch:
         assert refused.medoid_objective > settled.medoid_objective
         assert refused.guarantee is None
 
+    def test_threshold_is_compared_exactly(self):
+        # the swap 0 -> 1 improves the cost 2**54 + 1 by 2**53, short of
+        # 0.5 * (2**54 + 1) by one half, which a float product rounds away
+        ds = dataset_from_rows([["x"], ["y"]], weights=[2**53 + 1, 2**54 + 1])
+        refused = local_search(ds, 1, LocalSearchConfig(seed=1, min_relative_improvement=0.5))
+        assert refused.medoid_indices == (0,) and refused.medoid_objective == 2**54 + 1
+        assert refused.guarantee is None
+        taken = local_search(ds, 1, LocalSearchConfig(seed=1, min_relative_improvement=0.4))
+        assert taken.medoid_indices == (1,) and taken.guarantee == 10.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LocalSearchConfig(p=0)
