@@ -81,6 +81,19 @@ def _wide(rng: random.Random, n: int) -> list[list[str]]:
     return [[rng.choice(("L0", "L1", "L2")), *(f"c{rng.randrange(100)}" for _ in range(12))] for _ in range(n)]
 
 
+def _planted(rng: random.Random, n: int, flip: float) -> list[list[str]]:
+    """Votes-shaped rows: one of 3 labels and 16 features copied from that
+    label's hidden mode over "yn?", each redrawn as another of the three
+    with probability ``flip``."""
+    modes = {label: [rng.choice("yn?") for _ in range(16)] for label in ("c0", "c1", "c2")}
+    rows = []
+    for _ in range(n):
+        label = rng.choice(sorted(modes))
+        rows.append([label, *(rng.choice("yn?".replace(v, "")) if rng.random() < flip else v
+                              for v in modes[label])])
+    return rows
+
+
 def _lines(rows) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
@@ -113,6 +126,11 @@ def write_inputs(directory: Path) -> None:
     rows = _votes(random.Random(10), 120)
     files["votes-header.csv"] = _lines([[*(f"v{j}" for j in range(1, 17)), "party"],
                                         *([*row[1:], row[0]] for row in rows)])
+    # low noise, where the exhaustive scan's lower bound closes most subsets;
+    # then 75 such rows twice, at i and i + 75, so that optima tie
+    files["planted.csv"] = _lines(_planted(random.Random(11), 150, 0.1))
+    rows = _planted(random.Random(12), 75, 0.1)
+    files["tied.csv"] = _lines(rows + rows)
     for name, text in files.items():
         (directory / name).write_text(text)
 
@@ -141,6 +159,12 @@ CASES = [
     # weighted records of the wide file, grouped by value and label
     ("wide-kmodes.json", [*RUN, "--data", "wide.csv", "--dedupe", "--algorithm", "kmodes", "--k", "3"], 0),
     ("wide-exhaustive.json", [*RUN, "--data", "wide.csv", "--dedupe", "--algorithm", "exhaustive", "--k", "2"], 0),
+    # the exhaustive scan at k = 2 and 3 over two shares
+    *((f"{name}-exhaustive-k{k}.json", [*RUN, "--data", f"{name}.csv", "--algorithm", "exhaustive",
+                                         "--k", str(k), "--threads", "2"], 0)
+      for name in ("planted", "tied") for k in (2, 3)),
+    ("verify-oracle.json", ["verify", "--suite", "oracle", "--format", "json"], 0),
+    ("verify-lemma2.json", ["verify", "--suite", "lemma2", "--format", "json"], 0),
     ("header.json", ["run", "--data", "votes-header.csv", "--header", "--label-column", "party",
                      "--algorithm", "kmodes", "--k", "2", "--dedupe"], 0),
     ("unlabelled.json", ["run", "--data", "plain.csv", "--algorithm", "local-search", "--k", "3"], 0),

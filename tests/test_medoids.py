@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 import threading
 from unittest import mock
 
@@ -176,9 +178,9 @@ class TestExhaustiveSearch:
                 started.append(self)
                 super().start()
 
-        def recording_scan(store, base, excluded, size, share=(0, 1)):
+        def recording_scan(store, base, excluded, size, share=(0, 1), bound=None):
             shares.append((threading.current_thread(), share))
-            return scan(store, base, excluded, size, share)
+            return scan(store, base, excluded, size, share, bound)
 
         monkeypatch.setattr(medoids.threading, "Thread", RecordingThread)
         monkeypatch.setattr(medoids, "_scan", recording_scan)
@@ -208,10 +210,10 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(medoids.os, "cpu_count", lambda: 2)
         scan = medoids._scan
 
-        def failing_scan(store, base, excluded, size, share=(0, 1)):
+        def failing_scan(store, base, excluded, size, share=(0, 1), bound=None):
             if share[0] == 1:
                 raise MemoryError("share 1")
-            return scan(store, base, excluded, size, share)
+            return scan(store, base, excluded, size, share, bound)
 
         monkeypatch.setattr(medoids, "_scan", failing_scan)
         with pytest.raises(MemoryError, match="share 1"):
@@ -249,7 +251,7 @@ class TestExhaustiveSearch:
         weighted=st.booleans(),
         repeated=st.booleans(),
         on_the_fly=st.booleans(),
-        workers=st.integers(1, 3),
+        workers=st.sampled_from([1, 2, 3, 7]),
         scan_bytes=st.sampled_from([1, 1 << 30]),
         block=st.sampled_from([1, 3, 7, 512]),
     )
@@ -258,7 +260,8 @@ class TestExhaustiveSearch:
         self, n, m, cats, seed, k, weights, weighted, repeated, on_the_fly, workers, scan_bytes, block
     ):
         # scan_bytes 1 scores one next member per block, 1 GiB all of a
-        # prefix's at once; stores of 1 to 512 columns a block
+        # prefix's at once; stores of 1 to 512 columns a block; every case
+        # with the lower bound closing subsets (gate 0) and without it
         k = min(k, n)
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
         names = [[f"v{v}" for v in row] for row in ds.values]
@@ -267,21 +270,26 @@ class TestExhaustiveSearch:
         if weighted or repeated:
             ds = dataset_from_rows(names, weights=weights[:n] if weighted else None)
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
-        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block), \
-                mock.patch.object(medoids.os, "cpu_count", lambda: 64):  # workers shares on any machine
-            scan = exhaustive_search(ds, k, workers=workers)
         naive = exhaustive_search_naive(ds, k)
-        assert scan.medoid_objective == naive.medoid_objective
-        assert scan.medoid_indices == naive.medoid_indices
+        for gate in (0, 2**63):
+            with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block,
+                                     _BOUND_GATE=gate), \
+                    mock.patch.object(medoids.os, "cpu_count", lambda: 64):  # workers shares on any machine
+                scan = exhaustive_search(ds, k, workers=workers)
+            assert scan.medoid_objective == naive.medoid_objective, gate
+            assert scan.medoid_indices == naive.medoid_indices, gate
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     @pytest.mark.parametrize("scan_bytes", [1, 1 << 18])
-    def test_shares_partition_the_units(self, size, scan_bytes, monkeypatch):
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_shares_partition_the_units(self, size, scan_bytes, bounded, monkeypatch):
         # the shares of a scan score disjoint (prefix, first next member)
-        # units that together are the units of the whole scan; scan_bytes 1
-        # makes every next member a unit of its own
+        # units that together are the units of the whole scan, with the lower
+        # bound closing some or not; scan_bytes 1 makes every next member a
+        # unit of its own
         ds = random_dataset(n=10, m=3, max_categories=3, seed=2)
         store = medoids._store(ds)
+        bound = medoids._lower_bound(ds, store, size) if bounded and size > 1 else None
         base, excluded = medoids._kept_base(store, ()), np.zeros(10, dtype=bool)
         excluded[4] = True  # a position outside the pool
         prefix, keys = [()], []
@@ -301,7 +309,7 @@ class TestExhaustiveSearch:
 
         def scored(share):
             prefix[0], keys[:] = (), []
-            medoids._scan(store, base, excluded, size, share)
+            medoids._scan(store, base, excluded, size, share, bound)
             assert len(set(keys)) == len(keys)
             return set(keys)
 
@@ -326,6 +334,144 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(pick)
         subset = rng.choice(14, size=2, replace=False)
         assert cost_of_medoid_set(ds, subset)[0] >= sol.medoid_objective
+
+
+def planted_rows(seed, n, m, flip, k):
+    """n rows of m features over "xyz", each a copy of one of k hidden modes
+    with every feature redrawn as another letter with probability flip."""
+    rng = random.Random(seed)
+    modes = [[rng.choice("xyz") for _ in range(m)] for _ in range(k)]
+    return [[rng.choice("xyz".replace(v, "")) if rng.random() < flip else v for v in modes[rng.randrange(k)]]
+            for _ in range(n)]
+
+
+class TestLowerBound:
+    """The exhaustive scan's Lagrangian bound: rho_x = sum_i w_i * min(d(x, i), b_i)
+    for integer thresholds b, and sum_S rho - (k - 1) * sum_i w_i * b_i <= cost(S)
+    for every k-subset S."""
+
+    @staticmethod
+    def check_bound(ds, k, b, subsets):
+        # rho from one sweep equals its sum in Python integers, and the bound
+        # holds for each of ``subsets`` (record indices) against the cost
+        # summed in Python integers; b is given in record order
+        store = medoids._store(ds)
+        order = store.columns.order
+        rho = medoids._sweep(store, np.asarray(b, dtype=np.uint8)[order][None, :], 0)[0]
+        values, w = ds.values.tolist(), [int(x) for x in ds.weights]
+        members = {x for subset in subsets for x in subset}
+        dist = {x: [sum(a != c for a, c in zip(values[x], v)) for v in values] for x in members}
+        total = sum(wi * bi for wi, bi in zip(w, b))
+        want = {x: sum(wi * min(dist[x][i], b[i]) for i, wi in enumerate(w)) for x in members}
+        for x, value in want.items():
+            assert int(rho[store.position[x]]) == value
+        for subset in subsets:
+            cost = sum(wi * min(dist[x][i] for x in subset) for i, wi in enumerate(w))
+            assert sum(want[x] for x in subset) - (k - 1) * total <= cost, subset
+
+    @given(
+        n=st.integers(2, 9),
+        m=st.integers(1, 4),
+        k=st.integers(2, 4),
+        seed=st.integers(0, 10_000),
+        thresholds=st.sampled_from(["zero", "m", "random"]),
+        deduped=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bound_below_every_subset(self, n, m, k, seed, thresholds, deduped):
+        # unit weights, and the weights of --dedupe from rows drawn over 2
+        # categories, which repeat
+        ds = random_dataset(n=n, m=m, max_categories=2 if deduped else 3, seed=seed)
+        if deduped:
+            ds = dedupe(ds)
+        k = min(k, ds.n_records)
+        rng = np.random.default_rng(seed)
+        b = {"zero": [0] * ds.n_records, "m": [m] * ds.n_records,
+             "random": rng.integers(0, m + 1, size=ds.n_records).tolist()}[thresholds]
+        self.check_bound(ds, k, b, list(itertools.combinations(range(ds.n_records), k)))
+
+    def test_bound_below_every_subset_past_float_precision(self):
+        # the 8200 records of test_sums_exact_past_float_precision, weights
+        # just below 2**40: every subset of the first 8 records, the 6 rows
+        # and two of them again
+        values = np.random.default_rng(3).integers(0, 3, size=(6, 3))
+        ds = dataset_from_rows([[f"v{v}" for v in values[i % 6]] for i in range(8200)],
+                               weights=[2**40 - (i * 3 % 7) for i in range(8200)])
+        assert ds.total_weight > 2**53
+        b = np.random.default_rng(4).integers(0, 4, size=8200).tolist()
+        for k in (2, 3):
+            self.check_bound(ds, k, b, list(itertools.combinations(range(8), k)))
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 12), k=st.integers(2, 4), weighted=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_optimal_subset_stays_open(self, seed, n, k, weighted):
+        ds = random_dataset(n=n, m=4, max_categories=3, seed=seed)
+        if weighted:
+            ds = dataset_from_rows([[f"v{v}" for v in row] for row in ds.values],
+                                   weights=[seed % 7 + i % 3 + 1 for i in range(n)])
+        k = min(k, n)
+        store = medoids._store(ds)
+        rho, limit = medoids._lower_bound(ds, store, k)
+        costs = {S: cost_of_medoid_set(ds, S)[0] for S in itertools.combinations(range(n), k)}
+        optimum = min(costs.values())
+        for subset, cost in costs.items():
+            if cost == optimum:
+                assert int(rho[store.position[list(subset)]].sum()) <= limit, subset
+
+    @pytest.mark.parametrize("seed, n, m, k, units", [(1, 12, 6, 2, 6), (9, 15, 10, 3, 2)])
+    def test_only_optimal_units_are_scored(self, seed, n, m, k, units, monkeypatch):
+        # planted instances on which the bound closes every (prefix, next
+        # member) unit that holds no optimal subset; each next member is a
+        # unit of its own, and unit weights keep positions in record order
+        ds = dataset_from_rows(planted_rows(seed, n, m, 0.08 if k == 3 else 0.1, k))
+        costs = {S: cost_of_medoid_set(ds, S)[0] for S in itertools.combinations(range(n), k)}
+        optimal = [S for S, cost in costs.items() if cost == min(costs.values())]
+        prefix, scored = {}, []
+        kept_base, extensions = medoids._kept_base, medoids._extensions
+
+        def recording_kept_base(store, kept):  # the scan asks for a prefix's base before its units
+            prefix[threading.current_thread()] = tuple(kept)
+            return kept_base(store, kept)
+
+        def recording_extensions(store, bases, after, excluded):
+            scored.extend((*prefix[threading.current_thread()], int(j)) for j in after)
+            return extensions(store, bases, after, excluded)
+
+        monkeypatch.setattr(medoids, "_BOUND_GATE", 0)
+        monkeypatch.setattr(medoids, "_SCAN_BYTES", 1)
+        monkeypatch.setattr(medoids, "_kept_base", recording_kept_base)
+        monkeypatch.setattr(medoids, "_extensions", recording_extensions)
+        monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)
+        naive = exhaustive_search_naive(ds, k)
+        for workers in (1, 2, 3):
+            scored.clear()
+            sol = exhaustive_search(ds, k, workers=workers)
+            assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
+            assert sorted(scored) == sorted({S[:-1] for S in optimal})
+            assert len(scored) == units < math.comb(n, k - 1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_int64_headroom(self, k, monkeypatch):
+        # the bound's sums reach k * m * total weight: it runs below 2**62
+        # and is skipped from there on, with the naive optimum either way
+        calls, lower_bound = [], medoids._lower_bound
+
+        def recording_bound(*args):
+            calls.append(args)
+            return lower_bound(*args)
+
+        monkeypatch.setattr(medoids, "_BOUND_GATE", 0)
+        monkeypatch.setattr(medoids, "_lower_bound", recording_bound)
+        rows = [["a", "p"], ["a", "q"], ["b", "q"], ["c", "r"], ["b", "p"], ["c", "q"]]
+        below = (2**62 - 1) // (2 * k)  # the largest total weight of k * m * total < 2**62, m being 2
+        for total, bounded in ((below, True), (below + 1, False)):
+            ds = dataset_from_rows(rows, weights=[total // 6] * 5 + [total - 5 * (total // 6)])
+            assert ds.total_weight == total and (k * ds.m * total < 2**62) == bounded
+            calls.clear()
+            sol = exhaustive_search(ds, k)
+            naive = exhaustive_search_naive(ds, k)
+            assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
+            assert len(calls) == bounded
 
 
 class TestLocalSearch:
