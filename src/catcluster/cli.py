@@ -659,6 +659,16 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Process entry of ``python -m catcluster.cli`` and the ``catcluster``
     script: :func:`main`, then exit with its return code."""
+    # The seeded streams import numpy.random, which imports secrets, then
+    # hmac, then OpenSSL's _hashlib. None in sys.modules makes that import
+    # fail, and hmac and hashlib fall back to CPython's built-in digests, as
+    # documented; every drawn number is unchanged. On 2 vCPUs importing
+    # numpy.random then added 2.9 MB of RSS instead of 6.3 MB, and verify
+    # --suite lemma1 on 8124 records peaked at 36.3 MB instead of 39.9. ssl
+    # links OpenSSL itself, so fetch over https still works. setdefault keeps
+    # a _hashlib the process already imported. Like gc.freeze() below, only
+    # here, never in main: the library and callers of main keep OpenSSL.
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     # The interpreter's last collection at exit walks every tracked object,
     # most of them built by the numpy import, though none is garbage: on 2

@@ -3,6 +3,7 @@ entry, each checked in a fresh interpreter: what a first import loads and sets,
 and what happens at exit, cannot be seen from a process that has already
 loaded them."""
 import gc
+import json
 import os
 import re
 import subprocess
@@ -94,9 +95,10 @@ class TestLazyPackage:
 
 
 class TestResidentFloor:
-    """What a CLI process loads before it reads its input: the report's digest
-    comes from CPython's built-in SHA-256, not OpenSSL, and the scan's threads
-    need no executor."""
+    """What a CLI process loads: the report's digest comes from CPython's
+    built-in SHA-256, not OpenSSL, the scan's threads need no executor, and
+    the process entry keeps OpenSSL out of the commands that draw seeded
+    numbers."""
 
     def test_cli_import_loads_no_openssl_and_no_executor(self):
         out = run_child("""
@@ -127,6 +129,90 @@ class TestResidentFloor:
                 np.arange(5, dtype=np.int64).tobytes()).hexdigest())
         """)
         assert out.split() == ["True", "True"]
+
+    # commands that draw seeded numbers, and so import numpy.random
+    SEEDED = {
+        "local-search": ("run", "--label-column", "0", "--algorithm", "local-search", "--k", "3", "--p", "1"),
+        "lemma1": ("verify", "--suite", "lemma1", "--label-column", "0", "--trials", "30", "--format", "json"),
+    }
+    # printed at the exit of a child: is _hashlib blocked, and does the process
+    # map libcrypto (None where there is no /proc/self/maps)
+    AT_EXIT = """
+        import atexit, os, sys
+        def _probe():
+            maps = "/proc/self/maps"
+            mapped = "libcrypto" in open(maps).read() if os.path.exists(maps) else None
+            print(sys.modules.get("_hashlib") is None, mapped)
+        atexit.register(_probe)
+    """
+
+    @pytest.fixture
+    def planted(self, tmp_path):
+        """90 records of 8 attributes around 3 hidden modes, 1 value in 10 flipped."""
+        rng = np.random.default_rng(5)
+        modes = rng.integers(0, 3, size=(3, 8))
+        hidden = np.arange(90) % 3
+        values = np.where(rng.random((90, 8)) < 0.1, rng.integers(0, 3, size=(90, 8)), modes[hidden])
+        path = tmp_path / "planted.csv"
+        path.write_text("".join(f"c{h}," + ",".join("xyz"[v] for v in row) + "\n" for h, row in zip(hidden, values)))
+        return path
+
+    def entry_child(self, argv: list[str], before: str = "") -> str:
+        """Run the CLI as `python -m catcluster.cli` does, after `before`, with
+        the exit probe registered; return its stdout."""
+        run = f"""
+            import runpy
+            sys.argv = ["catcluster", *{argv!r}]
+            runpy.run_module("catcluster.cli", run_name="__main__")
+        """
+        return run_child("\n".join(textwrap.dedent(part) for part in (self.AT_EXIT, before, run)))
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_entry_keeps_openssl_out_and_the_report(self, tmp_path, planted, command):
+        pytest.importorskip("_hashlib")  # so that cli.main below runs with OpenSSL loaded
+        from catcluster import cli
+
+        argv = [*self.SEEDED[command], "--data", str(planted)]
+        out = self.entry_child([*argv, "--output", str(tmp_path / "child.json")])
+        blocked, mapped = out.split()
+        assert blocked == "True"
+        assert mapped in ("False", "None")
+        assert cli.main([*argv, "--output", str(tmp_path / "main.json")]) == 0
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    def test_entry_keeps_a_hashlib_the_host_imported(self, tmp_path, planted):
+        pytest.importorskip("_hashlib")
+        argv = [*self.SEEDED["lemma1"], "--data", str(planted), "--output", str(tmp_path / "r.json")]
+        blocked, mapped = self.entry_child(argv, before="import hashlib").split()
+        assert blocked == "False"
+        assert mapped in ("True", "None")
+        assert (tmp_path / "r.json").stat().st_size > 0
+
+    def test_main_installs_no_block(self, tmp_path, planted):
+        pytest.importorskip("_hashlib")
+        out = run_child(f"""
+            import sys
+            from catcluster import cli
+            code = cli.main([*{self.SEEDED["lemma1"]!r}, "--data", {str(planted)!r}, "--output", {str(tmp_path / "r.json")!r}])
+            print(code, "numpy.random" in sys.modules, sys.modules.get("_hashlib") is not None)
+        """)
+        assert out.split() == ["0", "True", "True"]
+
+    def test_fetch_works_under_the_block(self, tmp_path):
+        # a file:// URL: the real urllib import and opener, offline
+        line = ",".join(["democrat"] + ["y", "n", "?", "y"] * 4)
+        payload = (line + "\n") * 435
+        source = tmp_path / "votes-source.data"
+        source.write_text(payload)
+        sources = tmp_path / "sources.json"
+        sources.write_text(json.dumps({"votes": source.as_uri()}))
+        cache = tmp_path / "cache"
+        out = child("-m", "catcluster.cli", "fetch", "--name", "votes", "--sources", str(sources),
+                    "--data-dir", str(cache))
+        assert out.returncode == 0, out.stderr
+        dest = cache / "house-votes-84.data"
+        assert dest.read_text() == payload
+        assert out.stdout == f"votes: {dest}\n"
 
 
 class TestBlasPolicy:
