@@ -162,6 +162,8 @@ def _source_urls(sources_path=None) -> dict:
             overrides = json.loads(Path(sources_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise FetchError(f"could not read source config {sources_path}: {exc}") from exc
+        if not isinstance(overrides, dict) or not all(isinstance(url, str) for url in overrides.values()):
+            raise FetchError(f"source config {sources_path} is not a JSON object of dataset name to URL string")
         unknown = set(overrides) - set(urls)
         if unknown:
             raise FetchError(f"unknown dataset names in {sources_path}: {sorted(unknown)}")
@@ -554,17 +556,17 @@ def _add_ingestion_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--missing-policy", choices=["treat-as-category", "reject"], default="treat-as-category")
 
 
-def _count(noun: str):
-    """The parser type of a count option: an int of at least 1, refused at
-    the parser whatever the algorithm or suite, as ``noun`` in the message."""
+def _count(noun: str, least: int = 1):
+    """The parser type of a count option (or of the seed, ``least`` 0): an int of at least
+    ``least``, refused at the parser whatever the algorithm or suite, as ``noun`` in the message."""
 
     def count(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{noun} must be >= 1, got {value}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{noun} must be >= {least}, got {value}")
         return value
 
     return count
@@ -606,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="merge identical records into weighted ones (same results, faster)")
     p_run.add_argument("--algorithm", choices=["kmodes", "exhaustive", "local-search"], required=True)
     p_run.add_argument("--k", type=int, required=True)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_count("seed", 0), default=0)
     p_run.add_argument("--init", choices=["first-k-distinct", "random"], default="first-k-distinct")
     p_run.add_argument("--max-iterations", type=_count("max_iterations"), default=100)
     p_run.add_argument("--p", type=_count("swap width p"), default=1, help="local-search swap width")
@@ -624,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="rerun the reference experiments and compare")
     p_rep.add_argument("--table", dest="name", choices=list(REFERENCE_RESULTS), required=True)
     p_rep.add_argument("--data", default=None, help="explicit dataset file (otherwise the cache is searched)")
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=_count("seed", 0), default=0)
     p_rep.add_argument("--threads", type=_count("workers"), default=1)
     _add_output_options(p_rep, default_format="text")
     p_rep.set_defaults(func=cmd_reproduce, dedupe=True, missing_token="?", missing_policy="treat-as-category")
@@ -635,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--data", default=None)
     _add_ingestion_options(p_ver)
     p_ver.add_argument("--trials", type=_count("trials"), default=None)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_count("seed", 0), default=0)
     _add_output_options(p_ver, default_format="text")
     p_ver.set_defaults(func=cmd_verify, dedupe=True)
 

@@ -317,9 +317,10 @@ def _tokenize_rows(path: Path, header: bool, delimiter: str):
     """The file read by ``csv.reader``, ``_CHUNK_ROWS`` rows at a time: the
     header names (None without a header), each column's tokens in
     first-appearance order, and one narrow (chunk rows, columns) code block
-    per chunk. Raises on an empty input and on a ragged row."""
+    per chunk. Raises on an empty input, on a ragged row and on a row that
+    ``csv.reader`` refuses (:func:`_csv_rows`)."""
     with open(path, newline="") as fh:
-        rows = filter(None, csv.reader(fh, delimiter=delimiter))  # a blank line reads as []
+        rows = filter(None, _csv_rows(path, csv.reader(fh, delimiter=delimiter)))  # a blank line reads as []
         names = [c.strip() for c in next(rows, ())] if header else None  # [] only if the file is empty
         first = next(rows, None)
         if first is None:
@@ -346,6 +347,15 @@ def _tokenize_rows(path: Path, header: bool, delimiter: str):
             blocks.append(block.astype(unsigned_dtype(max(map(len, tables)) - 1)))
             n_rows += len(chunk)
     return names, tables, blocks
+
+
+def _csv_rows(path: Path, reader):
+    """The rows of ``reader``, a ``csv.reader`` of ``path``; a row it refuses,
+    say for a field past ``csv.field_size_limit()``, raises DatasetError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _line_chunks(fh):
@@ -493,7 +503,7 @@ def _line_of(path: Path, delimiter: str, record: int) -> int:
         return record + 1
     with open(path, newline="") as fh:
         reader, end = csv.reader(fh, delimiter=delimiter), 0
-        for row in reader:
+        for row in _csv_rows(path, reader):
             if row and (record := record - 1) < 0:
                 return end + 1
             end = reader.line_num

@@ -50,9 +50,6 @@ _GROUP_SUM = {np.dtype(np.uint8): np.uint16, np.dtype(np.uint16): np.uint32, np.
 # row, along its rows a reduce per group about 4 us per piece of minima,
 # einsum 0.5 ns per int32 term (numpy 2.4.6, 2 vCPUs)
 _GROUP_MIN = 64
-# fewest terms n * C(n, k) at which the scan computes its lower bound first:
-# 2 to 4 ms, against a k = 2 scan of 7.8e6 terms in 6.5 ms and of 1.35e7 in 10
-_BOUND_GATE = 10**7
 _BOUND_STEPS = 20  # subgradient steps of the exhaustive scan's lower bound (see _lower_bound)
 _BOUND_UNIT = 256  # those steps move each threshold in 1 / _BOUND_UNIT of a distance
 _NO_COST = np.iinfo(np.int64).max  # marks a (prefix, completion) pair that is not a subset
@@ -327,8 +324,10 @@ def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
 
     rho_x = sum_i w_i * min(d(x, i), b_i) for an integer threshold b_i in
     [0, m] per position i, and limit = U + (k - 1) * sum_i w_i * b_i, U being
-    the cost of a p = 1 swap descent (:func:`_best_swap`) from the first k
-    positions. For each i, with x* the member of S nearest to it,
+    the cost of a p = 1 swap descent (:func:`_descend`) from the first k
+    positions, with no threshold and the default cap of steps: where the cap
+    stops it, U is higher and the bound closes less, still exactly. For each
+    i, with x* the member of S nearest to it,
     sum_{x in S} min(d(x, i), b_i) <= d(x*, i) + (k - 1) * b_i; weighted and
     summed, sum_S rho - (k - 1) * sum_i w_i * b_i <= cost(S), the Lagrangian
     bound of the p-median problem (Beasley, EJOR 21, 1985). Any b gives a
@@ -343,12 +342,8 @@ def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
     k * m * total weight < 2**62."""
     order, unit, m = store.columns.order, _BOUND_UNIT, dataset.m
     weights = dataset.weights[order]
-    medoids, last = sorted(order[:k].tolist()), {}
-    cost = int(weights @ _kept_base(store, np.arange(k)))
-    while (swap := _best_swap(store, medoids, 1, last)) is not None and swap[0] < cost:
-        cost, (r,), (c,) = swap
-        medoids = sorted(medoids[:r] + medoids[r + 1 :] + [c])
-    target = _kept_base(store, store.position[medoids]).astype(np.int64) * unit  # b, in 1 / unit
+    cost, medoids, _ = _descend(dataset, store, order[:k], LocalSearchConfig(min_relative_improvement=0.0))
+    target = _kept_base(store, store.position[list(medoids)]).astype(np.int64) * unit  # b, in 1 / unit
     best, highest, halved, stale = None, None, 0, 0
     for _ in range(_BOUND_STEPS):
         b = ((target + unit // 2) // unit).astype(unsigned_dtype(m))
@@ -457,11 +452,12 @@ def exhaustive_search(
     the unrestricted mode objective within a factor of 2. Python loops over
     the (k-2)-prefixes only, and one array pass scores a block of next
     members with all of their completions, exactly (see :func:`_scan` and
-    :func:`_sweep`). From ``_BOUND_GATE`` terms n * C(n, k) on, at k >= 2,
-    an exact lower bound computed first (:func:`_lower_bound`) closes the
-    prefixes and next members all of whose subsets cost more than a subset
-    already known; a subset at the optimum is never closed, so the result
-    is the full scan's. Instances of more than ``EXHAUSTIVE_GATE`` terms,
+    :func:`_sweep`). At k >= 2 an exact lower bound computed first
+    (:func:`_lower_bound`) closes the prefixes and next members all of whose
+    subsets cost more than a subset already known; a subset at the optimum
+    is never closed, so the result is the full scan's. The bound is skipped
+    only where k * m * total weight >= 2**62, past which its int64 sums
+    could overflow. Instances of more than ``EXHAUSTIVE_GATE`` terms,
     counted before the bound, are refused unless ``force`` is set.
     ``workers`` threads, at most one per CPU, take turns at the scan's
     blocks of next members (the shares of :func:`_scan`); the calling thread
@@ -482,8 +478,8 @@ def exhaustive_search(
         )
     store = _store(dataset)
     base, excluded = _kept_base(store, ()), np.zeros(n, dtype=bool)
-    bound = None  # below the gate the scan costs less than the bound; past 2**62 its sums could overflow int64
-    if k >= 2 and n * math.comb(n, k) >= _BOUND_GATE and k * dataset.m * int(dataset.total_weight) < 2**62:
+    bound = None  # past 2**62 the bound's sums could overflow int64
+    if k >= 2 and k * dataset.m * int(dataset.total_weight) < 2**62:
         bound = _lower_bound(dataset, store, k)
     parts = min(workers, os.cpu_count() or 1)
     found, errors = [], []
@@ -503,17 +499,8 @@ def exhaustive_search(
     if errors:
         raise errors[0]
     # by (cost, tuple): the smallest optimal tuple wins ties; a share may own no block
-    best_cost, best_subset = min(r for r in found if r is not None)
-    objective, assignment = cost_of_medoid_set(dataset, best_subset)
-    if objective != best_cost:
-        raise RuntimeError(f"scan cost {best_cost} != recomputed objective {objective}")
-    return MedoidSolution(
-        medoid_indices=best_subset,
-        assignment=assignment,
-        medoid_objective=objective,
-        algorithm="exhaustive",
-        guarantee=2.0,
-    )
+    cost, subset = min(r for r in found if r is not None)
+    return _rechecked(dataset, cost, subset, "scan", "exhaustive", 2.0)
 
 
 def exhaustive_search_naive(dataset: CategoricalDataset, k: int) -> MedoidSolution:
@@ -543,10 +530,9 @@ def local_search(
     k: int,
     config: LocalSearchConfig,
 ) -> MedoidSolution:
-    """Swap-based local search: from a seeded random k-subset, repeatedly apply
-    the best improving exchange of up to p medoids for equally many
-    non-medoids, accepting only relative improvements of at least
-    ``min_relative_improvement``; best of ``restarts`` restarts wins.
+    """Swap-based local search: from each of ``restarts`` seeded random
+    k-subsets, a p-swap descent (:func:`_descend`); the first restart of the
+    lowest cost wins.
 
     A p-swap local optimum carries the known (3 + 2/p) factor for metric
     k-median, annotated here as 2 * (3 + 2/p) on the mode objective. The
@@ -556,42 +542,44 @@ def local_search(
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
-    store = _store(dataset)
-    rng = np.random.default_rng(config.seed)
-    starts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(config.restarts)]
+    store, rng = _store(dataset), np.random.default_rng(config.seed)
+    starts = [rng.choice(n, size=k, replace=False) for _ in range(config.restarts)]
+    # min keeps the first of equal costs
+    cost, best, stable = min((_descend(dataset, store, start, config) for start in starts), key=lambda r: r[0])
+    guarantee = 2.0 * (3.0 + 2.0 / config.p) if stable else None
+    return _rechecked(dataset, cost, best, "swap bookkeeping", "local-search", guarantee)
+
+
+def _rechecked(dataset, cost, medoids, source, algorithm, guarantee) -> MedoidSolution:
+    """The solution at ``medoids`` once :func:`cost_of_medoid_set`, apart
+    from the store, gives the ``cost`` that the solver's ``source`` found."""
+    objective, assignment = cost_of_medoid_set(dataset, medoids)
+    if objective != cost:
+        raise RuntimeError(f"{source} cost {cost} != recomputed objective {objective}")
+    return MedoidSolution(medoids, assignment, objective, algorithm, guarantee)
+
+
+def _descend(dataset, store, medoids, config: LocalSearchConfig):
+    """(cost, medoids, stable) of a p-swap descent from the record indices
+    ``medoids``: each step makes the best exchange of up to ``config.p``
+    medoids for as many non-medoids (:func:`_best_swap`) while it lowers the
+    cost by at least ``min_relative_improvement`` of it, for at most
+    ``max_steps`` steps. The medoids come back sorted; ``stable`` is whether
+    no strictly improving exchange was left."""
+    medoids = sorted(int(i) for i in medoids)
     num, den = config.min_relative_improvement.as_integer_ratio()  # the threshold compared exactly
-
-    best_overall: tuple[int, tuple[int, ...], bool] | None = None
-    for start in starts:
-        medoids = [int(i) for i in start]
-        cost, _ = cost_of_medoid_set(dataset, medoids)
-        stable = False  # set once no strictly improving exchange of up to p medoids is left
-        last = {}  # the last step's single-swap cost rows, by kept medoid set
-        for _ in range(config.max_steps):
-            swap = _best_swap(store, medoids, config.p, last)
-            if swap is None or swap[0] >= cost:
-                stable = True
-                break
-            new_cost, removals, additions = swap
-            if (cost - new_cost) * den < num * cost:
-                break
-            kept = [m for pos, m in enumerate(medoids) if pos not in removals]
-            medoids = sorted(kept + list(additions))
-            cost = new_cost
-        candidate = (cost, tuple(medoids), stable)
-        if best_overall is None or candidate[0] < best_overall[0]:
-            best_overall = candidate
-
-    objective, assignment = cost_of_medoid_set(dataset, best_overall[1])
-    if objective != best_overall[0]:
-        raise RuntimeError(f"swap bookkeeping cost {best_overall[0]} != recomputed objective {objective}")
-    return MedoidSolution(
-        medoid_indices=best_overall[1],
-        assignment=assignment,
-        medoid_objective=objective,
-        algorithm="local-search",
-        guarantee=2.0 * (3.0 + 2.0 / config.p) if best_overall[2] else None,
-    )
+    cost = int(dataset.weights[store.columns.order] @ _kept_base(store, store.position[medoids]))
+    last = {}  # the last step's single-swap cost rows, by kept medoid set
+    for _ in range(config.max_steps):
+        swap = _best_swap(store, medoids, config.p, last)
+        if swap is None or swap[0] >= cost:
+            return cost, tuple(medoids), True
+        new_cost, removals, additions = swap
+        if (cost - new_cost) * den < num * cost:
+            break
+        medoids = sorted([m for r, m in enumerate(medoids) if r not in removals] + list(additions))
+        cost = new_cost
+    return cost, tuple(medoids), False
 
 
 def _single_swap_costs(store, medoids, last):

@@ -275,6 +275,31 @@ class TestRunErrors:
         assert "argument --min-relative-improvement: min_relative_improvement must be finite and >= 0" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [["run", "--algorithm", "kmodes", "--k", "1"],
+                                         ["verify", "--suite", "lemma1", "--trials", "5"]])
+    def test_over_long_field_is_an_input_error(self, capsys, tmp_path, command):
+        # exit 2 like any unreadable input, not a traceback's 1, which verify
+        # uses for "violations found"
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\nc," + "x" * 131_073 + "\n")
+        code = cli.main([*command, "--data", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: line 2: field larger than field limit" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", [["run", "--algorithm", "kmodes", "--k", "2"],
+                                         ["run", "--algorithm", "exhaustive", "--k", "2"],
+                                         ["run", "--algorithm", "local-search", "--k", "2"],
+                                         ["reproduce", "--table", "votes"],
+                                         ["verify", "--suite", "lemma1"],
+                                         ["verify", "--suite", "oracle"]])
+    def test_negative_seed_refused_at_the_parser(self, capsys, toy_csv, command):
+        data = [] if command[-1] == "oracle" else ["--data", str(toy_csv)]
+        code = cli.main([*command, *data, "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "argument --seed: seed must be >= 0, got -1" in captured.err and captured.out == ""
+
     def test_exhaustive_gate_names_force(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("\n".join(f"v{i % 5},w{i % 7}" for i in range(2001)) + "\n")
@@ -469,6 +494,19 @@ class TestFetch:
                          "--sources", str(sources)])
         assert code == 2
         assert "iris" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", ["5", '{"votes": 5}', '["votes"]'])
+    def test_sources_config_must_map_names_to_urls(self, capsys, tmp_path, monkeypatch, config):
+        sources = tmp_path / "sources.json"
+        sources.write_text(config)
+
+        def no_network(url, timeout=None):
+            raise AssertionError("a malformed config must fail before any download")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        code = cli.main(["fetch", "--name", "votes", "--data-dir", str(tmp_path), "--sources", str(sources)])
+        assert code == 2
+        assert f"source config {sources} is not a JSON object" in capsys.readouterr().err
 
 
 class TestReproduce:

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -120,6 +121,16 @@ class TestLoadCsv:
         p = write_csv(tmp_path, 'a,"multi\nline"\nb,c\nd,e\nf,g\nh\n', "r.csv")
         with pytest.raises(DatasetError, match="ragged row 6 has 1 fields, expected 2"):
             load_csv(p)
+
+    def test_over_long_field_names_file_and_line(self, tmp_path):
+        # a field past csv.field_size_limit() is declined by the byte path and
+        # refused by csv.reader, in load_csv and in the line lookup alike
+        p = write_csv(tmp_path, "a,b\n\nc," + "x" * (csv.field_size_limit() + 1) + "\nd,e\n")
+        message = re.escape(f"{p}: line 3: field larger than field limit")
+        with pytest.raises(DatasetError, match=message):
+            load_csv(p)
+        with pytest.raises(DatasetError, match=message):
+            dataset._line_of(p, ",", 2)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_error_on_a_pipe_names_the_row_ordinal(self, tmp_path):

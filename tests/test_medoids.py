@@ -261,7 +261,8 @@ class TestExhaustiveSearch:
     ):
         # scan_bytes 1 scores one next member per block, 1 GiB all of a
         # prefix's at once; stores of 1 to 512 columns a block; every case
-        # with the lower bound closing subsets (gate 0) and without it
+        # through exhaustive_search, with the lower bound closing subsets at
+        # k >= 2, and through the unbounded scan
         k = min(k, n)
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
         names = [[f"v{v}" for v in row] for row in ds.values]
@@ -271,13 +272,13 @@ class TestExhaustiveSearch:
             ds = dataset_from_rows(names, weights=weights[:n] if weighted else None)
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
         naive = exhaustive_search_naive(ds, k)
-        for gate in (0, 2**63):
-            with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block,
-                                     _BOUND_GATE=gate), \
-                    mock.patch.object(medoids.os, "cpu_count", lambda: 64):  # workers shares on any machine
-                scan = exhaustive_search(ds, k, workers=workers)
-            assert scan.medoid_objective == naive.medoid_objective, gate
-            assert scan.medoid_indices == naive.medoid_indices, gate
+        with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block), \
+                mock.patch.object(medoids.os, "cpu_count", lambda: 64):  # workers shares on any machine
+            scan = exhaustive_search(ds, k, workers=workers)
+            store = medoids._store(ds)
+            unbounded = medoids._scan(store, medoids._kept_base(store, ()), np.zeros(n, dtype=bool), k)
+        assert (scan.medoid_objective, scan.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
+        assert unbounded == (naive.medoid_objective, naive.medoid_indices)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     @pytest.mark.parametrize("scan_bytes", [1, 1 << 18])
@@ -437,7 +438,6 @@ class TestLowerBound:
             scored.extend((*prefix[threading.current_thread()], int(j)) for j in after)
             return extensions(store, bases, after, excluded)
 
-        monkeypatch.setattr(medoids, "_BOUND_GATE", 0)
         monkeypatch.setattr(medoids, "_SCAN_BYTES", 1)
         monkeypatch.setattr(medoids, "_kept_base", recording_kept_base)
         monkeypatch.setattr(medoids, "_extensions", recording_extensions)
@@ -450,6 +450,15 @@ class TestLowerBound:
             assert sorted(scored) == sorted({S[:-1] for S in optimal})
             assert len(scored) == units < math.comb(n, k - 1)
 
+    def test_oracle_audit_runs_the_bound(self, monkeypatch):
+        # the oracle audit certifies the bounded scan: each of the 40 k >= 2
+        # instances of its default 50 trials computes the bound once
+        calls, lower_bound = [], medoids._lower_bound
+        monkeypatch.setattr(medoids, "_lower_bound", lambda *args: calls.append(args[2]) or lower_bound(*args))
+        report = medoids.audit_oracle(50, 0)
+        assert report.violations == ()
+        assert len(calls) == 40 and min(calls) == 2
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_int64_headroom(self, k, monkeypatch):
         # the bound's sums reach k * m * total weight: it runs below 2**62
@@ -460,7 +469,6 @@ class TestLowerBound:
             calls.append(args)
             return lower_bound(*args)
 
-        monkeypatch.setattr(medoids, "_BOUND_GATE", 0)
         monkeypatch.setattr(medoids, "_lower_bound", recording_bound)
         rows = [["a", "p"], ["a", "q"], ["b", "q"], ["c", "r"], ["b", "p"], ["c", "q"]]
         below = (2**62 - 1) // (2 * k)  # the largest total weight of k * m * total < 2**62, m being 2
@@ -735,6 +743,24 @@ class TestSingleSwapTable:
             cost, (r,), (c,) = got
             current = sorted(current[:r] + current[r + 1 :] + [c])
             assert cost_of_medoid_set(ds, current)[0] == cost
+
+    @given(n=st.integers(2, 12), m=st.integers(1, 4), k=st.integers(1, 5), seed=st.integers(0, 10_000),
+           weighted=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_descent_ends_where_no_single_swap_improves(self, n, m, k, seed, weighted):
+        # the p = 1 descent of the lower bound's incumbent, from the first k
+        # records: its cost is the set's objective and no single swap lowers it
+        k = min(k, n)
+        ds = random_dataset(n=n, m=m, max_categories=3, seed=seed)
+        if weighted:
+            ds = dataset_from_rows([[f"v{v}" for v in row] for row in ds.values],
+                                   weights=[seed % 5 + i % 4 + 1 for i in range(n)])
+        config = LocalSearchConfig(min_relative_improvement=0.0)
+        cost, found, stable = medoids._descend(ds, medoids._store(ds), range(k), config)
+        assert stable and list(found) == sorted(set(found)) and len(found) == k
+        assert cost == cost_of_medoid_set(ds, found)[0]
+        swap = self.swap_oracle(ds, list(found))
+        assert swap is None or swap[0] >= cost
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_later_steps_sweep_one_row_less(self, monkeypatch, k):
