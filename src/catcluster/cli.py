@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dedupe", action="store_true",
                        help="merge identical records into weighted ones (same results, faster)")
     p_run.add_argument("--algorithm", choices=["kmodes", "exhaustive", "local-search"], required=True)
-    p_run.add_argument("--k", type=int, required=True)
+    p_run.add_argument("--k", type=_count("k"), required=True)
     p_run.add_argument("--seed", type=_count("seed", 0), default=0)
     p_run.add_argument("--init", choices=["first-k-distinct", "random"], default="first-k-distinct")
     p_run.add_argument("--max-iterations", type=_count("max_iterations"), default=100)

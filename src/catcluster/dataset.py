@@ -102,8 +102,9 @@ class CategoricalDataset:
     uint16 up to 65 536, else uint32. Ids are checked against the domains in
     the dtype they are given in; cast them to a signed type before signed
     arithmetic. ``total_weight`` is the original row count; it equals
-    ``weights.sum()`` whether or not duplicates were merged. Arrays are frozen
-    read-only, so a dataset is safe to share across threads.
+    ``weights.sum()`` whether or not duplicates were merged, and m times it,
+    which bounds every objective, is below 2**62, so two sum in int64. Arrays
+    are frozen read-only, so a dataset is safe to share across threads.
     """
 
     schema: Schema
@@ -126,6 +127,8 @@ class CategoricalDataset:
             raise DatasetError("record weights do not add up to total_weight")
         if (self.weights < 1).any():
             raise DatasetError("record weights must be positive")
+        if self.m * int(self.total_weight) >= 2**62:
+            raise DatasetError(f"m * total_weight = {self.m} * {self.total_weight} must be below 2**62")
 
     @property
     def n_records(self) -> int:

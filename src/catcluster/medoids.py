@@ -52,7 +52,7 @@ _GROUP_SUM = {np.dtype(np.uint8): np.uint16, np.dtype(np.uint16): np.uint32, np.
 _GROUP_MIN = 64
 _BOUND_STEPS = 20  # subgradient steps of the exhaustive scan's lower bound (see _lower_bound)
 _BOUND_UNIT = 256  # those steps move each threshold in 1 / _BOUND_UNIT of a distance
-_NO_COST = np.iinfo(np.int64).max  # marks a (prefix, completion) pair that is not a subset
+_NO_COST = np.iinfo(np.int64).max  # marks a pair that is not a subset; caps a limit compared with int64
 # Lemma 2 audit instances: k medoids, at most N records, M attributes, CATEGORIES per attribute;
 # the partition oracle enumerates k**n labelings, so these stay small
 _LEMMA2_K, _LEMMA2_N, _LEMMA2_M, _LEMMA2_CATEGORIES = 2, 10, 4, 3
@@ -338,8 +338,8 @@ def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
     highest bound alone can close less. The steps move b in fixed point, in
     units of 1 / ``_BOUND_UNIT``, and round it for each sweep: integers
     throughout, so the choice is the same on every machine, and no float
-    loop of numpy is loaded. Every sum is exact in int64 while
-    k * m * total weight < 2**62."""
+    loop of numpy is loaded. Each rho is at most m * total weight < 2**62
+    (:class:`CategoricalDataset`): longer sums than two are Python ints."""
     order, unit, m = store.columns.order, _BOUND_UNIT, dataset.m
     weights = dataset.weights[order]
     cost, medoids, _ = _descend(dataset, store, order[:k], LocalSearchConfig(min_relative_improvement=0.0))
@@ -349,10 +349,10 @@ def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
         b = ((target + unit // 2) // unit).astype(unsigned_dtype(m))
         rho = _sweep(store, b[None, :], 0)[0]
         ranked = np.argsort(rho, kind="stable")
-        total = int(weights @ b)
-        value, limit = int(rho[ranked[:k]].sum()) - (k - 1) * total, cost + (k - 1) * total  # the bound at this b
+        total, lowest = int(weights @ b), rho[ranked[:k]].tolist()
+        value, limit = sum(lowest) - (k - 1) * total, cost + (k - 1) * total  # the bound at this b
         # the positions x that rho_x and the k - 1 smallest rho keep within the limit, which may join an open subset
-        joining = int((rho <= limit - int(rho[ranked[: k - 1]].sum())).sum())
+        joining = int((rho <= min(limit - sum(lowest[:-1]), _NO_COST)).sum())
         if best is None or (-joining, value) > best[0]:
             best = ((-joining, value), rho, limit)
         if highest is None or value > highest:
@@ -369,55 +369,44 @@ def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
     return best[1], best[2]
 
 
-def _scan(store, base, excluded, size, share=(0, 1), bound=None):
-    """Lowest (cost, subset) over the ``size``-subsets of the positions not
-    ``excluded``, added to the medoids behind ``base`` (each position's
-    distance to its nearest kept medoid, see :func:`_kept_base`); None when
-    no subset exists. A subset is given by its record indices, sorted, and
-    among subsets of one cost the smallest wins, whatever their positions.
+def _scan(store, base, excluded, size, bound, share=(0, 1)):
+    """Lowest (cost, subset) over the open ``size``-subsets, size >= 2, of
+    the positions not ``excluded``, added to the medoids behind ``base``
+    (each position's distance to its nearest kept medoid, see
+    :func:`_kept_base`); None when none is open. A subset is given by its
+    record indices, sorted, and among subsets of one cost the smallest wins.
 
-    Python loops only over the (size - 2)-prefixes of positions, in
+    ``bound`` = (rho, limit) closes the subsets whose sum of rho exceeds
+    ``limit`` (:func:`_lower_bound`, :func:`_best_swap`; zero rho and limit 0
+    close none): a prefix is skipped when even its cheapest pair of later
+    positions does, and a next member j is dropped when even its cheapest
+    completion c > j does. Suffix minima of rho make both tests O(1).
+
+    Python loops only over the open (size - 2)-prefixes of positions, in
     lexicographic order. For each, a block of next members j is taken at
     once, and all their completions c > j are scored by one sweep per block
-    (:func:`_extensions`); blocks are sized so that their minima take at
-    most ``_SCAN_BYTES``. Size 1 is the one-row case: ``base`` itself is the
-    block.
-
-    ``bound`` = (rho, limit), from :func:`_lower_bound`, closes subsets whose
-    sum of rho exceeds ``limit``: a prefix is skipped when even its cheapest
-    pair of later positions does, and a next member j is dropped when even
-    its cheapest completion c > j does. Suffix minima of rho make both tests
-    O(1). A subset at the optimum is never closed, so the result is that of
-    the full scan.
+    (:func:`_extensions`), sized so that its minima take at most ``_SCAN_BYTES``.
 
     ``share`` = (w, parts) scores only the (prefix, block) units whose
-    ordinal in that order is w modulo parts, and at size 1 the one row only
-    for w = 0: the parts shares of a scan cover each unit exactly once.
+    ordinal in that order is w modulo parts: the parts shares of a scan
+    cover each unit exactly once.
     """
     w, parts = share
     order = store.columns.order
-    if size == 1:
-        if w:
-            return None
-        costs, low = _extensions(store, base[None, :], np.array([-1]), excluded)
-        return None if low == _NO_COST else (low, _smallest(order[np.flatnonzero(costs[0] == low)][:, None]))
     pool = np.flatnonzero(~excluded)
     n, row_bytes = len(base), base.nbytes
     end = len(pool) - 1  # the last pool member has no completion
-    if bound is not None:
-        rho, limit = bound[0][pool], bound[1]
-        lead = rho[:end] + np.minimum.accumulate(rho[::-1])[::-1][1:]  # rho_j + its cheapest completion's
-        pair = np.minimum.accumulate(lead[::-1])[::-1].tolist()  # the cheapest pair j < c from each position on
-        rho = rho.tolist()
+    rho, limit = bound[0][pool], bound[1]
+    lead = rho[:end] + np.minimum.accumulate(rho[::-1])[::-1][1:]  # rho_j + its cheapest completion's
+    pair = np.minimum.accumulate(lead[::-1])[::-1].tolist()  # the cheapest pair j < c from each position on
+    rho = rho.tolist()
     best, units = None, itertools.count()
     for positions in itertools.combinations(range(len(pool)), size - 2):  # pool positions of the prefix
         a, qbase = positions[-1] + 1 if positions else 0, None
-        nexts = pool[a:end]  # the next members
-        if bound is not None and len(nexts):
-            fixed = sum(rho[p] for p in positions)
-            if fixed + pair[a] > limit:
-                continue
-            nexts = nexts[lead[a:] <= limit - fixed]
+        fixed = sum(rho[p] for p in positions)
+        if a >= end or fixed + pair[a] > limit:
+            continue
+        nexts = pool[a:end][lead[a:] <= min(limit - fixed, _NO_COST)]  # the open next members
         i = 0
         while i < len(nexts):
             # as many next members as keep their minima with all of their
@@ -449,27 +438,30 @@ def exhaustive_search(
     lexicographically smallest index tuple.
 
     The result is optimal for the member-restricted objective, which bounds
-    the unrestricted mode objective within a factor of 2. Python loops over
-    the (k-2)-prefixes only, and one array pass scores a block of next
-    members with all of their completions, exactly (see :func:`_scan` and
-    :func:`_sweep`). At k >= 2 an exact lower bound computed first
-    (:func:`_lower_bound`) closes the prefixes and next members all of whose
-    subsets cost more than a subset already known; a subset at the optimum
-    is never closed, so the result is the full scan's. The bound is skipped
-    only where k * m * total weight >= 2**62, past which its int64 sums
-    could overflow. Instances of more than ``EXHAUSTIVE_GATE`` terms,
-    counted before the bound, are refused unless ``force`` is set.
-    ``workers`` threads, at most one per CPU, take turns at the scan's
-    blocks of next members (the shares of :func:`_scan`); the calling thread
-    is one of them. Each finds its own lowest (cost, tuple), and the lowest
-    of those wins; the bound is computed before they start, so the output
-    and the units each scores are independent of their number.
+    the unrestricted mode objective within a factor of 2. At k = 1 each
+    record's cost is read from the one-cluster count table: no distance is
+    summed, so no store, no thread and no gate. At k >= 2 an exact lower
+    bound computed first (:func:`_lower_bound`) closes the subsets that cost
+    more than one already known, never one at the optimum, and the scan
+    scores the rest, exactly (see :func:`_scan` and :func:`_sweep`).
+    Instances of more than ``EXHAUSTIVE_GATE`` terms, counted before the
+    bound, are refused unless ``force`` is set. ``workers`` threads, at
+    most one per CPU, take turns at the scan's blocks of next members (the
+    shares of :func:`_scan`); the calling thread is one of them. Each finds
+    its own lowest (cost, tuple), and the lowest of those wins; the bound is
+    computed before they start, so the output and the units each scores are
+    independent of their number.
     """
     n = dataset.n_records
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must be in [1, {n}]")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if k == 1:
+        values, sizes, one = dataset.values, dataset.schema.domain_sizes(), np.zeros(n, dtype=np.int64)
+        costs = member_costs(cluster_counts(values, dataset.weights, sizes, one, 1), sizes, values, one)
+        best = int(np.argmin(costs))  # first minimum = lowest record index
+        return _rechecked(dataset, int(costs[best]), (best,), "count table", "exhaustive", 2.0)
     if n * math.comb(n, k) > EXHAUSTIVE_GATE and not force:
         raise InstanceTooLargeError(
             f"exhaustive enumeration over {n} records at k={k} exceeds the gate of "
@@ -478,15 +470,13 @@ def exhaustive_search(
         )
     store = _store(dataset)
     base, excluded = _kept_base(store, ()), np.zeros(n, dtype=bool)
-    bound = None  # past 2**62 the bound's sums could overflow int64
-    if k >= 2 and k * dataset.m * int(dataset.total_weight) < 2**62:
-        bound = _lower_bound(dataset, store, k)
+    bound = _lower_bound(dataset, store, k)
     parts = min(workers, os.cpu_count() or 1)
     found, errors = [], []
 
     def share(w):
         try:
-            found.append(_scan(store, base, excluded, k, (w, parts), bound))
+            found.append(_scan(store, base, excluded, k, bound, (w, parts)))
         except BaseException as exc:  # raised again in the calling thread, once every share is done
             errors.append(exc)
 
@@ -568,10 +558,11 @@ def _descend(dataset, store, medoids, config: LocalSearchConfig):
     no strictly improving exchange was left."""
     medoids = sorted(int(i) for i in medoids)
     num, den = config.min_relative_improvement.as_integer_ratio()  # the threshold compared exactly
-    cost = int(dataset.weights[store.columns.order] @ _kept_base(store, store.position[medoids]))
+    weights = dataset.weights[store.columns.order]  # in position order
+    cost = int(weights @ _kept_base(store, store.position[medoids]))
     last = {}  # the last step's single-swap cost rows, by kept medoid set
     for _ in range(config.max_steps):
-        swap = _best_swap(store, medoids, config.p, last)
+        swap = _best_swap(store, weights, medoids, config.p, last)
         if swap is None or swap[0] >= cost:
             return cost, tuple(medoids), True
         new_cost, removals, additions = swap
@@ -606,15 +597,19 @@ def _single_swap_costs(store, medoids, last):
     return np.stack(list(table.values()))
 
 
-def _best_swap(store, medoids, p, last):
+def _best_swap(store, weights, medoids, p, last):
     """Best (cost, removal positions, added indices) over swap sizes 1..p;
-    None when every record is a medoid. Deterministic:
-    sizes ascending, removal positions and additions in lexicographic order,
-    strict improvement to move the incumbent.
+    None when every record is a medoid; ``weights`` in position order.
+    Deterministic: sizes ascending, removal positions and additions in
+    lexicographic order, strict improvement to move the incumbent.
 
     Size 1 is the first row-major minimum of :func:`_single_swap_costs`, its
     columns put back in record order, over the non-medoids; it reuses and
-    refreshes ``last``. Larger sizes run :func:`_scan` once per removal set.
+    refreshes ``last``. A size s >= 2 runs :func:`_scan` once per removal
+    set, under the bound of :func:`_lower_bound` at b = the kept base, at
+    most m, with B = sum_i w_i * b_i: every added S costs at least
+    sum_S rho - (s - 1) * B, so the limit, the incumbent's cost - 1 +
+    (s - 1) * B, closes only what cannot move it.
     """
     k, n = len(medoids), len(store.values)
     if k == n:
@@ -628,7 +623,9 @@ def _best_swap(store, medoids, p, last):
     for s in range(2, min(p, k, n - k) + 1):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
-            found = _scan(store, _kept_base(store, store.position[kept]), in_medoids, s)
+            b = np.minimum(_kept_base(store, store.position[kept]), store.values.shape[1])  # d <= m: the same base
+            bound = _sweep(store, b[None, :], 0)[0], best[0] - 1 + (s - 1) * int(weights @ b)
+            found = _scan(store, b, in_medoids, s, bound)
             if found is not None and found[0] < best[0]:
                 best = (found[0], removals, found[1])
     return best

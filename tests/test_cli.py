@@ -229,10 +229,14 @@ class TestRunErrors:
         assert code == 2
         assert "label column" in capsys.readouterr().err
 
-    def test_bad_k(self, capsys, toy_csv):
-        code = cli.main(["run", "--data", str(toy_csv), "--label-column", "0",
-                         "--algorithm", "kmodes", "--k", "0"])
+    @pytest.mark.parametrize("algorithm", ["kmodes", "exhaustive", "local-search"])
+    def test_bad_k(self, capsys, tmp_path, algorithm):
+        # refused at the parser, before the (absent) file is read, whatever the algorithm
+        code = cli.main(["run", "--data", str(tmp_path / "absent.csv"), "--label-column", "0",
+                         "--algorithm", algorithm, "--k", "0"])
         assert code == 2
+        captured = capsys.readouterr()
+        assert "argument --k: k must be >= 1, got 0" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_an_error(self, capsys, toy_csv, threads):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catcluster import (
+    DatasetError,
     InstanceTooLargeError,
     dedupe,
     medoids,
@@ -105,6 +106,11 @@ def best_exchange(ds, current, p):
     return want
 
 
+def best_swap(ds, store, current, p, last=None):
+    """One swap step, ``medoids._best_swap``, with the weights in the store's position order."""
+    return medoids._best_swap(store, ds.weights[store.columns.order], current, p, {} if last is None else last)
+
+
 class TestExhaustiveSearch:
     def test_four_point_optimum(self, four_point):
         sol = exhaustive_search(four_point, 2)
@@ -178,9 +184,9 @@ class TestExhaustiveSearch:
                 started.append(self)
                 super().start()
 
-        def recording_scan(store, base, excluded, size, share=(0, 1), bound=None):
+        def recording_scan(store, base, excluded, size, bound, share=(0, 1)):
             shares.append((threading.current_thread(), share))
-            return scan(store, base, excluded, size, share, bound)
+            return scan(store, base, excluded, size, bound, share)
 
         monkeypatch.setattr(medoids.threading, "Thread", RecordingThread)
         monkeypatch.setattr(medoids, "_scan", recording_scan)
@@ -210,10 +216,10 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(medoids.os, "cpu_count", lambda: 2)
         scan = medoids._scan
 
-        def failing_scan(store, base, excluded, size, share=(0, 1), bound=None):
+        def failing_scan(store, base, excluded, size, bound, share=(0, 1)):
             if share[0] == 1:
                 raise MemoryError("share 1")
-            return scan(store, base, excluded, size, share, bound)
+            return scan(store, base, excluded, size, bound, share)
 
         monkeypatch.setattr(medoids, "_scan", failing_scan)
         with pytest.raises(MemoryError, match="share 1"):
@@ -222,7 +228,7 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("n,k", [(5, 4), (9, 3), (24, 2), (30, 1)])
     def test_worker_counts_agree(self, n, k, monkeypatch):
         # n=5, k=4 has fewer blocks of next members than 7 workers, and k=1
-        # one row, which share 0 scores
+        # is read from the count table, whatever the number of workers
         monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)  # 2, 3 and 7 shares on any machine
         ds = random_dataset(n=n, m=3, max_categories=2, seed=n)
         naive = exhaustive_search_naive(ds, k)
@@ -262,7 +268,7 @@ class TestExhaustiveSearch:
         # scan_bytes 1 scores one next member per block, 1 GiB all of a
         # prefix's at once; stores of 1 to 512 columns a block; every case
         # through exhaustive_search, with the lower bound closing subsets at
-        # k >= 2, and through the unbounded scan
+        # k >= 2, and k >= 2 through a scan whose bound closes nothing
         k = min(k, n)
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
         names = [[f"v{v}" for v in row] for row in ds.values]
@@ -276,21 +282,43 @@ class TestExhaustiveSearch:
                 mock.patch.object(medoids.os, "cpu_count", lambda: 64):  # workers shares on any machine
             scan = exhaustive_search(ds, k, workers=workers)
             store = medoids._store(ds)
-            unbounded = medoids._scan(store, medoids._kept_base(store, ()), np.zeros(n, dtype=bool), k)
+            base, open_all = medoids._kept_base(store, ()), (np.zeros(n, dtype=np.int64), 0)
+            unbounded = medoids._scan(store, base, np.zeros(n, dtype=bool), k, open_all) if k >= 2 else None
         assert (scan.medoid_objective, scan.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
-        assert unbounded == (naive.medoid_objective, naive.medoid_indices)
+        assert k == 1 or unbounded == (naive.medoid_objective, naive.medoid_indices)
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_medoid_from_the_count_table(self, weighted, monkeypatch):
+        # k = 1 reads every record's cost from the one-cluster count table:
+        # no store, no thread, no gate; ties (repeated rows, and rows of equal
+        # cost) go to the lowest record index
+        rows = [["a", "p"], ["b", "q"], ["a", "q"], ["b", "p"], ["a", "q"], ["b", "q"]]
+        ds = dataset_from_rows(rows, weights=[3, 1, 2, 2, 2, 1] if weighted else None)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("k = 1 sums no distance")
+
+        monkeypatch.setattr(medoids, "_store", refused)
+        monkeypatch.setattr(medoids.threading, "Thread", refused)
+        monkeypatch.setattr(medoids, "EXHAUSTIVE_GATE", 0)
+        naive = exhaustive_search_naive(ds, 1)
+        for workers in (1, 3):
+            sol = exhaustive_search(ds, 1, workers=workers)
+            assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
+            assert sol.assignment.tolist() == [0] * 6 and sol.guarantee == 2.0
+        assert naive.medoid_indices == ((2,) if weighted else (1,))  # 2 ties with 4; 1 with 2, 4 and 5
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
     @pytest.mark.parametrize("scan_bytes", [1, 1 << 18])
     @pytest.mark.parametrize("bounded", [False, True])
     def test_shares_partition_the_units(self, size, scan_bytes, bounded, monkeypatch):
         # the shares of a scan score disjoint (prefix, first next member)
         # units that together are the units of the whole scan, with the lower
-        # bound closing some or not; scan_bytes 1 makes every next member a
-        # unit of its own
+        # bound closing some or, at zero rho and limit 0, none; scan_bytes 1
+        # makes every next member a unit of its own
         ds = random_dataset(n=10, m=3, max_categories=3, seed=2)
         store = medoids._store(ds)
-        bound = medoids._lower_bound(ds, store, size) if bounded and size > 1 else None
+        bound = medoids._lower_bound(ds, store, size) if bounded else (np.zeros(10, dtype=np.int64), 0)
         base, excluded = medoids._kept_base(store, ()), np.zeros(10, dtype=bool)
         excluded[4] = True  # a position outside the pool
         prefix, keys = [()], []
@@ -310,7 +338,7 @@ class TestExhaustiveSearch:
 
         def scored(share):
             prefix[0], keys[:] = (), []
-            medoids._scan(store, base, excluded, size, share, bound)
+            medoids._scan(store, base, excluded, size, bound, share)
             assert len(set(keys)) == len(keys)
             return set(keys)
 
@@ -459,27 +487,26 @@ class TestLowerBound:
         assert report.violations == ()
         assert len(calls) == 40 and min(calls) == 2
 
+    def test_int64_headroom_is_a_dataset_precondition(self):
+        # m * total weight reaching 2**62 is refused when the dataset is
+        # built: these three records made the k = 1 objectives wrap to negative
+        with pytest.raises(DatasetError, match=r"m \* total_weight = 4 \* 4611686018427387905 must be below 2\*\*62"):
+            dataset_from_rows([["a"] * 4, ["b"] * 4, ["c"] * 4], weights=[2**61, 2**61, 1])
+
     @pytest.mark.parametrize("k", [2, 3])
-    def test_int64_headroom(self, k, monkeypatch):
-        # the bound's sums reach k * m * total weight: it runs below 2**62
-        # and is skipped from there on, with the naive optimum either way
+    def test_bound_below_the_int64_headroom(self, k, monkeypatch):
+        # m * total weight one below 2**62 is accepted, and the bound, whose
+        # rho and sums of two reach it, gives the naive optimum
         calls, lower_bound = [], medoids._lower_bound
-
-        def recording_bound(*args):
-            calls.append(args)
-            return lower_bound(*args)
-
-        monkeypatch.setattr(medoids, "_lower_bound", recording_bound)
+        monkeypatch.setattr(medoids, "_lower_bound", lambda *args: calls.append(args[2]) or lower_bound(*args))
         rows = [["a", "p"], ["a", "q"], ["b", "q"], ["c", "r"], ["b", "p"], ["c", "q"]]
-        below = (2**62 - 1) // (2 * k)  # the largest total weight of k * m * total < 2**62, m being 2
-        for total, bounded in ((below, True), (below + 1, False)):
-            ds = dataset_from_rows(rows, weights=[total // 6] * 5 + [total - 5 * (total // 6)])
-            assert ds.total_weight == total and (k * ds.m * total < 2**62) == bounded
-            calls.clear()
-            sol = exhaustive_search(ds, k)
-            naive = exhaustive_search_naive(ds, k)
-            assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
-            assert len(calls) == bounded
+        total = (2**62 - 1) // 2  # m being 2
+        ds = dataset_from_rows(rows, weights=[total // 6] * 5 + [total - 5 * (total // 6)])
+        assert ds.total_weight == total and 2**62 - 2 <= ds.m * total < 2**62
+        sol = exhaustive_search(ds, k)
+        naive = exhaustive_search_naive(ds, k)
+        assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
+        assert calls == [k]
 
 
 class TestLocalSearch:
@@ -579,9 +606,11 @@ class TestLocalSearch:
 
     @given(
         n=st.integers(3, 12),
+        m=st.integers(1, 4),
         k=st.integers(1, 4),
         seed=st.integers(0, 10_000),
-        weights=st.lists(st.integers(1, 20), min_size=12, max_size=12),
+        weights=st.lists(st.integers(1, 2**40), min_size=12, max_size=12),
+        big=st.booleans(),
         repeated=st.booleans(),
         on_the_fly=st.booleans(),
         scan_bytes=st.sampled_from([1, 1 << 30]),
@@ -589,20 +618,23 @@ class TestLocalSearch:
         p=st.integers(2, 3),
         block=st.sampled_from([1, 3, 7, 512]),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_wide_swap_equals_brute_force(
-        self, n, k, seed, weights, repeated, on_the_fly, scan_bytes, pick, p, block
+        self, n, m, k, seed, weights, big, repeated, on_the_fly, scan_bytes, pick, p, block
     ):
+        # swaps of two and three medoids, scanned under the kept-base bound,
+        # against every exchange; removing all k = 2 (or 3 at p = 3) medoids
+        # keeps nothing; small weights, and weights up to 2**40
         k = min(k, n - 1)
-        ds = random_dataset(n=n, m=3, max_categories=3, seed=seed)
+        ds = random_dataset(n=n, m=m, max_categories=3, seed=seed)
         names = [[f"v{v}" for v in row] for row in ds.values]
         if repeated:
             names = [names[i % ((n + 1) // 2)] for i in range(n)]
-        ds = dataset_from_rows(names, weights=weights[:n])
+        ds = dataset_from_rows(names, weights=weights[:n] if big else [x % 20 + 1 for x in weights[:n]])
         current = sorted(np.random.default_rng(pick).choice(n, size=k, replace=False).tolist())
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
         with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block):
-            got = medoids._best_swap(medoids._store(ds), current, p, {})
+            got = best_swap(ds, medoids._store(ds), current, p)
         assert got == best_exchange(ds, current, p)
 
     def test_p2_swaps_escape_a_p1_optimum(self):
@@ -665,8 +697,8 @@ class TestDistanceStore:
                 got = exhaustive_search(ds, k, workers=workers)
                 assert (got.medoid_objective, got.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
         for current in ([0, 5], [1, 2, 3], [3, 10, 17, 22]):
-            assert medoids._best_swap(store, current, 1, {}) == TestSingleSwapTable.swap_oracle(ds, current)
-            assert medoids._best_swap(store, current, 2, {}) == best_exchange(ds, current, 2)
+            assert best_swap(ds, store, current, 1) == TestSingleSwapTable.swap_oracle(ds, current)
+            assert best_swap(ds, store, current, 2) == best_exchange(ds, current, 2)
 
     @pytest.mark.parametrize("block", [1, 3, 7, 512])
     def test_rows_are_symmetric_reads(self, monkeypatch, block):
@@ -736,7 +768,7 @@ class TestSingleSwapTable:
         cost = cost_of_medoid_set(ds, current)[0]
         last = {}
         for _ in range(4):  # later steps read the row carried over
-            got = medoids._best_swap(store, current, 1, last)
+            got = best_swap(ds, store, current, 1, last)
             assert got == self.swap_oracle(ds, current)
             if got is None or got[0] >= cost:
                 break
