@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CategoricalDataset, DatasetError
-from .metric import cluster_counts, hamming, heaviest, member_costs
+from .metric import _blocks, cluster_counts, hamming, heaviest, member_costs
 
 INIT_METHODS = ("first-k-distinct", "random")
-# the kernel's memory for one block of records against the modes; each call
-# sets up the records' codes and the modes' tables, so blocks are large
-_ASSIGN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,45 +68,37 @@ def init_modes(dataset: CategoricalDataset, config: KModesConfig) -> np.ndarray:
     return dataset.values[chosen]
 
 
-def _block_rows(values: np.ndarray, modes: np.ndarray) -> int:
-    """Records per block of :func:`assign_points` and :func:`_farthest_record`:
-    ``_ASSIGN_BYTES`` at two bytes per attribute and three per mode, more
-    than the kernel holds per record on domains of at most 256 categories
-    (first its codes, transposed and as digits; then its distances, the
-    table rows added to them and the record's int64 index into a table)."""
-    return max(1, _ASSIGN_BYTES // (2 * values.shape[1] + 3 * modes.shape[0]))
-
-
 def assign_points(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """Nearest-mode index per record, ties broken by lowest cluster index.
 
-    The distances are taken one block of :func:`_block_rows` records at a
-    time, so beyond its int64 output the call holds the same memory whatever
-    the number of records."""
+    The distances are taken one of :func:`_blocks` at a time, so beyond its
+    int64 output the call holds the same memory whatever the number of
+    records. The kernel holds less than two bytes per attribute and three
+    per mode for a record on domains of at most 256 categories (first its
+    codes, transposed and as digits; then its distances, the table rows
+    added to them and its int64 index into a table)."""
     if modes.shape[0] == 0:
         raise ValueError("modes must be non-empty")
     out = np.empty(values.shape[0], dtype=np.int64)
-    rows = _block_rows(values, modes)
-    for s in range(0, values.shape[0], rows):
+    for block in _blocks(values.shape[0], 2 * values.shape[1] + 3 * modes.shape[0]):
         # first minimum = lowest cluster index
-        np.argmin(hamming(values[s : s + rows], modes), axis=1, out=out[s : s + rows])
+        np.argmin(hamming(values[block], modes), axis=1, out=out[block])
     return out
 
 
 def _farthest_record(values: np.ndarray, modes: np.ndarray, c: int) -> int:
     """Index of the record farthest from mode ``c`` (ties by lowest record
-    index) among those equal to no other mode, read one block of
-    :func:`_block_rows` records at a time."""
+    index) among those equal to no other mode, read in the blocks of
+    :func:`assign_points`."""
     best, pick = -1, -1
-    rows = _block_rows(values, modes)
-    for s in range(0, values.shape[0], rows):
-        dists = hamming(values[s : s + rows], modes)
+    for block in _blocks(values.shape[0], 2 * values.shape[1] + 3 * modes.shape[0]):
+        dists = hamming(values[block], modes)
         matched = dists == 0
         matched[:, c] = False
         d = np.where(matched.any(axis=1), -1, dists[:, c].astype(np.int64))
         i = int(np.argmax(d))  # first maximum = lowest record index
         if d[i] > best:  # strictly: an equal distance in a later block does not win
-            best, pick = int(d[i]), s + i
+            best, pick = int(d[i]), block.start + i
     if best < 0:
         raise RuntimeError("no reseed candidate for empty cluster")
     return pick

@@ -31,12 +31,20 @@ _BLOCK_BYTES = 1 << 22  # the lookup tables of one block of b rows, with the mis
 _ROW_BYTES = 1 << 18  # one block of distance rows, and again the table rows added to it: within a core's L2
 _GROUP_CODES = 256  # most joint categories of one group of attributes: the rows of its table
 _AUDIT_PAIRS = 256  # pairs whose distances the metric audit reads from one block
-_COUNT_ROWS = 4096  # records per scatter into the count table or read from it: bounds their temporaries
+_PASS_BYTES = 1 << 20  # the temporaries of one block of records in a pass over them (:func:`_blocks`)
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     """First column of each attribute in a row of the count table."""
     return np.cumsum(sizes) - sizes
+
+
+def _blocks(n: int, record_bytes: int):
+    """Slices that cover records 0..n in order, each of at most
+    ``_PASS_BYTES // record_bytes`` records and at least one: the one block
+    rule of every pass over records, given the bytes it holds per record."""
+    rows = max(1, _PASS_BYTES // record_bytes)
+    return (slice(s, s + rows) for s in range(0, n, rows))
 
 
 def _groups(sizes: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -139,15 +147,14 @@ def cluster_counts(
     attribute, category) triple, each row attribute by attribute and within
     one by category id. Exact for any total weight that fits in int64.
 
-    Built by ``np.add.at`` over blocks of ``_COUNT_ROWS`` records, so its
-    code and weight temporaries never span all n * m entries.
+    Built by ``np.add.at`` over :func:`_blocks` of records, each holding an
+    int64 cell index and an int64 weight per entry, 16 * m bytes a record.
     """
     offsets, width = _offsets(sizes), int(np.sum(sizes))
     first = np.asarray(assignment, dtype=np.int64) * width  # each record's row in the flat table
     weights = np.asarray(weights, dtype=np.int64)
     counts = np.zeros(k * width, dtype=np.int64)
-    for s in range(0, values.shape[0], _COUNT_ROWS):
-        block = slice(s, s + _COUNT_ROWS)
+    for block in _blocks(values.shape[0], 16 * values.shape[1]):
         cells = values[block] + offsets + first[block, None]
         np.add.at(counts, cells.ravel(), np.repeat(weights[block], values.shape[1]))
     return counts.reshape(k, width)
@@ -171,14 +178,13 @@ def member_costs(
 
     With W the cluster's total weight, a row of the count table sums to
     m * W, so the cost is m * W - sum_r count_r[v_cr]: O(n * m) from the
-    table, with no pairwise block. Read over blocks of ``_COUNT_ROWS``
-    records, so its temporaries never span all n * m entries.
+    table, with no pairwise block. Read over :func:`_blocks` of records,
+    each holding int64 codes, cell indices and counts, 24 * m bytes a record.
     """
     width, offsets, flat = counts.shape[1], _offsets(sizes), counts.ravel()
     assignment = np.asarray(assignment, dtype=np.int64)
     costs = counts.sum(axis=1)[assignment]
-    for s in range(0, values.shape[0], _COUNT_ROWS):
-        block = slice(s, s + _COUNT_ROWS)
+    for block in _blocks(values.shape[0], 24 * values.shape[1]):
         costs[block] -= flat[assignment[block, None] * width + (values[block] + offsets)].sum(axis=1)
     return costs
 
@@ -216,18 +222,17 @@ def check_metric_properties(dataset: CategoricalDataset, trials: int, seed: int)
     j = rng.integers(0, n, size=trials)
     k = rng.integers(0, n, size=trials)
 
-    def kernel(a, b):  # d(v[a_t], v[b_t]): the diagonals of small blocks of hamming
-        out = np.empty(len(a), dtype=np.int64)
+    def kernel(a, b):  # d(v[a_t], v[b_t]) as the diagonals of small blocks of hamming, and counted directly
+        out = np.empty((2, len(a)), dtype=np.int64)
         for s in range(0, len(a), _AUDIT_PAIRS):
             block = slice(s, s + _AUDIT_PAIRS)
-            out[block] = np.diagonal(hamming(v[a[block]], v[b[block]]))
+            x, y = v[a[block]], v[b[block]]
+            out[0, block] = np.diagonal(hamming(x, y))
+            out[1, block] = (x != y).sum(axis=1)
         return out
 
-    d_ij, d_ji, d_jk, d_ik = kernel(i, j), kernel(j, i), kernel(j, k), kernel(i, k)
-    direct_ij = (v[i] != v[j]).sum(axis=1)
-    direct_jk = (v[j] != v[k]).sum(axis=1)
-    direct_ik = (v[i] != v[k]).sum(axis=1)
-    equal_ij = (v[i] == v[j]).all(axis=1)
+    (d_ij, direct_ij), (d_ji, direct_ji) = kernel(i, j), kernel(j, i)
+    (d_jk, direct_jk), (d_ik, direct_ik) = kernel(j, k), kernel(i, k)
 
     violations = []
 
@@ -236,12 +241,12 @@ def check_metric_properties(dataset: CategoricalDataset, trials: int, seed: int)
             violations.append({"triple": [int(i[t]), int(j[t]), int(k[t])], "axiom": axiom})
 
     record_violations(
-        (d_ij != direct_ij) | (d_ji != direct_ij) | (d_jk != direct_jk) | (d_ik != direct_ik),
+        (d_ij != direct_ij) | (d_ji != direct_ji) | (d_jk != direct_jk) | (d_ik != direct_ik),
         "kernel mismatch",
     )
     record_violations(d_ij < 0, "non-negativity")
-    record_violations(equal_ij & (d_ij != 0), "identity: d(x,x) must be 0")
-    record_violations(~equal_ij & (d_ij == 0), "positivity: d(x,y) must be > 0 for x != y")
+    record_violations((direct_ij == 0) & (d_ij != 0), "identity: d(x,x) must be 0")
+    record_violations((direct_ij != 0) & (d_ij == 0), "positivity: d(x,y) must be > 0 for x != y")
     record_violations(d_ij != d_ji, "symmetry")
     record_violations(d_ij + d_jk < d_ik, "triangle inequality")
 

@@ -41,7 +41,7 @@ def unlabeled_csv(tmp_path):
 def votes_csv(tmp_path):
     """Votes-shaped: 435 rows x 17 columns, two labels in column 0, a few "?" fields."""
     ds = dataset.random_dataset(n=435, m=16, max_categories=3, seed=3, n_labels=2, min_categories=2)
-    rows = [[ds.label_name(label), *ds.decode(v)] for v, label in zip(ds.values, ds.labels)]
+    rows = [[ds.schema.label_domain.categories[label], *ds.decode(v)] for v, label in zip(ds.values, ds.labels)]
     for i in range(6):
         rows[37 * i + 5][1 + 11 * i % 16] = "?"
     path = tmp_path / "votes.csv"

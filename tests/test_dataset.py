@@ -37,7 +37,7 @@ class TestLoadCsv:
         ds = load_csv(write_csv(tmp_path, "x,a,b\ny,a,c\n"), label_column=0)
         assert ds.m == 2
         assert ds.schema.label_domain.categories == ("x", "y")
-        assert [ds.label_name(l) for l in ds.labels] == ["x", "y"]
+        assert [ds.schema.label_domain.categories[l] for l in ds.labels] == ["x", "y"]
 
     def test_label_by_name_needs_header(self, tmp_path):
         p = write_csv(tmp_path, "cls,f1\nx,a\n")
@@ -511,7 +511,7 @@ class TestDedupe:
         assert first.tolist() == [members[0] for members in groups.values()]
 
         dd = dedupe(ds)
-        assert [(*dd.decode(v), dd.label_name(l)) for v, l in zip(dd.values, dd.labels)] == [
+        assert [(*dd.decode(v), dd.schema.label_domain.categories[l]) for v, l in zip(dd.values, dd.labels)] == [
             (str(a), str(b), label) for a, b, label in keys
         ]
         assert [int(w) for w in dd.weights] == [
@@ -661,7 +661,7 @@ class TestStatsAndValidation:
     def test_record_accessor(self):
         ds = dataset_from_rows([["a", "p"]], labels=["x"])
         assert ds.weights[0] == 1
-        assert ds.label_name(ds.labels[0]) == "x"
+        assert ds.schema.label_domain.categories[ds.labels[0]] == "x"
         assert ds.decode(ds.values[0]) == ["a", "p"]
 
 

@@ -16,7 +16,7 @@ from catcluster import (
     random_dataset,
     run_kmodes,
 )
-from catcluster import kmodes
+from catcluster import kmodes, metric
 from catcluster.kmodes import INIT_METHODS, init_modes
 from catcluster.metric import cluster_counts, hamming, heaviest
 
@@ -174,9 +174,14 @@ class TestInitAndAssign:
         ds = random_dataset(n=50, m=5, max_categories=3, seed=8)
         modes = ds.values[[0, 7, 9, 20]]
         whole = np.argmin(hamming(ds.values, modes), axis=1)
+        blocks = []
+        monkeypatch.setattr(kmodes, "hamming", lambda a, b: blocks.append(len(a)) or hamming(a, b))
         for rows in (1, 3, 49, 50, 64):  # blocks that do and do not divide the records
-            monkeypatch.setattr(kmodes, "_block_rows", lambda values, modes: rows)
+            # the budget of `rows` records at two bytes per attribute and three per mode
+            monkeypatch.setattr(metric, "_PASS_BYTES", rows * (2 * 5 + 3 * 4))
+            blocks.clear()
             assert np.array_equal(assign_points(ds.values, modes), whole)
+            assert blocks == [rows] * (50 // rows) + [50 % rows] * (50 % rows > 0)
 
     def test_assign_memory_does_not_grow_with_n(self):
         # beyond its int64 output, one block of the kernel's codes and
@@ -294,7 +299,7 @@ class TestRunKModes:
         ds = random_dataset(n=n, m=m, max_categories=cats, seed=seed)
         modes = ds.values[[p % n for p in picks]]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kmodes, "_block_rows", lambda values, modes: rows)
+            patch.setattr(metric, "_PASS_BYTES", rows * (2 * m + 3 * len(modes)))
             for c in range(len(modes)):
                 expected = farthest_oracle(ds.values, modes, c)
                 if expected < 0:

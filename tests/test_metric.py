@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,21 @@ from conftest import dataset_from_rows
 def broadcast_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Independent oracle: mismatching attributes counted by direct comparison."""
     return (a[:, None, :] != b[None, :, :]).sum(axis=2)
+
+
+def traced_peak(call):
+    """``call()``'s result, and the bytes it held at its peak beyond what it
+    started with."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestPairwiseMatrix:
@@ -209,7 +225,9 @@ class TestHammingKernel:
         ds = dataset_from_rows(rng.integers(0, 4, size=(n, m)).tolist(), weights=weights)
         assignment = rng.permutation(np.arange(n) % k)
         default = objective_under_medoids(ds, assignment)
-        monkeypatch.setattr(metric, "_COUNT_ROWS", rows)
+        # member_costs holds 24 bytes per entry; the count table, at 16, takes 4 and 10 records
+        monkeypatch.setattr(metric, "_PASS_BYTES", rows * 24 * m)
+        assert [len(range(n)[b]) for b in metric._blocks(n, 24 * m)] == [rows] * (n // rows) + [n % rows]
         values, sizes = ds.values, ds.schema.domain_sizes()
         counts = cluster_counts(values, ds.weights, sizes, assignment, k)
         costs = member_costs(counts, sizes, values, assignment)
@@ -218,7 +236,9 @@ class TestHammingKernel:
         assert sum(int(costs[assignment == c].min()) for c in range(k)) == default
 
     def test_count_table_spans_row_blocks(self):
-        n, m, k = 2 * metric._COUNT_ROWS + 123, 5, 3
+        # two whole blocks of the count table's 16 bytes per entry and a partial one
+        m, k = 5, 3
+        n = 2 * (metric._PASS_BYTES // (16 * m)) + 123
         rng = np.random.default_rng(6)
         sizes = np.array([1, 2, 3, 4, 7])
         values = (rng.integers(0, 1 << 20, size=(n, m)) % sizes).astype(np.int32)
@@ -237,6 +257,21 @@ class TestHammingKernel:
             for r, first in enumerate(np.cumsum(sizes) - sizes):
                 segment = want[c, first : first + sizes[r]]
                 assert (modes[c, r], top[c, r]) == (np.argmax(segment), segment.max())
+
+    def test_count_passes_memory_does_not_grow_with_m(self):
+        # beyond their outputs, one block of 16 or 24 bytes per entry: 1.7 and
+        # 0.8 MiB measured here at n = 5000, m = 2000, where blocks of a fixed
+        # 4096 records held 125 MiB
+        n, m, k = 5000, 2000, 3
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 3, size=(n, m)).astype(np.uint8)
+        sizes, weights, assignment = np.full(m, 3), np.ones(n, dtype=np.int64), np.arange(n) % k
+        counts = cluster_counts(values, weights, sizes, assignment, k)
+        peaks = [
+            traced_peak(lambda: cluster_counts(values, weights, sizes, assignment, k))[1],
+            traced_peak(lambda: member_costs(counts, sizes, values, assignment))[1],
+        ]
+        assert max(peaks) <= 8 * n + (4 << 20), peaks
 
 
 class TestMetricAudit:
@@ -264,6 +299,16 @@ class TestMetricAudit:
         report = check_metric_properties(ds, 500, seed=0)
         assert not report.passed
         assert {v["axiom"] for v in report.violations} >= {"kernel mismatch"}
+
+    def test_memory_does_not_grow_with_trials_times_m(self):
+        # the direct counts are taken pair block by pair block: 20 000 trials
+        # on 200 attributes held 4.4 MiB here, where counting them over all
+        # trials at once held 13.0 MiB
+        rng = np.random.default_rng(1)
+        ds = dataset_from_rows(rng.integers(0, 3, size=(300, 200)).tolist())
+        report, peak = traced_peak(lambda: check_metric_properties(ds, 20_000, seed=0))
+        assert peak <= 8 << 20, peak
+        assert report.passed and report.figures == {"triples_checked": 20_000}
 
     def test_seeded_reproducibility(self):
         ds = random_dataset(n=50, m=5, max_categories=4, seed=2)
