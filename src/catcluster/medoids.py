@@ -13,13 +13,16 @@ on every read past it, with identical results. Every sum of weighted
 distances is one exact sweep over it (:func:`_sweep`). Candidates come back
 by position in that order; ties are broken by record index all the same.
 
-The audits empirically certify the two bounds the approximation argument
-rests on (:func:`audit_lemma1`, :func:`audit_lemma2`) and the scan against
+The audits empirically certify the bound on the optima that the
+approximation argument rests on (:func:`audit_lemma2`) and the scan against
 its enumeration oracle (:func:`audit_oracle`). Each returns a
 :class:`~catcluster.metric.AuditReport`, as the metric-axiom audit does. The
 oracles they compare with, :func:`exhaustive_search_naive` and
 :func:`brute_force_kmodes_objective`, enumerate every subset or partition
-with plain counts, apart from the kernel and the sweep.
+with plain counts, apart from the kernel and the sweep. The per-subset bound
+(Lemma 1) needs nothing but count tables, so its audit,
+:func:`~catcluster.metric.audit_lemma1`, sits beside the metric-axiom audit,
+and `verify --suite lemma1` loads no solver module.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import CategoricalDataset, random_dataset, unsigned_dtype
-from .metric import AuditReport, cluster_counts, hamming, heaviest, member_costs
+from .metric import AuditReport, cluster_counts, hamming, member_costs
 
 # distance terms n * C(n, k) the scan may sum without force=True: 15 to 50 s
 # on one thread at the 1e9 to 3.3e9 terms/s measured on 2 vCPUs
@@ -58,8 +61,10 @@ _NO_COST = np.iinfo(np.int64).max  # marks a pair that is not a subset; caps a l
 _LEMMA2_K, _LEMMA2_N, _LEMMA2_M, _LEMMA2_CATEGORIES = 2, 10, 4, 3
 
 
-class InstanceTooLargeError(RuntimeError):
-    """Refusal to run an enumeration whose cost the caller did not acknowledge."""
+class InstanceTooLargeError(RuntimeError, ValueError):
+    """Refusal to run an enumeration whose cost the caller did not acknowledge.
+    A ValueError too, so the CLI's ``main`` reports it without importing this
+    module."""
 
 
 @dataclass(frozen=True)
@@ -629,38 +634,6 @@ def _best_swap(store, weights, medoids, p, last):
             if found is not None and found[0] < best[0]:
                 best = (found[0], removals, found[1])
     return best
-
-
-def audit_lemma1(dataset: CategoricalDataset, trials: int, seed: int) -> AuditReport:
-    """Sample random non-empty record subsets; check that the best member
-    representative costs at most twice the mode on every one. The 0/0 case
-    (singleton or all-identical subsets) counts as ratio 1. Both costs come
-    from the subset's one-cluster count table; no distance block is built.
-    Figures: the largest ratio and a 20-bin histogram of the ratios over
-    [0, 2], as [low, high, count] bins."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = dataset.n_records
-    values, weights = dataset.values, dataset.weights
-    sizes = dataset.schema.domain_sizes()
-
-    ratios = np.empty(trials, dtype=np.float64)
-    violations = []
-    for t in range(trials):
-        s = int(rng.integers(1, n + 1))
-        idx = np.sort(rng.choice(n, size=s, replace=False))
-        vs, one = values[idx], np.zeros(s, dtype=np.int64)
-        counts = cluster_counts(vs, weights[idx], sizes, one, 1)
-        medoid_cost = int(member_costs(counts, sizes, vs, one).min())
-        m_cost = int(counts.sum()) - int(heaviest(counts, sizes)[1].sum())
-        ratios[t] = 1.0 if m_cost == 0 else medoid_cost / m_cost
-        if medoid_cost > 2 * m_cost:
-            violations.append({"subset_size": s, "medoid_cost": medoid_cost, "mode_cost": m_cost})
-
-    counts, edges = np.histogram(ratios, bins=20, range=(0.0, 2.0))
-    histogram = [[float(edges[i]), float(edges[i + 1]), int(counts[i])] for i in range(len(counts))]
-    return AuditReport(trials, tuple(violations), {"max_ratio": float(ratios.max()), "histogram": histogram})
 
 
 def brute_force_kmodes_objective(dataset: CategoricalDataset, k: int, cap: int = 5_000_000) -> int:

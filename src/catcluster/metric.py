@@ -3,7 +3,9 @@
 The measure is a true metric on category-id vectors (non-negative, zero only
 for equal vectors, symmetric, triangle inequality), which
 ``check_metric_properties`` certifies empirically on seeded random triples,
-reading the distances from the kernel below.
+reading the distances from the kernel below. Beside it, ``audit_lemma1``
+certifies the paper's Lemma 1 on random subsets (the best member costs at
+most twice the mode), from count tables alone.
 
 Every distance in the package comes from one kernel, :func:`hamming`. It
 packs consecutive attributes into groups of at most 256 joint categories and
@@ -251,3 +253,35 @@ def check_metric_properties(dataset: CategoricalDataset, trials: int, seed: int)
     record_violations(d_ij + d_jk < d_ik, "triangle inequality")
 
     return AuditReport(trials, tuple(violations), {"triples_checked": trials})
+
+
+def audit_lemma1(dataset: CategoricalDataset, trials: int, seed: int) -> AuditReport:
+    """Sample random non-empty record subsets; check that the best member
+    representative costs at most twice the mode on every one. The 0/0 case
+    (singleton or all-identical subsets) counts as ratio 1. Both costs come
+    from the subset's one-cluster count table; no distance block is built.
+    Figures: the largest ratio and a 20-bin histogram of the ratios over
+    [0, 2], as [low, high, count] bins."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    n = dataset.n_records
+    values, weights = dataset.values, dataset.weights
+    sizes = dataset.schema.domain_sizes()
+
+    ratios = np.empty(trials, dtype=np.float64)
+    violations = []
+    for t in range(trials):
+        s = int(rng.integers(1, n + 1))
+        idx = np.sort(rng.choice(n, size=s, replace=False))
+        vs, one = values[idx], np.zeros(s, dtype=np.int64)
+        counts = cluster_counts(vs, weights[idx], sizes, one, 1)
+        medoid_cost = int(member_costs(counts, sizes, vs, one).min())
+        m_cost = int(counts.sum()) - int(heaviest(counts, sizes)[1].sum())
+        ratios[t] = 1.0 if m_cost == 0 else medoid_cost / m_cost
+        if medoid_cost > 2 * m_cost:
+            violations.append({"subset_size": s, "medoid_cost": medoid_cost, "mode_cost": m_cost})
+
+    counts, edges = np.histogram(ratios, bins=20, range=(0.0, 2.0))
+    histogram = [[float(edges[i]), float(edges[i + 1]), int(counts[i])] for i in range(len(counts))]
+    return AuditReport(trials, tuple(violations), {"max_ratio": float(ratios.max()), "histogram": histogram})

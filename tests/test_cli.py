@@ -393,9 +393,9 @@ class TestVerify:
     def test_violations_exit_1(self, capsys, toy_csv, monkeypatch, suite, keys):
         # each suite meets its own fault: a kernel that never reads the last
         # attribute, and best members priced at three times their cost
-        hamming, member_costs = metric.hamming, medoids.member_costs
+        hamming, member_costs = metric.hamming, metric.member_costs
         monkeypatch.setattr(metric, "hamming", lambda a, b: hamming(a[:, :-1], b[:, :-1]))
-        monkeypatch.setattr(medoids, "member_costs", lambda *args: 3 * member_costs(*args))
+        monkeypatch.setattr(metric, "member_costs", lambda *args: 3 * member_costs(*args))
         argv = ["verify", "--suite", suite, "--data", str(toy_csv), "--label-column", "0", "--trials", "50"]
         assert cli.main(argv) == 1
         out = capsys.readouterr().out

@@ -3,6 +3,7 @@ entry, each checked in a fresh interpreter: what a first import loads and sets,
 and what happens at exit, cannot be seen from a process that has already
 loaded them."""
 import gc
+import importlib
 import json
 import os
 import re
@@ -34,6 +35,14 @@ def run_child(code: str, **env_overrides: str) -> str:
     out = child("-c", textwrap.dedent(code), **env_overrides)
     assert out.returncode == 0, out.stderr
     return out.stdout
+
+
+@pytest.fixture
+def data(tmp_path):
+    """40 labelled records of 3 attributes."""
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"L{i % 2},{'ab'[i % 2]},{'xyz'[i % 3]},{'pq'[i % 5 // 3]}\n" for i in range(40)))
+    return path
 
 
 def blas_name() -> str:
@@ -243,12 +252,6 @@ class TestBlasPolicy:
 class TestProcessEntry:
     RUN = ("run", "--label-column", "0", "--algorithm", "kmodes", "--k", "2")
 
-    @pytest.fixture
-    def data(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("".join(f"L{i % 2},{'ab'[i % 2]},{'xyz'[i % 3]},{'pq'[i % 5 // 3]}\n" for i in range(40)))
-        return path
-
     def test_module_run_writes_the_in_process_report(self, tmp_path, data):
         from catcluster import cli
 
@@ -282,3 +285,81 @@ class TestProcessEntry:
     def test_console_script_is_the_entry(self):
         pyproject = (SRC.parent / "pyproject.toml").read_text()
         assert re.search(r'^catcluster = "catcluster\.cli:entry"$', pyproject, re.M)
+
+
+class TestCommandModules:
+    """Each command loads only the package modules it calls: the CLI imports
+    dataset up front and every other module on first use of one of its names."""
+
+    # command -> its argv ("{data}" is the input file) and the package modules it loads
+    COMMANDS = {
+        "verify-lemma1": (("verify", "--suite", "lemma1", "--data", "{data}", "--label-column", "0",
+                           "--trials", "5"), {"dataset", "metric"}),
+        "verify-metric": (("verify", "--suite", "metric", "--data", "{data}", "--label-column", "0",
+                           "--trials", "5"), {"dataset", "metric"}),
+        "run-kmodes": (("run", "--data", "{data}", "--label-column", "0", "--algorithm", "kmodes", "--k", "2"),
+                       {"dataset", "evaluate", "kmodes", "metric"}),
+        "run-exhaustive": (("run", "--data", "{data}", "--label-column", "0", "--algorithm", "exhaustive",
+                            "--k", "2"), {"dataset", "evaluate", "medoids", "metric"}),
+        "run-help": (("run", "--help"), {"dataset"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_loads_only_what_it_calls(self, data, command):
+        args, modules = self.COMMANDS[command]
+        argv = [arg.replace("{data}", str(data)) for arg in args]
+        out = run_child(f"""
+            import contextlib, io, sys
+            from catcluster import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = cli.main({argv!r})
+                except SystemExit as exc:  # --help
+                    code = exc.code
+            loaded = sorted(name.split(".")[1] for name in sys.modules if name.startswith("catcluster."))
+            print(code, ",".join(loaded), "fractions" in sys.modules)
+        """)
+        # fractions (and decimal with it) only with evaluate, which computes exact error rates
+        assert out.split() == ["0", ",".join(sorted({"cli", *modules})), str("evaluate" in modules)]
+
+
+class TestTracingSeam:
+    """The benchmark's tracer wraps these names by getattr and setattr on the
+    cli module; its per-layer figures read 0 unless the commands call what is
+    set there."""
+
+    DEFINED_IN = {"load_csv": "dataset", "dedupe": "dataset", "run_kmodes": "kmodes", "evaluate": "evaluate",
+                  "exhaustive_search": "medoids", "local_search": "medoids", "audit_lemma1": "metric"}
+
+    def test_names_are_their_modules_objects(self):
+        from catcluster import cli
+
+        for name, module in self.DEFINED_IN.items():
+            assert getattr(cli, name) is getattr(importlib.import_module(f"catcluster.{module}"), name), name
+
+    def test_unknown_name_raises(self):
+        from catcluster import cli
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            cli.no_such_name
+
+    KMODES = ("run", "--label-column", "0", "--algorithm", "kmodes", "--k", "2")
+
+    @pytest.mark.parametrize("name,argv", [
+        ("audit_lemma1", ("verify", "--suite", "lemma1", "--label-column", "0", "--trials", "5")),
+        ("exhaustive_search", ("run", "--label-column", "0", "--algorithm", "exhaustive", "--k", "2")),
+        ("run_kmodes", KMODES),
+        ("evaluate", KMODES),
+    ])
+    def test_main_calls_the_name_set_on_cli(self, monkeypatch, tmp_path, data, name, argv):
+        from catcluster import cli
+
+        original, calls = getattr(cli, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        assert cli.main([*argv, "--data", str(data), "--output", str(tmp_path / "r.json")]) == 0
+        assert calls == [name]
