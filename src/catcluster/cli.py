@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,52 +40,36 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import _SUBMODULE_OF, __version__
-from .dataset import (
-    CategoricalDataset,
-    DatasetError,
-    dataset_stats,
-    dedupe,
-    load_csv,
-)
+from . import __version__
+from .dataset import CategoricalDataset, DatasetError, dedupe, load_csv
 
 if TYPE_CHECKING:
     from .evaluate import EvalReport
 
 
-# Each command imports only the package modules it calls. dataset, which
-# every command that reads a file needs, is imported above; any other name is
-# imported from its submodule on first use, through the package's map of
-# public names, and kept in this module's globals. Without a bytecode cache
-# every module imported is compiled from source: importing them all here made
-# `verify --suite lemma1` spend 25.9 ms of import self time on the package,
-# where it now spends 8.7 ms (2 vCPUs). The commands call these names as
-# attributes of `_lazy`, which reads the globals, so a name set on this module
-# (a tracing wrapper, a test's spy) is the one called; an import inside each
+# Each command imports only the package modules it calls. dataset, which every
+# command that reads a file needs, is imported above; any other public name is
+# taken from the package on first use, whose own loader imports its submodule,
+# and kept in this module's globals. Without a bytecode cache every module
+# imported is compiled from source: importing them all here made `verify
+# --suite lemma1` spend 25.9 ms of import self time on the package, where it
+# now spends 8.7 ms (2 vCPUs). The commands call these names as
+# `_resolve("name")`, which reads the globals, so a name set on this module (a
+# tracing wrapper, a test's spy) is the one called; an import inside each
 # function would bypass it.
 def _resolve(name: str):
     """This module's global ``name``; a public name of the package that is not
-    bound yet is imported from its submodule (the package's own map) and kept."""
+    bound yet is taken from the package, which loads its submodule, and kept."""
     namespace = globals()
     if name not in namespace:
-        if name not in _SUBMODULE_OF:
+        package = sys.modules[__package__]
+        if name not in package.__all__:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        namespace[name] = getattr(import_module(f"{__package__}.{_SUBMODULE_OF[name]}"), name)
+        namespace[name] = getattr(package, name)
     return namespace[name]
 
 
 __getattr__ = _resolve  # PEP 562: getattr(cli, name) resolves a name the same way
-
-
-class _Lazy:
-    """The commands' view of the names above. It reads the globals, not the
-    module object, which `runpy.run_module` does not create."""
-
-    def __getattr__(self, name: str):
-        return _resolve(name)
-
-
-_lazy = _Lazy()
 
 DATA_DIR_ENV = "CATCLUSTER_DATA_DIR"
 
@@ -255,10 +238,10 @@ def _evaluation_section(ds, assignment, medoid_objective=None, counts=None):
     not. ``counts`` is the partition's count table when the solver kept it."""
     report = None
     if ds.labels is not None:
-        report = _lazy.evaluate(ds, assignment, medoid_objective=medoid_objective, counts=counts)
+        report = _resolve("evaluate")(ds, assignment, medoid_objective=medoid_objective, counts=counts)
         mode_objective = report.mode_objective
     else:
-        mode_objective = _lazy.objective_under_modes(ds, assignment, counts=counts)
+        mode_objective = _resolve("objective_under_modes")(ds, assignment, counts=counts)
     objectives = {
         "mode_objective": int(mode_objective),
         "medoid_objective": None if medoid_objective is None else int(medoid_objective),
@@ -350,10 +333,10 @@ def _solve(ds: CategoricalDataset, args):
     count table from k-modes or None: k-modes reseeds every empty cluster,
     so it drops none)."""
     if args.algorithm == "kmodes":
-        config = _lazy.KModesConfig(
+        config = _resolve("KModesConfig")(
             k=args.k, init=args.init, seed=args.seed, max_iterations=args.max_iterations
         )
-        result = _lazy.run_kmodes(ds, config)
+        result = _resolve("run_kmodes")(ds, config)
         solution = {
             "algorithm": "kmodes",
             "iterations": result.iterations,
@@ -365,16 +348,16 @@ def _solve(ds: CategoricalDataset, args):
         medoid_objective, counts = None, result.counts
     else:
         if args.algorithm == "exhaustive":
-            result = _lazy.exhaustive_search(ds, args.k, workers=args.threads, force=args.force)
+            result = _resolve("exhaustive_search")(ds, args.k, workers=args.threads, force=args.force)
         else:
-            config = _lazy.LocalSearchConfig(
+            config = _resolve("LocalSearchConfig")(
                 p=args.p,
                 seed=args.seed,
                 min_relative_improvement=args.min_relative_improvement,
                 max_steps=args.max_steps,
                 restarts=args.restarts,
             )
-            result = _lazy.local_search(ds, args.k, config)
+            result = _resolve("local_search")(ds, args.k, config)
         solution = {
             "algorithm": result.algorithm,
             "medoid_indices": [int(i) for i in result.medoid_indices],
@@ -402,7 +385,6 @@ def cmd_run(args) -> int:
     report, objectives = _evaluation_section(ds, assignment, medoid_objective, counts)
     t_eval = time.perf_counter() - t2
 
-    stats = dataset_stats(ds)
     record = {
         "version": __version__,
         "command": "run",
@@ -425,11 +407,13 @@ def cmd_run(args) -> int:
         },
         "dataset": {
             "path": str(args.data),
-            "n": stats["n"],
-            "n_records": stats["n_records"],
-            "m": stats["m"],
+            "n": ds.total_weight,
+            "n_records": ds.n_records,
+            "m": ds.m,
             "distinct_values": ds.distinct_records.size,
-            "label_histogram": stats["label_histogram"],
+            "label_histogram": None if report is None else dict(
+                zip(report.confusion.label_names, report.confusion.counts.sum(axis=0).tolist())
+            ),
         },
         "solution": solution,
         "objectives": objectives,
@@ -458,7 +442,7 @@ def _deviation_rows(measured: dict, ref: dict) -> list[tuple[str, str, str, str]
 
     def err_row(label, measured_frac, ref_str):
         dev = float(measured_frac - Fraction(ref_str))
-        rows.append((label, _lazy.format_rounded(measured_frac), ref_str, f"{dev:+.3f}"))
+        rows.append((label, _resolve("format_rounded")(measured_frac), ref_str, f"{dev:+.3f}"))
 
     def obj_row(label, measured_val, ref_val):
         dev = (measured_val - ref_val) / ref_val * 100.0
@@ -511,10 +495,10 @@ def cmd_reproduce(args) -> int:
         "table": name,
         "reference": ref,
         "measured": {
-            "kmodes_error": _lazy.format_rounded(measured["kmodes_error"]),
+            "kmodes_error": _resolve("format_rounded")(measured["kmodes_error"]),
             "kmodes_error_exact": str(measured["kmodes_error"]),
             "kmodes_objective": measured["kmodes_objective"],
-            "approx_error": _lazy.format_rounded(measured["approx_error"]),
+            "approx_error": _resolve("format_rounded")(measured["approx_error"]),
             "approx_error_exact": str(measured["approx_error"]),
             "approx_medoid_objective": measured["approx_medoid_objective"],
             "approx_mode_objective": measured["approx_mode_objective"],
@@ -531,12 +515,12 @@ def cmd_verify(args) -> int:
     defaults = {"metric": 100000, "lemma1": 1000, "lemma2": 200, "oracle": 50}
     trials = args.trials if args.trials is not None else defaults[args.suite]
     if args.suite in ("metric", "lemma1"):
-        audit = _lazy.check_metric_properties if args.suite == "metric" else _lazy.audit_lemma1
+        audit = _resolve("check_metric_properties") if args.suite == "metric" else _resolve("audit_lemma1")
         report = audit(_load(args), trials, args.seed)
     elif args.name or args.data:
         raise DatasetError(f"suite {args.suite!r} reads no input: drop --name and --data")
     else:
-        audit = _lazy.audit_lemma2 if args.suite == "lemma2" else _lazy.audit_oracle
+        audit = _resolve("audit_lemma2") if args.suite == "lemma2" else _resolve("audit_oracle")
         report = audit(trials, args.seed)
 
     record = {

@@ -533,24 +533,6 @@ def dedupe(dataset: CategoricalDataset) -> CategoricalDataset:
     return merged
 
 
-def dataset_stats(dataset: CategoricalDataset) -> dict:
-    """Summary counts: n (= total weight), m, per-attribute category counts, label histogram."""
-    stats = {
-        "n": dataset.total_weight,
-        "n_records": dataset.n_records,
-        "m": dataset.m,
-        "category_counts": [a.size for a in dataset.schema.attributes],
-        "attribute_names": [a.name for a in dataset.schema.attributes],
-        "label_histogram": None,
-    }
-    domain = dataset.schema.label_domain
-    if dataset.labels is not None and domain is not None:
-        hist = np.zeros(domain.size, dtype=np.int64)
-        np.add.at(hist, dataset.labels, dataset.weights)
-        stats["label_histogram"] = dict(zip(domain.categories, hist.tolist()))
-    return stats
-
-
 def random_dataset(
     n: int,
     m: int,

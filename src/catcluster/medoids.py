@@ -53,7 +53,7 @@ _GROUP_SUM = {np.dtype(np.uint8): np.uint16, np.dtype(np.uint16): np.uint32, np.
 # row, along its rows a reduce per group about 4 us per piece of minima,
 # einsum 0.5 ns per int32 term (numpy 2.4.6, 2 vCPUs)
 _GROUP_MIN = 64
-_BOUND_STEPS = 20  # subgradient steps of the exhaustive scan's lower bound (see _lower_bound)
+_BOUND_STEPS = 20  # the most subgradient steps the exhaustive scan's lower bound takes (see _lower_bound)
 _BOUND_UNIT = 256  # those steps move each threshold in 1 / _BOUND_UNIT of a distance
 _NO_COST = np.iinfo(np.int64).max  # marks a pair that is not a subset; caps a limit compared with int64
 # Lemma 2 audit instances: k medoids, at most N records, M attributes, CATEGORIES per attribute;
@@ -336,14 +336,14 @@ def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
     sum_{x in S} min(d(x, i), b_i) <= d(x*, i) + (k - 1) * b_i; weighted and
     summed, sum_S rho - (k - 1) * sum_i w_i * b_i <= cost(S), the Lagrangian
     bound of the p-median problem (Beasley, EJOR 21, 1985). Any b gives a
-    valid bound. ``_BOUND_STEPS`` subgradient steps (Polyak steps towards U)
-    start from the descent's own distances; of the b they visit, the one
-    kept leaves the fewest positions x that may join an open subset (rho_x
-    plus the k - 1 smallest rho within the limit), then bounds highest: the
-    highest bound alone can close less. The steps move b in fixed point, in
-    units of 1 / ``_BOUND_UNIT``, and round it for each sweep: integers
-    throughout, so the choice is the same on every machine, and no float
-    loop of numpy is loaded. Each rho is at most m * total weight < 2**62
+    valid bound. Polyak subgradient steps towards U start from the descent's
+    own distances, at most ``_BOUND_STEPS``, until the target stands still; of
+    the b they visit, the one kept leaves the fewest positions x that may join
+    an open subset (rho_x plus the k - 1 smallest rho within the limit), then
+    bounds highest, as the highest alone can close less. The steps move b in
+    fixed point, in units of 1 / ``_BOUND_UNIT``, and round it for each sweep:
+    integers throughout, so the choice is the same on every machine, and no
+    float loop of numpy is loaded. Each rho is at most m * total weight < 2**62
     (:class:`CategoricalDataset`): longer sums than two are Python ints."""
     order, unit, m = store.columns.order, _BOUND_UNIT, dataset.m
     weights = dataset.weights[order]
@@ -370,7 +370,9 @@ def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
         if value >= cost or not norm:
             break
         step = min(2 * (cost - value) * unit // (norm << halved), 2**62)  # in u, times unit
-        target = np.clip(target + np.minimum(step // weights, m * unit) * slope, 0, m * unit)
+        target, last = np.clip(target + np.minimum(step // weights, m * unit) * slope, 0, m * unit), target
+        if np.array_equal(target, last):  # it stands still: b, rho and the slope repeat, and no step grows
+            break
     return best[1], best[2]
 
 

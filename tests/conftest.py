@@ -1,4 +1,5 @@
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -44,6 +45,34 @@ def dataset_from_rows(rows, labels=None, weights=None) -> CategoricalDataset:
         labels=label_ids,
         total_weight=int(w.sum()),
     )
+
+
+def _votes(rng: random.Random, n: int) -> list[list[str]]:
+    """Votes-shaped rows: a party label and 16 y/n votes that mostly follow
+    it, with about 4 % of the votes missing ("?")."""
+    rows = []
+    for _ in range(n):
+        party = rng.choice(["democrat", "republican"])
+        lean, other = ("y", "n") if party == "democrat" else ("n", "y")
+        rows.append([party, *("?" if rng.random() < 0.04 else lean if rng.random() < 0.8 else other
+                              for _ in range(16))])
+    return rows
+
+
+# the domain sizes of the 22 mushroom attributes
+_MUSHROOM_SIZES = (6, 4, 8, 2, 8, 2, 2, 2, 8, 2, 5, 4, 4, 8, 8, 2, 4, 3, 5, 8, 6, 7)
+
+
+def _mushroom(rng: random.Random, n: int) -> list[list[str]]:
+    """Mushroom-shaped rows: an e/p label and 22 attributes copied from that
+    label's hidden mode, each redrawn uniformly with probability 0.3."""
+    modes = {label: [rng.randrange(size) for size in _MUSHROOM_SIZES] for label in "ep"}
+    rows = []
+    for _ in range(n):
+        label = rng.choice("ep")
+        rows.append([label, *("abcdefgh"[rng.randrange(size) if rng.random() < 0.3 else v]
+                              for v, size in zip(modes[label], _MUSHROOM_SIZES))])
+    return rows
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import collections
+import csv
 import importlib
 import json
 import urllib.error
@@ -144,6 +146,18 @@ class TestRun:
         # exactness: merging duplicates must not change the solution quality
         assert merged["objectives"] == raw["objectives"]
         assert merged["evaluation"]["error"] == raw["evaluation"]["error"]
+
+    @pytest.mark.parametrize("fixture", ["toy_csv", "votes_csv"])
+    @pytest.mark.parametrize("dedupe", [[], ["--dedupe"]])
+    def test_dataset_section_counts_its_csv(self, capsys, request, fixture, dedupe):
+        # n, m and the label histogram are those of the file, whether or not its rows are merged
+        path = request.getfixturevalue(fixture)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        record = run_json(capsys, ["run", "--data", str(path), "--label-column", "0",
+                                   "--algorithm", "kmodes", "--k", "2", *dedupe])
+        assert (record["dataset"]["n"], record["dataset"]["m"]) == (len(rows), len(rows[0]) - 1)
+        assert record["dataset"]["label_histogram"] == collections.Counter(row[0] for row in rows)
 
     @pytest.mark.parametrize("dedupe", [[], ["--dedupe"]])
     def test_one_distinct_rows_pass_per_dataset(self, capsys, toy_csv, monkeypatch, dedupe):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcluster import DatasetError, dataset, dataset_stats, dedupe, load_csv, random_dataset
+from catcluster import DatasetError, dataset, dedupe, load_csv, random_dataset
 from catcluster.dataset import AttributeDomain, CategoricalDataset, Schema, _group_rows, unsigned_dtype
 
 from conftest import dataset_from_rows
@@ -613,18 +613,6 @@ class TestGroupRows:
 
 
 class TestStatsAndValidation:
-    def test_stats_counts(self):
-        ds = dataset_from_rows([["a", "p"], ["b", "p"]], labels=["x", "x"])
-        stats = dataset_stats(ds)
-        assert stats["n"] == 2
-        assert stats["m"] == 2
-        assert stats["category_counts"] == [2, 1]
-        assert stats["label_histogram"] == {"x": 2}
-
-    def test_stats_without_labels(self):
-        stats = dataset_stats(dataset_from_rows([["a"]]))
-        assert stats["label_histogram"] is None
-
     def test_schema_requires_attributes(self):
         with pytest.raises(DatasetError):
             Schema(attributes=(), label_domain=None)

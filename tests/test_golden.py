@@ -16,9 +16,12 @@ numpy upgrade, regenerate, and expect only those reports to move.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
+import csv
 import difflib
 import io
+import json
 import math
 import os
 import random
@@ -31,40 +34,14 @@ import pytest
 
 from catcluster import cli, load_csv
 
+from conftest import _mushroom, _votes
+
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _votes(rng: random.Random, n: int) -> list[list[str]]:
-    """Votes-shaped rows: a party label and 16 y/n votes that mostly follow
-    it, with about 4 % of the votes missing ("?")."""
-    rows = []
-    for _ in range(n):
-        party = rng.choice(["democrat", "republican"])
-        lean, other = ("y", "n") if party == "democrat" else ("n", "y")
-        rows.append([party, *("?" if rng.random() < 0.04 else lean if rng.random() < 0.8 else other
-                              for _ in range(16))])
-    return rows
 
 
 def _uniform(rng: random.Random, n: int, m: int, labels: tuple[str, ...] = ()) -> list[list[str]]:
     """Rows of m features drawn from "abc", led by a label when ``labels`` is given."""
     return [[*([rng.choice(labels)] if labels else []), *(rng.choice("abc") for _ in range(m))] for _ in range(n)]
-
-
-# the domain sizes of the 22 mushroom attributes
-_MUSHROOM_SIZES = (6, 4, 8, 2, 8, 2, 2, 2, 8, 2, 5, 4, 4, 8, 8, 2, 4, 3, 5, 8, 6, 7)
-
-
-def _mushroom(rng: random.Random, n: int) -> list[list[str]]:
-    """Mushroom-shaped rows: an e/p label and 22 attributes copied from that
-    label's hidden mode, each redrawn uniformly with probability 0.3."""
-    modes = {label: [rng.randrange(size) for size in _MUSHROOM_SIZES] for label in "ep"}
-    rows = []
-    for _ in range(n):
-        label = rng.choice("ep")
-        rows.append([label, *("abcdefgh"[rng.randrange(size) if rng.random() < 0.3 else v]
-                              for v, size in zip(modes[label], _MUSHROOM_SIZES))])
-    return rows
 
 
 def _skewed(rng: random.Random, n: int) -> list[list[str]]:
@@ -208,6 +185,27 @@ def test_report_matches_golden(inputs, monkeypatch, name, argv, code):
         written = (GOLDEN / "numpy.txt").read_text().strip()
         pytest.fail(f"{name} differs from its golden copy (written with numpy {written}, "
                     f"running {np.__version__}):\n{''.join(diff)}")
+
+
+RUN_REPORTS = sorted(path.name for path in GOLDEN.glob("*.json") if json.loads(path.read_text())["command"] == "run")
+
+
+@pytest.mark.parametrize("name", RUN_REPORTS)
+def test_run_report_counts_its_input(inputs, name):
+    # the report's dataset section against its input, read with the csv module
+    # alone: n rows, weighed out over the clusters, and the label column's counts
+    report = json.loads((GOLDEN / name).read_text())
+    config, data = report["config"], report["dataset"]
+    with open(inputs / config["data"], newline="") as f:
+        rows = [row for row in csv.reader(f) if row]
+    header = rows.pop(0) if config["header"] else None
+    assert sum(report["solution"]["cluster_weights"]) == data["n"] == len(rows)
+    label = config["label_column"]
+    if label is None:
+        assert data["label_histogram"] is None
+    else:
+        column = int(label) if label.isdigit() else header.index(label)
+        assert data["label_histogram"] == collections.Counter(row[column] for row in rows)
 
 
 def test_wide_domains_multiply_past_one_key(inputs):

@@ -478,6 +478,26 @@ class TestLowerBound:
             assert sorted(scored) == sorted({S[:-1] for S in optimal})
             assert len(scored) == units < math.comb(n, k - 1)
 
+    @pytest.mark.parametrize("seed, n, m, flip, k, steps", [(3, 60, 10, 0.2, 2, 10), (1, 40, 8, 0.15, 3, 20)])
+    def test_steps_stop_once_the_target_stands_still(self, seed, n, m, flip, k, steps, monkeypatch):
+        # each subgradient step sweeps once; on the first planted instance the
+        # target stops moving after 10 steps, where the rest would sweep the
+        # same b again, and on the second it moves on every step
+        calls, sweep, descend = [], medoids._sweep, medoids._descend
+
+        def descended(*args):
+            found = descend(*args)
+            calls.append("descended")
+            return found
+
+        monkeypatch.setattr(medoids, "_sweep", lambda *args: calls.append("sweep") or sweep(*args))
+        monkeypatch.setattr(medoids, "_descend", descended)
+        ds = dataset_from_rows(planted_rows(seed, n, m, flip, k))
+        medoids._lower_bound(ds, medoids._store(ds), k)
+        assert len(calls) - calls.index("descended") - 1 == steps <= medoids._BOUND_STEPS
+        sol, naive = exhaustive_search(ds, k), exhaustive_search_naive(ds, k)
+        assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
+
     def test_oracle_audit_runs_the_bound(self, monkeypatch):
         # the oracle audit certifies the bounded scan: each of the 40 k >= 2
         # instances of its default 50 trials computes the bound once

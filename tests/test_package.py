@@ -86,7 +86,7 @@ class TestLazyPackage:
             "EvalReport", "InstanceTooLargeError", "KModesConfig", "KModesResult", "LocalSearchConfig",
             "MedoidSolution", "Schema", "accuracy_error", "assign_points", "audit_lemma1", "audit_lemma2",
             "audit_oracle", "brute_force_kmodes_objective", "check_metric_properties", "confusion",
-            "cost_of_medoid_set", "dataset_stats", "dedupe", "evaluate", "exhaustive_search",
+            "cost_of_medoid_set", "dedupe", "evaluate", "exhaustive_search",
             "exhaustive_search_naive", "format_rounded", "load_csv", "local_search",
             "objective_under_medoids", "objective_under_modes", "random_dataset", "run_kmodes",
             "__version__",
@@ -95,6 +95,15 @@ class TestLazyPackage:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             catcluster.no_such_name
+
+    def test_cli_takes_only_public_names_from_the_package(self):
+        # a loaded submodule is an attribute of the package, but not a name the CLI calls
+        import catcluster.metric
+        from catcluster import cli
+
+        assert catcluster.metric.__name__ == "catcluster.metric"
+        with pytest.raises(AttributeError, match="no attribute 'metric'"):
+            cli.metric
 
     def test_submodules_import_by_name(self):
         from catcluster import cli, dataset
