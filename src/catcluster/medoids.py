@@ -229,11 +229,10 @@ def _rows(store: _Store, index) -> np.ndarray:
 
 
 def _kept_base(store: _Store, kept) -> np.ndarray:
-    """Scan base of the medoids at the positions ``kept``: each position's
-    distance to the nearest. With none kept it is the dtype's maximum, at
-    least m, so every minimum the scan takes with it yields the other side."""
-    block = _rows(store, kept)
-    return block.min(axis=0, initial=np.iinfo(block.dtype).max)
+    """Base of the medoids at the positions ``kept``, the one rule of every
+    sweep: each position's distance to the nearest, m where none is kept. A
+    distance is at most m, so every minimum taken with the base yields it."""
+    return _rows(store, kept).min(axis=0, initial=store.values.shape[1])
 
 
 def cost_of_medoid_set(dataset: CategoricalDataset, indices) -> tuple[int, np.ndarray]:
@@ -580,48 +579,37 @@ def _descend(dataset, store, medoids, config: LocalSearchConfig):
     return cost, tuple(medoids), False
 
 
-def _single_swap_costs(store, medoids, last):
-    """(k, n) int64 table of sum_i w_i * min(d(c, i), base_r(i)) for every
-    removal position r and position c, base_r being the distance to the nearest
-    medoid kept without position r (see :func:`_kept_base`).
-
-    ``last`` maps kept medoid sets to their rows from the previous step and
-    is refilled with this step's. After an accepted swap r -> c, removing c
-    keeps exactly the set the previous step kept for removal r, so a step
-    after the first has k - 1 fresh rows instead of k. The fresh rows come
-    from one sweep, which reads or computes each block of the store once.
-    """
-    kept_sets = [(*medoids[:r], *medoids[r + 1 :]) for r in range(len(medoids))]
-    fresh = [r for r, kept in enumerate(kept_sets) if kept not in last]
-    if fresh:
-        rows = _rows(store, store.position[medoids])  # each medoid's row read once, for every base
-        top = np.iinfo(rows.dtype).max  # the base when no medoid is kept, as in _kept_base
-        bases = np.stack([np.delete(rows, r, axis=0).min(axis=0, initial=top) for r in fresh])
-        last.update(zip([kept_sets[r] for r in fresh], _sweep(store, bases, 0)))
-    table = {kept: last[kept] for kept in kept_sets}
-    last.clear()
-    last.update(table)
-    return np.stack(list(table.values()))
-
-
 def _best_swap(store, weights, medoids, p, last):
     """Best (cost, removal positions, added indices) over swap sizes 1..p;
     None when every record is a medoid; ``weights`` in position order.
     Deterministic: sizes ascending, removal positions and additions in
     lexicographic order, strict improvement to move the incumbent.
 
-    Size 1 is the first row-major minimum of :func:`_single_swap_costs`, its
-    columns put back in record order, over the non-medoids; it reuses and
-    refreshes ``last``. A size s >= 2 runs :func:`_scan` once per removal
-    set, under the bound of :func:`_lower_bound` at b = the kept base, at
-    most m, with B = sum_i w_i * b_i: every added S costs at least
-    sum_S rho - (s - 1) * B, so the limit, the incumbent's cost - 1 +
-    (s - 1) * B, closes only what cannot move it.
+    Size 1 is the first row-major minimum, over the non-medoids, of a (k, n)
+    table: for each removal position r the row of sum_i w_i * min(d(c, i),
+    b_i) over positions c put back in record order, b being the kept base
+    (:func:`_kept_base`) of the medoids but r. ``last`` maps kept medoid sets
+    to their rows from the previous step and is refilled with this step's.
+    After an accepted swap r -> c, removing c keeps exactly the set the
+    previous step kept for removal r, so a step after the first sweeps k - 1
+    fresh rows instead of k, all in one sweep. A size s >= 2 runs
+    :func:`_scan` once per removal set, under the bound of
+    :func:`_lower_bound` at b = the kept base, with B = sum_i w_i * b_i:
+    every added S costs at least sum_S rho - (s - 1) * B, so the limit, the
+    incumbent's cost - 1 + (s - 1) * B, closes only what cannot move it.
     """
     k, n = len(medoids), len(store.values)
     if k == n:
         return None
-    costs = np.take(_single_swap_costs(store, medoids, last), store.position, axis=1)
+    kept_sets = [(*medoids[:r], *medoids[r + 1 :]) for r in range(k)]
+    fresh = [kept for kept in kept_sets if kept not in last]
+    if fresh:
+        bases = np.stack([_kept_base(store, store.position[list(kept)]) for kept in fresh])
+        last.update(zip(fresh, _sweep(store, bases, 0)))
+    rows = [last[kept] for kept in kept_sets]
+    last.clear()
+    last.update(zip(kept_sets, rows))
+    costs = np.take(np.stack(rows), store.position, axis=1)
     costs[:, medoids] = _NO_COST
     r, c = divmod(int(np.argmin(costs)), n)  # first minimum, row-major
     best = (int(costs[r, c]), (r,), (c,))
@@ -630,7 +618,7 @@ def _best_swap(store, weights, medoids, p, last):
     for s in range(2, min(p, k, n - k) + 1):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
-            b = np.minimum(_kept_base(store, store.position[kept]), store.values.shape[1])  # d <= m: the same base
+            b = _kept_base(store, store.position[kept])
             bound = _sweep(store, b[None, :], 0)[0], best[0] - 1 + (s - 1) * int(weights @ b)
             found = _scan(store, b, in_medoids, s, bound)
             if found is not None and found[0] < best[0]:

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s -q` to see every line. The checks
 against the two reference datasets skip with a fetch hint when the files are
-not available locally; everything else runs self-contained. Checks 6, 7 and
-11 also run on votes- and mushroom-shaped stand-ins of the same sizes.
+not available locally; everything else runs self-contained. Checks 2, 5, 6, 7
+and 11 also run on votes- and mushroom-shaped stand-ins of the same sizes.
 """
 import itertools
 import random
@@ -26,6 +26,7 @@ from catcluster import (
     format_rounded,
     load_csv,
     local_search,
+    objective_under_modes,
     random_dataset,
     run_kmodes,
 )
@@ -117,6 +118,27 @@ def test_02_votes_exhaustive_objective_and_determinism():
     )
 
 
+def test_02b_votes_exhaustive_stand_in(stand_ins):
+    # the optimum is at most the label partition's medoid cost, which Lemma 2
+    # bounds by twice its mode cost
+    ds = dedupe(stand_ins["votes"])
+    t0 = time.perf_counter()
+    runs = [exhaustive_search(ds, 2, workers=w) for w in (1, 1, 2)]
+    dt = time.perf_counter() - t0
+    obj, labelled = runs[0].medoid_objective, objective_under_modes(ds, ds.labels)
+    identical = (
+        len({r.medoid_objective for r in runs}) == 1
+        and len({r.medoid_indices for r in runs}) == 1
+        and all(np.array_equal(runs[0].assignment, r.assignment) for r in runs[1:])
+    )
+    _report(
+        "2-stand-in",
+        identical and obj <= 2 * labelled and dt < 60.0,
+        f"{ds.n_records} records, objective {obj} <= 2 * {labelled} of the labels, identical across "
+        f"repeats and worker counts: {identical}, {dt:.1f}s (<60s)",
+    )
+
+
 @needs_votes
 def test_03_votes_kmodes_error_and_objective(votes_kmodes):
     result, dt = votes_kmodes
@@ -169,6 +191,23 @@ def test_05_mushroom_local_search_quality():
         sol.medoid_objective <= bound and dt < 600.0,
         f"best-of-5 objective {sol.medoid_objective} <= 1.05 * 62512 = {bound:.0f}, "
         f"{dt:.1f}s (<600s)",
+    )
+
+
+def test_05b_mushroom_local_search_stand_in(stand_ins):
+    # a stable p = 1 optimum, between the exhaustive optimum and 10 times the
+    # label partition's mode cost, the factor it reports
+    ds = dedupe(stand_ins["mushroom"])
+    t0 = time.perf_counter()
+    sol = local_search(ds, 2, LocalSearchConfig(p=1, seed=0, restarts=5))
+    dt = time.perf_counter() - t0
+    optimum = exhaustive_search(ds, 2, force=True).medoid_objective
+    labelled = objective_under_modes(ds, ds.labels)
+    _report(
+        "5-stand-in",
+        sol.guarantee == 10.0 and optimum <= sol.medoid_objective <= 10 * labelled and dt < 600.0,
+        f"{ds.n_records} records, guarantee {sol.guarantee}, optimum {optimum} <= best-of-5 objective "
+        f"{sol.medoid_objective} <= 10 * {labelled} of the labels, {dt:.1f}s (<600s)",
     )
 
 

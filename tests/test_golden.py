@@ -108,6 +108,8 @@ def write_inputs(directory: Path) -> None:
     files["planted.csv"] = _lines(_planted(random.Random(11), 150, 0.1))
     rows = _planted(random.Random(12), 75, 0.1)
     files["tied.csv"] = _lines(rows + rows)
+    # the size of the mushroom table, for its reproduction
+    files["mushroom-table.csv"] = _lines(_mushroom(random.Random(13), 8124))
     for name, text in files.items():
         (directory / name).write_text(text)
 
@@ -140,7 +142,15 @@ CASES = [
     *((f"{name}-exhaustive-k{k}.json", [*RUN, "--data", f"{name}.csv", "--algorithm", "exhaustive",
                                          "--k", str(k), "--threads", "2"], 0)
       for name in ("planted", "tied") for k in (2, 3)),
+    # bases with no medoid kept: the p = 1 table at k = 1, over weight groups
+    # and a tail, and a removal set of all k medoids at p = k
+    ("skewed-k1.json", [*RUN, "--data", "skewed.csv", "--dedupe", "--algorithm", "local-search", "--k", "1"], 0),
+    ("small-p4.json", [*RUN, "--data", "small.csv", "--algorithm", "local-search", "--k", "4", "--p", "4",
+                       "--max-steps", "2"], 0),
     ("verify-oracle.json", ["verify", "--suite", "oracle", "--format", "json"], 0),
+    *((f"verify-{suite}.json", ["verify", "--suite", suite, "--data", "votes.csv", "--label-column", "0",
+                                "--trials", trials, "--format", "json"], 0)
+      for suite, trials in (("lemma1", "200"), ("metric", "5000"))),
     ("verify-lemma2.json", ["verify", "--suite", "lemma2", "--format", "json"], 0),
     ("header.json", ["run", "--data", "votes-header.csv", "--header", "--label-column", "party",
                      "--algorithm", "kmodes", "--k", "2", "--dedupe"], 0),
@@ -149,6 +159,8 @@ CASES = [
     ("empty-clusters.txt", [*RUN, "--data", "repeated.csv", "--algorithm", "exhaustive", "--k", "4",
                             "--format", "text"], 0),
     ("reproduce-votes.json", ["reproduce", "--table", "votes", "--data", "votes.csv", "--format", "json"], 0),
+    ("reproduce-mushroom.json", ["reproduce", "--table", "mushroom", "--data", "mushroom-table.csv",
+                                 "--format", "json"], 0),
     ("reject-label.json", [*RUN, "--data", "reject-label.csv", "--missing-policy", "reject",
                            "--algorithm", "kmodes", "--k", "2"], 0),
     ("reject-feature.stderr", [*RUN, "--data", "reject-feature.csv", "--missing-policy", "reject",

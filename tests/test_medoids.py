@@ -723,7 +723,8 @@ class TestDistanceStore:
     @pytest.mark.parametrize("block", [1, 3, 7, 512])
     def test_rows_are_symmetric_reads(self, monkeypatch, block):
         # a row gathered from the blocks equals the row computed directly, in
-        # the summation order, for positions in every block
+        # the summation order, for positions in every block; with no position
+        # the kept base is m, in the distances' dtype, kept or computed
         ds = random_dataset(n=30, m=5, max_categories=4, seed=6)
         ds = dataset_from_rows([[str(v) for v in row] for row in ds.values], weights=[i % 3 + 1 for i in range(30)])
         monkeypatch.setattr(medoids, "_GROUP_MIN", 2)
@@ -731,9 +732,13 @@ class TestDistanceStore:
         store = medoids._store(ds)
         values = ds.values[store.columns.order]
         want = (values[:, None, :] != values[None, :, :]).sum(axis=2)
-        index = [29, 0, 13, 7, 7]
-        assert np.array_equal(medoids._rows(store, index), want[index])
-        assert np.array_equal(medoids._kept_base(store, index), want[index].min(axis=0))
+        for index in ([29, 0, 13, 7, 7], []):
+            assert np.array_equal(medoids._rows(store, index), want[index])
+            assert np.array_equal(medoids._kept_base(store, index), want[index].min(axis=0, initial=5))
+        for budget in (medoids.MATRIX_BUDGET, 0):
+            monkeypatch.setattr(medoids, "MATRIX_BUDGET", budget)
+            base = medoids._kept_base(medoids._store(ds), [])
+            assert base.dtype == np.uint8 and np.array_equal(base, np.full(30, 5))
 
 
 class TestSingleSwapTable:
