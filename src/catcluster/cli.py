@@ -169,7 +169,7 @@ def _source_urls(sources_path=None) -> dict:
     if sources_path:
         try:
             overrides = json.loads(Path(sources_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FetchError(f"could not read source config {sources_path}: {exc}") from exc
         if not isinstance(overrides, dict) or not all(isinstance(url, str) for url in overrides.values()):
             raise FetchError(f"source config {sources_path} is not a JSON object of dataset name to URL string")

@@ -8,6 +8,7 @@ so the merge is exact.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import operator
@@ -349,11 +350,36 @@ def _tokenize_rows(path: Path, header: bool, delimiter: str):
 
 def _csv_rows(path: Path, reader):
     """The rows of ``reader``, a ``csv.reader`` of ``path``; a row it refuses,
-    say for a field past ``csv.field_size_limit()``, raises DatasetError."""
+    say for a field past ``csv.field_size_limit()``, and a byte that the
+    file's encoding cannot decode raise DatasetError."""
     try:
         yield from reader
     except csv.Error as exc:
         raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path, exc.encoding)
+        where = f"{path}: " + ("" if line is None else f"line {line}: ")
+        byte = exc.object[exc.start]
+        raise DatasetError(f"{where}byte 0x{byte:02x} is not {exc.encoding} text ({exc.reason})") from None
+
+
+def _undecodable_line(path: Path, encoding: str) -> int | None:
+    """1-based line of the first byte of ``path`` that ``encoding`` cannot
+    decode, counted on the raw bytes: the text layer under ``csv.reader``
+    decodes ahead in chunks, so its ``line_num`` can point too early. None for
+    a source that cannot be read twice, such as a pipe."""
+    if not path.is_file():
+        return None
+    decoder = codecs.getincrementaldecoder(encoding)()
+    with open(path, "rb") as fh:
+        line = 0
+        try:
+            for line, raw in enumerate(fh, 1):
+                decoder.decode(raw)
+            decoder.decode(b"", final=True)  # a sequence cut short by the end of the file
+        except UnicodeDecodeError:
+            return line
+    return None
 
 
 def _line_chunks(fh):

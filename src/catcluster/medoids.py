@@ -119,8 +119,7 @@ def _columns(dataset: CategoricalDataset) -> _Columns:
     """The summation order of ``dataset``'s sweeps (see :class:`_Columns`)."""
     dtype = _GROUP_SUM[np.dtype(unsigned_dtype(dataset.m))]
     cap = np.iinfo(dtype).max // dataset.m
-    order = np.argsort(dataset.weights, kind="stable")
-    weights = dataset.weights[order]
+    order, weights = np.argsort(dataset.weights, kind="stable"), np.sort(dataset.weights)
     runs = np.diff(np.flatnonzero(np.diff(weights, prepend=0, append=0)))  # records per weight value
     grouped = np.repeat(runs >= _GROUP_MIN, runs)
     order, head = np.r_[order[grouped], order[~grouped]], weights[grouped]
@@ -157,7 +156,8 @@ def _span(columns: _Columns, lo: int, hi: int) -> _Span:
 
 class _Store(NamedTuple):
     """Every distance d(q, p) once, on both axes in the summation order of
-    :class:`_Columns` (position t is record ``columns.order[t]``).
+    :class:`_Columns` (position t is record ``columns.order[t]``), and the
+    record weights in that order, which every cost the solvers sum reads.
 
     A staircase of column blocks: the block at s covers the positions
     [s, e), ``width`` of them or the rest, and holds d(q, p) for every
@@ -172,6 +172,7 @@ class _Store(NamedTuple):
     columns: _Columns
     values: np.ndarray  # the records in summation order
     position: np.ndarray  # each record's position
+    weights: np.ndarray  # the weight at each position, int64
     width: int  # columns per block, _BLOCK when it was built
     spans: list  # each block's columns as a _Span
     blocks: list | None  # the kept blocks, in position order
@@ -190,7 +191,7 @@ def _store(dataset: CategoricalDataset) -> _Store:
     size = sum((n - s) * min(width, n - s) for s in tops) * np.dtype(unsigned_dtype(dataset.m)).itemsize
     # the block's records as hamming's b side: its tables span them, not all n - s rows
     blocks = [hamming(values[s:], values[s : s + width]) for s in tops] if size <= MATRIX_BUDGET else None
-    return _Store(columns, values, position, width, spans, blocks)
+    return _Store(columns, values, position, dataset.weights[columns.order], width, spans, blocks)
 
 
 def _tiles(store: _Store, s: int, lo: int):
@@ -304,16 +305,6 @@ def _sweep(store: _Store, bases: np.ndarray, start: int) -> np.ndarray:
     return costs
 
 
-def _extensions(store, bases, after, excluded):
-    """sum_i w_i * min(bases[r, i], d(c, i)) for the rows r of ``bases`` and
-    the positions c >= after[0] + 1 (``after`` ascending), ``_NO_COST``
-    where c <= after[r] or c is ``excluded``: the table and its lowest cost."""
-    start = int(after[0]) + 1
-    costs = _sweep(store, bases, start)
-    costs[(np.arange(start, len(excluded)) <= after[:, None]) | excluded[start:]] = _NO_COST
-    return costs, int(costs.min())
-
-
 def _smallest(records: np.ndarray) -> tuple[int, ...]:
     """The smallest subset, sorted, of the rows of ``records``, each a subset
     of record indices in any order."""
@@ -321,17 +312,18 @@ def _smallest(records: np.ndarray) -> tuple[int, ...]:
     return tuple(subsets[np.lexsort(subsets.T[::-1])[0] if len(subsets) > 1 else 0].tolist())
 
 
-def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
-    """(rho, limit) for the exhaustive scan at k >= 2: every k-subset S whose
-    sum of rho over its positions exceeds ``limit`` costs more than a subset
-    already known, so no optimal subset is among them.
+def _lower_bound(store: _Store, k: int):
+    """(rho, limit) for the exhaustive scan at k >= 2 on ``store``: every
+    k-subset S whose sum of rho over its positions exceeds ``limit`` costs
+    more than a subset already known, so no optimal subset is among them.
 
-    rho_x = sum_i w_i * min(d(x, i), b_i) for an integer threshold b_i in
-    [0, m] per position i, and limit = U + (k - 1) * sum_i w_i * b_i, U being
-    the cost of a p = 1 swap descent (:func:`_descend`) from the first k
-    positions, with no threshold and the default cap of steps: where the cap
-    stops it, U is higher and the bound closes less, still exactly. For each
-    i, with x* the member of S nearest to it,
+    rho_x = sum_i w_i * min(d(x, i), b_i), w being the store's weights, for
+    an integer threshold b_i in [0, m] per position i, and limit = U + (k - 1)
+    * sum_i w_i * b_i, U being the cost of a p = 1 swap descent
+    (:func:`_descend`) from the first k positions, with no threshold and the
+    default cap of steps: where the cap stops it, U is higher and the bound
+    closes less, still exactly. For each i, with x* the member of S nearest
+    to it,
     sum_{x in S} min(d(x, i), b_i) <= d(x*, i) + (k - 1) * b_i; weighted and
     summed, sum_S rho - (k - 1) * sum_i w_i * b_i <= cost(S), the Lagrangian
     bound of the p-median problem (Beasley, EJOR 21, 1985). Any b gives a
@@ -344,9 +336,8 @@ def _lower_bound(dataset: CategoricalDataset, store: _Store, k: int):
     integers throughout, so the choice is the same on every machine, and no
     float loop of numpy is loaded. Each rho is at most m * total weight < 2**62
     (:class:`CategoricalDataset`): longer sums than two are Python ints."""
-    order, unit, m = store.columns.order, _BOUND_UNIT, dataset.m
-    weights = dataset.weights[order]
-    cost, medoids, _ = _descend(dataset, store, order[:k], LocalSearchConfig(min_relative_improvement=0.0))
+    order, weights, unit, m = store.columns.order, store.weights, _BOUND_UNIT, store.values.shape[1]
+    cost, medoids, _ = _descend(store, order[:k], LocalSearchConfig(min_relative_improvement=0.0))
     target = _kept_base(store, store.position[list(medoids)]).astype(np.int64) * unit  # b, in 1 / unit
     best, highest, halved, stale = None, None, 0, 0
     for _ in range(_BOUND_STEPS):
@@ -390,8 +381,9 @@ def _scan(store, base, excluded, size, bound, share=(0, 1)):
 
     Python loops only over the open (size - 2)-prefixes of positions, in
     lexicographic order. For each, a block of next members j is taken at
-    once, and all their completions c > j are scored by one sweep per block
-    (:func:`_extensions`), sized so that its minima take at most ``_SCAN_BYTES``.
+    once, sized so that its minima take at most ``_SCAN_BYTES``, and all
+    their completions c > j are scored by one :func:`_sweep` from the
+    block's first j + 1 on; a c <= j or ``excluded`` is masked out.
 
     ``share`` = (w, parts) scores only the (prefix, block) units whose
     ordinal in that order is w modulo parts: the parts shares of a scan
@@ -425,12 +417,15 @@ def _scan(store, base, excluded, size, bound, share=(0, 1)):
             if qbase is None:  # the first block of this prefix that the share owns
                 prefix = pool[list(positions)]
                 qbase = np.minimum(base, _kept_base(store, prefix))
-            costs, low = _extensions(store, np.minimum(qbase, _rows(store, js)), js, excluded)
+            start = int(js[0]) + 1
+            costs = _sweep(store, np.minimum(qbase, _rows(store, js)), start)
+            costs[(np.arange(start, n) <= js[:, None]) | excluded[start:]] = _NO_COST
+            low = int(costs.min())
             if low == _NO_COST or (best is not None and low > best[0]):
                 continue
             r, c = np.divmod(np.flatnonzero(costs == low), costs.shape[1])  # every pair at the lowest cost
             records = np.empty((len(r), size), dtype=np.intp)
-            records[:, :-2], records[:, -2], records[:, -1] = order[prefix], order[js[r]], order[js[0] + 1 + c]
+            records[:, :-2], records[:, -2], records[:, -1] = order[prefix], order[js[r]], order[start + c]
             found = (low, _smallest(records))
             if best is None or found < best:
                 best = found
@@ -476,7 +471,7 @@ def exhaustive_search(
         )
     store = _store(dataset)
     base, excluded = _kept_base(store, ()), np.zeros(n, dtype=bool)
-    bound = _lower_bound(dataset, store, k)
+    bound = _lower_bound(store, k)
     parts = min(workers, os.cpu_count() or 1)
     found, errors = [], []
 
@@ -541,7 +536,7 @@ def local_search(
     store, rng = _store(dataset), np.random.default_rng(config.seed)
     starts = [rng.choice(n, size=k, replace=False) for _ in range(config.restarts)]
     # min keeps the first of equal costs
-    cost, best, stable = min((_descend(dataset, store, start, config) for start in starts), key=lambda r: r[0])
+    cost, best, stable = min((_descend(store, start, config) for start in starts), key=lambda r: r[0])
     guarantee = 2.0 * (3.0 + 2.0 / config.p) if stable else None
     return _rechecked(dataset, cost, best, "swap bookkeeping", "local-search", guarantee)
 
@@ -555,20 +550,20 @@ def _rechecked(dataset, cost, medoids, source, algorithm, guarantee) -> MedoidSo
     return MedoidSolution(medoids, assignment, objective, algorithm, guarantee)
 
 
-def _descend(dataset, store, medoids, config: LocalSearchConfig):
-    """(cost, medoids, stable) of a p-swap descent from the record indices
-    ``medoids``: each step makes the best exchange of up to ``config.p``
-    medoids for as many non-medoids (:func:`_best_swap`) while it lowers the
-    cost by at least ``min_relative_improvement`` of it, for at most
-    ``max_steps`` steps. The medoids come back sorted; ``stable`` is whether
-    no strictly improving exchange was left."""
+def _descend(store, medoids, config: LocalSearchConfig):
+    """(cost, medoids, stable) of a p-swap descent on ``store``, costs
+    weighed by its weights, from the record indices ``medoids``: each step
+    makes the best exchange of up to ``config.p`` medoids for as many
+    non-medoids (:func:`_best_swap`) while it lowers the cost by at least
+    ``min_relative_improvement`` of it, for at most ``max_steps`` steps. The
+    medoids come back sorted; ``stable`` is whether no strictly improving
+    exchange was left."""
     medoids = sorted(int(i) for i in medoids)
     num, den = config.min_relative_improvement.as_integer_ratio()  # the threshold compared exactly
-    weights = dataset.weights[store.columns.order]  # in position order
-    cost = int(weights @ _kept_base(store, store.position[medoids]))
+    cost = int(store.weights @ _kept_base(store, store.position[medoids]))
     last = {}  # the last step's single-swap cost rows, by kept medoid set
     for _ in range(config.max_steps):
-        swap = _best_swap(store, weights, medoids, config.p, last)
+        swap = _best_swap(store, medoids, config.p, last)
         if swap is None or swap[0] >= cost:
             return cost, tuple(medoids), True
         new_cost, removals, additions = swap
@@ -579,11 +574,12 @@ def _descend(dataset, store, medoids, config: LocalSearchConfig):
     return cost, tuple(medoids), False
 
 
-def _best_swap(store, weights, medoids, p, last):
+def _best_swap(store, medoids, p, last):
     """Best (cost, removal positions, added indices) over swap sizes 1..p;
-    None when every record is a medoid; ``weights`` in position order.
-    Deterministic: sizes ascending, removal positions and additions in
-    lexicographic order, strict improvement to move the incumbent.
+    None when every record is a medoid. Deterministic: sizes ascending,
+    removal positions and additions in lexicographic order, strict
+    improvement to move the incumbent. Each w_i below is the store's weight
+    at position i.
 
     Size 1 is the first row-major minimum, over the non-medoids, of a (k, n)
     table: for each removal position r the row of sum_i w_i * min(d(c, i),
@@ -619,7 +615,7 @@ def _best_swap(store, weights, medoids, p, last):
         for removals in itertools.combinations(range(k), s):
             kept = [m for pos, m in enumerate(medoids) if pos not in removals]
             b = _kept_base(store, store.position[kept])
-            bound = _sweep(store, b[None, :], 0)[0], best[0] - 1 + (s - 1) * int(weights @ b)
+            bound = _sweep(store, b[None, :], 0)[0], best[0] - 1 + (s - 1) * int(store.weights @ b)
             found = _scan(store, b, in_medoids, s, bound)
             if found is not None and found[0] < best[0]:
                 best = (found[0], removals, found[1])

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s -q` to see every line. The checks
 against the two reference datasets skip with a fetch hint when the files are
-not available locally; everything else runs self-contained. Checks 2, 5, 6, 7
+not available locally; everything else runs self-contained. Checks 2 to 7
 and 11 also run on votes- and mushroom-shaped stand-ins of the same sizes.
 """
 import itertools
@@ -62,17 +62,36 @@ def mushroom_kmodes():
 _STAND_IN_SEED = 6
 
 
-@pytest.fixture(scope="module")
-def stand_ins(tmp_path_factory):
-    """name -> the raw dataset of a stand-in file: 435 votes-shaped rows of 16
-    attributes, 8124 mushroom-shaped rows of 22, each led by a label."""
-    directory, loaded = tmp_path_factory.mktemp("stand-ins"), {}
-    for name, rows in (("votes", _votes(random.Random(_STAND_IN_SEED), 435)),
-                       ("mushroom", _mushroom(random.Random(_STAND_IN_SEED), 8124))):
+# seed 7 at low noise: the first two rows, which start k-modes, carry both labels
+_LOW_NOISE_SEED = 7
+
+
+def _loaded(directory, files):
+    """name -> the raw dataset of each file of rows, led by a label, written to ``directory``."""
+    loaded = {}
+    for name, rows in files.items():
         path = directory / f"{name}.csv"
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         loaded[name] = load_csv(path, label_column=0)
     return loaded
+
+
+@pytest.fixture(scope="module")
+def stand_ins(tmp_path_factory):
+    """name -> the raw dataset of a stand-in file: 435 votes-shaped rows of 16
+    attributes, 8124 mushroom-shaped rows of 22, each led by a label."""
+    return _loaded(tmp_path_factory.mktemp("stand-ins"),
+                   {"votes": _votes(random.Random(_STAND_IN_SEED), 435),
+                    "mushroom": _mushroom(random.Random(_STAND_IN_SEED), 8124)})
+
+
+@pytest.fixture(scope="module")
+def low_noise(tmp_path_factory):
+    """The stand-ins' shapes with half the votes' flips (each vote follows
+    the party with probability 0.9) and a third of the mushroom redraws (0.1)."""
+    return _loaded(tmp_path_factory.mktemp("low-noise"),
+                   {"votes": _votes(random.Random(_LOW_NOISE_SEED), 435, follow=0.9),
+                    "mushroom": _mushroom(random.Random(_LOW_NOISE_SEED), 8124, noise=0.1)})
 
 
 def test_01_confusion_table_arithmetic():
@@ -176,6 +195,38 @@ def test_04_mushroom_kmodes_error_and_objective(mushroom_kmodes):
         ok,
         f"error {format_rounded(report.error)} vs 0.435 +-0.05, "
         f"objective {obj} vs 63015 +-3%, {dt:.2f}s (<30s)",
+    )
+
+
+@pytest.mark.parametrize("tag, name, limit", [("3", "votes", 5.0), ("4", "mushroom", 30.0)])
+def test_03b_04b_kmodes_stand_in(stand_ins, tag, name, limit):
+    # Lemma 2: the medoid optimum is at most twice the mode optimum, which
+    # k-modes' objective is at least; within the UCI check's time limit
+    ds = dedupe(stand_ins[name])
+    t0 = time.perf_counter()
+    result = run_kmodes(ds, KModesConfig(k=2, init="first-k-distinct"))
+    dt = time.perf_counter() - t0
+    optimum = exhaustive_search(ds, 2, force=True).medoid_objective
+    _report(
+        f"{tag}-stand-in",
+        optimum <= 2 * result.mode_objective and dt < limit,
+        f"{ds.n_records} records, medoid optimum {optimum} <= 2 * k-modes objective "
+        f"{result.mode_objective}, {dt:.2f}s (<{limit:.0f}s)",
+    )
+
+
+@pytest.mark.parametrize("tag, name", [("3", "votes"), ("4", "mushroom")])
+def test_03c_04c_kmodes_recovers_labels_at_low_noise(low_noise, tag, name):
+    # from two rows of different labels, k-modes finds the label partition
+    raw = low_noise[name]
+    first = [raw.schema.label_domain.categories[label] for label in raw.labels[:2]]
+    ds = dedupe(raw)
+    result = run_kmodes(ds, KModesConfig(k=2, init="first-k-distinct"))
+    error = evaluate(ds, result.assignment).error
+    _report(
+        f"{tag}-low-noise",
+        first[0] != first[1] and error == 0,
+        f"{ds.n_records} records, first two labels {first}, error {format_rounded(error)} (want 0)",
     )
 
 

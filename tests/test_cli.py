@@ -305,6 +305,18 @@ class TestRunErrors:
         captured = capsys.readouterr()
         assert f"error: {path}: line 2: field larger than field limit" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", [["run", "--algorithm", "kmodes", "--k", "1"],
+                                         ["verify", "--suite", "lemma1", "--trials", "5"]])
+    def test_undecodable_byte_is_an_input_error(self, capsys, tmp_path, command):
+        # a file that is not UTF-8 text names the file and the line of its
+        # first bad byte, not the codec's offset alone
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\nc,\xff\n")
+        code = cli.main([*command, "--data", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: line 2: byte 0xff is not utf-8 text" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("command", [["run", "--algorithm", "kmodes", "--k", "2"],
                                          ["run", "--algorithm", "exhaustive", "--k", "2"],
                                          ["run", "--algorithm", "local-search", "--k", "2"],
@@ -491,6 +503,29 @@ class TestFetch:
         assert "does not look like the votes dataset" in capsys.readouterr().err
         # the rejected file must not satisfy the next cache lookup
         assert not (tmp_path / "house-votes-84.data").exists()
+
+    def test_fetch_rejects_undecodable_payload(self, capsys, tmp_path, monkeypatch):
+        # a download that is not UTF-8 text fails like any other bad file,
+        # naming its line, and leaves no cache file behind
+        payload = votes_payload().replace(b"democrat", b"democr\xe4t", 1)
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout=None: _FakeResponse(payload))
+        code = cli.main(["fetch", "--name", "votes", "--data-dir", str(tmp_path)])
+        assert code == 2
+        dest = tmp_path / "house-votes-84.data"
+        assert f"{dest}: line 1: byte 0xe4 is not utf-8 text" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_sources_config_must_be_text(self, capsys, tmp_path, monkeypatch):
+        sources = tmp_path / "sources.json"
+        sources.write_bytes(b'{"votes": "https://mirror.example/v\xf6tes.data"}')
+
+        def no_network(url, timeout=None):
+            raise AssertionError("an undecodable config must fail before any download")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        code = cli.main(["fetch", "--name", "votes", "--data-dir", str(tmp_path), "--sources", str(sources)])
+        assert code == 2
+        assert f"could not read source config {sources}" in capsys.readouterr().err
 
     def test_sources_config_overrides_url(self, capsys, tmp_path, monkeypatch):
         sources = tmp_path / "sources.json"

@@ -132,14 +132,31 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=message):
             dataset._line_of(p, ",", 2)
 
+    @pytest.mark.parametrize("bad, reason", [(b"\nc,\xff\nd,e\n", "invalid start byte"),
+                                             (b"\nc,\xe2\x82", "unexpected end of data")])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, bad, reason):
+        # text is read as UTF-8; the text layer decodes ahead of csv.reader
+        # in chunks, so the line of the first bad byte, here past 100 rows and
+        # a blank line, or cut short at the end of the file, is counted on
+        # the raw bytes
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"a,b\n" * 100 + bad)
+        message = re.escape(f"{p}: line 102: byte 0x{bad[3]:02x} is not utf-8 text ({reason})")
+        with pytest.raises(DatasetError, match=message):
+            load_csv(p)
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_error_on_a_pipe_names_the_row_ordinal(self, tmp_path):
-        # a pipe cannot be read again to find the file line, so the row's ordinal stands in
+    @pytest.mark.parametrize("text, message", [(b"a,b\n\nc\n", "ragged row 2 has 1 fields"),
+                                               (b"a,b\nc,\xff\n", "pipe.csv: byte 0xff is not utf-8 text")],
+                             ids=["ragged", "undecodable"])
+    def test_error_on_a_pipe_names_the_row_ordinal(self, tmp_path, text, message):
+        # a pipe cannot be read again to find the file line, so the row's
+        # ordinal stands in, and an undecodable byte is named without a line
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text, args=("a,b\n\nc\n",))
+        writer = threading.Thread(target=fifo.write_bytes, args=(text,))
         writer.start()
-        with pytest.raises(DatasetError, match="ragged row 2 has 1 fields"):
+        with pytest.raises(DatasetError, match=message):
             load_csv(fifo)
         writer.join(timeout=10)
         assert not writer.is_alive()

@@ -220,6 +220,26 @@ def test_run_report_counts_its_input(inputs, name):
         assert data["label_histogram"] == collections.Counter(row[column] for row in rows)
 
 
+VERIFY_CASES = [(name, argv) for name, argv, _ in CASES if argv[0] == "verify"]
+# the trials of a suite run without --trials, as README documents them
+DEFAULT_TRIALS = {"oracle": 50, "lemma2": 200}
+
+
+@pytest.mark.parametrize("name, argv", VERIFY_CASES, ids=[name for name, _ in VERIFY_CASES])
+def test_verify_report_holds_what_it_claims(name, argv):
+    # each verify report read back on its own: its trials are the case's, it
+    # passed with no violation, a ratio stays within Lemma 1's and Lemma 2's
+    # bound of 2, and the lemma1 histogram counts every trial once
+    report = json.loads((GOLDEN / name).read_text())
+    suite = argv[argv.index("--suite") + 1]
+    trials = int(argv[argv.index("--trials") + 1]) if "--trials" in argv else DEFAULT_TRIALS[suite]
+    assert report["suite"] == suite and report["trials"] == trials
+    assert report["passed"] is True and report["violations"] == []
+    assert report.get("max_ratio", 0) <= 2
+    if suite == "lemma1":
+        assert sum(count for _, _, count in report["histogram"]) == trials
+
+
 def test_wide_domains_multiply_past_one_key(inputs):
     schema = load_csv(inputs / "wide.csv", label_column=0).schema
     sizes = [a.size for a in schema.attributes]

@@ -76,10 +76,9 @@ class TestCostOfMedoidSet:
         monkeypatch.setattr(medoids, "MATRIX_BUDGET", 0)
         on_the_fly = medoids._store(four_point)
         assert held.blocks is not None and on_the_fly.blocks is None
-        order = held.columns.order
         for pair in FOUR_POINT_PAIR_COSTS:
             for store in (held, on_the_fly):
-                got = int(four_point.weights[order] @ medoids._rows(store, store.position[list(pair)]).min(axis=0))
+                got = int(store.weights @ medoids._rows(store, store.position[list(pair)]).min(axis=0))
                 assert got == cost_of_medoid_set(four_point, pair)[0]
 
     def test_weighted_objective(self):
@@ -106,9 +105,9 @@ def best_exchange(ds, current, p):
     return want
 
 
-def best_swap(ds, store, current, p, last=None):
-    """One swap step, ``medoids._best_swap``, with the weights in the store's position order."""
-    return medoids._best_swap(store, ds.weights[store.columns.order], current, p, {} if last is None else last)
+def best_swap(store, current, p, last=None):
+    """One swap step, ``medoids._best_swap``, with no rows carried over unless ``last`` is given."""
+    return medoids._best_swap(store, current, p, {} if last is None else last)
 
 
 class TestExhaustiveSearch:
@@ -318,22 +317,22 @@ class TestExhaustiveSearch:
         # makes every next member a unit of its own
         ds = random_dataset(n=10, m=3, max_categories=3, seed=2)
         store = medoids._store(ds)
-        bound = medoids._lower_bound(ds, store, size) if bounded else (np.zeros(10, dtype=np.int64), 0)
+        bound = medoids._lower_bound(store, size) if bounded else (np.zeros(10, dtype=np.int64), 0)
         base, excluded = medoids._kept_base(store, ()), np.zeros(10, dtype=bool)
         excluded[4] = True  # a position outside the pool
         prefix, keys = [()], []
-        kept_base, extensions = medoids._kept_base, medoids._extensions
+        kept_base, sweep = medoids._kept_base, medoids._sweep
 
         def recording_kept_base(store, kept):  # the scan asks for a prefix's base before its units
             prefix[0] = tuple(kept)
             return kept_base(store, kept)
 
-        def recording_extensions(store, bases, after, excluded):
-            keys.append((prefix[0], int(after[0])))
-            return extensions(store, bases, after, excluded)
+        def recording_sweep(store, bases, start):  # one per unit, from its first next member + 1
+            keys.append((prefix[0], start - 1))
+            return sweep(store, bases, start)
 
         monkeypatch.setattr(medoids, "_kept_base", recording_kept_base)
-        monkeypatch.setattr(medoids, "_extensions", recording_extensions)
+        monkeypatch.setattr(medoids, "_sweep", recording_sweep)
         monkeypatch.setattr(medoids, "_SCAN_BYTES", scan_bytes)
 
         def scored(share):
@@ -440,7 +439,7 @@ class TestLowerBound:
                                    weights=[seed % 7 + i % 3 + 1 for i in range(n)])
         k = min(k, n)
         store = medoids._store(ds)
-        rho, limit = medoids._lower_bound(ds, store, k)
+        rho, limit = medoids._lower_bound(store, k)
         costs = {S: cost_of_medoid_set(ds, S)[0] for S in itertools.combinations(range(n), k)}
         optimum = min(costs.values())
         for subset, cost in costs.items():
@@ -456,19 +455,21 @@ class TestLowerBound:
         costs = {S: cost_of_medoid_set(ds, S)[0] for S in itertools.combinations(range(n), k)}
         optimal = [S for S, cost in costs.items() if cost == min(costs.values())]
         prefix, scored = {}, []
-        kept_base, extensions = medoids._kept_base, medoids._extensions
+        kept_base, sweep = medoids._kept_base, medoids._sweep
 
         def recording_kept_base(store, kept):  # the scan asks for a prefix's base before its units
             prefix[threading.current_thread()] = tuple(kept)
             return kept_base(store, kept)
 
-        def recording_extensions(store, bases, after, excluded):
-            scored.extend((*prefix[threading.current_thread()], int(j)) for j in after)
-            return extensions(store, bases, after, excluded)
+        def recording_sweep(store, bases, start):
+            # a unit's sweep starts at its next member + 1; the bound's and the descent's at 0
+            if start:
+                scored.append((*prefix[threading.current_thread()], start - 1))
+            return sweep(store, bases, start)
 
         monkeypatch.setattr(medoids, "_SCAN_BYTES", 1)
         monkeypatch.setattr(medoids, "_kept_base", recording_kept_base)
-        monkeypatch.setattr(medoids, "_extensions", recording_extensions)
+        monkeypatch.setattr(medoids, "_sweep", recording_sweep)
         monkeypatch.setattr(medoids.os, "cpu_count", lambda: 64)
         naive = exhaustive_search_naive(ds, k)
         for workers in (1, 2, 3):
@@ -493,7 +494,7 @@ class TestLowerBound:
         monkeypatch.setattr(medoids, "_sweep", lambda *args: calls.append("sweep") or sweep(*args))
         monkeypatch.setattr(medoids, "_descend", descended)
         ds = dataset_from_rows(planted_rows(seed, n, m, flip, k))
-        medoids._lower_bound(ds, medoids._store(ds), k)
+        medoids._lower_bound(medoids._store(ds), k)
         assert len(calls) - calls.index("descended") - 1 == steps <= medoids._BOUND_STEPS
         sol, naive = exhaustive_search(ds, k), exhaustive_search_naive(ds, k)
         assert (sol.medoid_objective, sol.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
@@ -502,7 +503,7 @@ class TestLowerBound:
         # the oracle audit certifies the bounded scan: each of the 40 k >= 2
         # instances of its default 50 trials computes the bound once
         calls, lower_bound = [], medoids._lower_bound
-        monkeypatch.setattr(medoids, "_lower_bound", lambda *args: calls.append(args[2]) or lower_bound(*args))
+        monkeypatch.setattr(medoids, "_lower_bound", lambda *args: calls.append(args[1]) or lower_bound(*args))
         report = medoids.audit_oracle(50, 0)
         assert report.violations == ()
         assert len(calls) == 40 and min(calls) == 2
@@ -518,7 +519,7 @@ class TestLowerBound:
         # m * total weight one below 2**62 is accepted, and the bound, whose
         # rho and sums of two reach it, gives the naive optimum
         calls, lower_bound = [], medoids._lower_bound
-        monkeypatch.setattr(medoids, "_lower_bound", lambda *args: calls.append(args[2]) or lower_bound(*args))
+        monkeypatch.setattr(medoids, "_lower_bound", lambda *args: calls.append(args[1]) or lower_bound(*args))
         rows = [["a", "p"], ["a", "q"], ["b", "q"], ["c", "r"], ["b", "p"], ["c", "q"]]
         total = (2**62 - 1) // 2  # m being 2
         ds = dataset_from_rows(rows, weights=[total // 6] * 5 + [total - 5 * (total // 6)])
@@ -654,7 +655,7 @@ class TestLocalSearch:
         current = sorted(np.random.default_rng(pick).choice(n, size=k, replace=False).tolist())
         budget = 0 if on_the_fly else medoids.MATRIX_BUDGET
         with mock.patch.multiple(medoids, _SCAN_BYTES=scan_bytes, MATRIX_BUDGET=budget, _BLOCK=block):
-            got = best_swap(ds, medoids._store(ds), current, p)
+            got = best_swap(medoids._store(ds), current, p)
         assert got == best_exchange(ds, current, p)
 
     def test_p2_swaps_escape_a_p1_optimum(self):
@@ -717,8 +718,8 @@ class TestDistanceStore:
                 got = exhaustive_search(ds, k, workers=workers)
                 assert (got.medoid_objective, got.medoid_indices) == (naive.medoid_objective, naive.medoid_indices)
         for current in ([0, 5], [1, 2, 3], [3, 10, 17, 22]):
-            assert best_swap(ds, store, current, 1) == TestSingleSwapTable.swap_oracle(ds, current)
-            assert best_swap(ds, store, current, 2) == best_exchange(ds, current, 2)
+            assert best_swap(store, current, 1) == TestSingleSwapTable.swap_oracle(ds, current)
+            assert best_swap(store, current, 2) == best_exchange(ds, current, 2)
 
     @pytest.mark.parametrize("block", [1, 3, 7, 512])
     def test_rows_are_symmetric_reads(self, monkeypatch, block):
@@ -793,7 +794,7 @@ class TestSingleSwapTable:
         cost = cost_of_medoid_set(ds, current)[0]
         last = {}
         for _ in range(4):  # later steps read the row carried over
-            got = best_swap(ds, store, current, 1, last)
+            got = best_swap(store, current, 1, last)
             assert got == self.swap_oracle(ds, current)
             if got is None or got[0] >= cost:
                 break
@@ -813,7 +814,7 @@ class TestSingleSwapTable:
             ds = dataset_from_rows([[f"v{v}" for v in row] for row in ds.values],
                                    weights=[seed % 5 + i % 4 + 1 for i in range(n)])
         config = LocalSearchConfig(min_relative_improvement=0.0)
-        cost, found, stable = medoids._descend(ds, medoids._store(ds), range(k), config)
+        cost, found, stable = medoids._descend(medoids._store(ds), range(k), config)
         assert stable and list(found) == sorted(set(found)) and len(found) == k
         assert cost == cost_of_medoid_set(ds, found)[0]
         swap = self.swap_oracle(ds, list(found))
